@@ -815,7 +815,7 @@ let e23 () =
 let e24 () =
   section "E24"
     "lib/engine: oracle-call savings from the LRU, worker-pool batches";
-  Engine_bench.run ~out:"BENCH_engine.json" ()
+  ignore (Engine_bench.run ~out:"BENCH_engine.json" ())
 
 (* ------------------------------------------------------------------ *)
 (* E25: resilience — budgets, deadlines, injected faults               *)

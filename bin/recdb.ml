@@ -8,10 +8,11 @@
      recdb sentence -i rado 'forall x. ...'  evaluate an FO sentence
      recdb normalize -t 2 -r 2 '{(x,y)|...}' L⁻ normal form (Thm 2.1)
      recdb serve-batch FILE                  JSON-lines requests -> results
-     recdb bench-engine                      cache + worker-pool benchmark
-     recdb bench-parallel                    shared-memo parallel serving benchmark (E26)
      recdb crash-test                        kill workers mid-batch, verify containment
-     recdb bench-resilience                  budget/deadline/fault benchmark (E25)
+     recdb bench NAME                        one benchmark (engine, resilience,
+                                             parallel, server, obs, rql, compile,
+                                             store, cluster, incomplete); exit 1
+                                             on any violated gate
 
    Exit codes: 0 success, 1 runtime error (parse failure, unknown
    instance, ...), 124 command-line misuse (unknown subcommand or
@@ -341,21 +342,6 @@ let sampling_of_flags ~trace ~trace_sample =
   | None, true -> Some Obs.Trace.All
   | None, false -> None
 
-(* Evaluation-mode flag shared by serve-batch and serve: compiled
-   closures (the default) and the tree-walk interpreters serve
-   byte-identical responses with identical ledgers (E31 asserts it) —
-   off exists as the benchmark baseline and an escape hatch. *)
-let compile_flag =
-  Arg.(
-    value
-    & opt (enum [ ("on", true); ("off", false) ]) true
-    & info [ "compile" ] ~docv:"on|off"
-        ~doc:
-          "Closure-compile sentences, queries, QL programs and RQL plans \
-           once per (instance, source text) before evaluation (default \
-           on).  off keeps the tree-walk interpreters; answers and \
-           per-request ledgers are byte-identical either way.")
-
 (* Completeness flags shared by serve-batch, serve and rql: which
    stored relations are merely partial views (open), and which answer
    mode a request gets when it doesn't say. *)
@@ -431,11 +417,10 @@ let decls_of_flags ~open_world ~decls =
 
 (* Resilience flags shared by serve-batch: None everywhere means "no
    guard installed" (the pre-resilience hot path, byte for byte). *)
-let engine_config_of_flags ~deadline_ms ~max_oracle_calls ~inject ~compile
+let engine_config_of_flags ~deadline_ms ~max_oracle_calls ~inject
     ?(decls = []) ?(default_mode = Request.M_exact) () =
-  match (deadline_ms, max_oracle_calls, inject, compile, decls, default_mode)
-  with
-  | None, None, None, true, [], Request.M_exact -> None
+  match (deadline_ms, max_oracle_calls, inject, decls, default_mode) with
+  | None, None, None, [], Request.M_exact -> None
   | _ ->
       Some
         {
@@ -447,7 +432,6 @@ let engine_config_of_flags ~deadline_ms ~max_oracle_calls ~inject ~compile
             };
           faults =
             Option.map (fun seed -> Faulty_oracle.config ~seed ()) inject;
-          compile;
           decls;
           default_mode;
         }
@@ -514,14 +498,14 @@ let cmd_serve_batch =
              oracle_unavailable errors).")
   in
   let run file jobs metrics no_stats deadline_ms max_oracle_calls inject
-      compile default_mode open_world decls trace trace_sample =
+      default_mode open_world decls trace trace_sample =
     if jobs < 1 then begin
       Format.eprintf "jobs must be >= 1@.";
       exit 1
     end;
     let ic = open_requests file in
     let config =
-      engine_config_of_flags ~deadline_ms ~max_oracle_calls ~inject ~compile
+      engine_config_of_flags ~deadline_ms ~max_oracle_calls ~inject
         ~decls:(decls_of_flags ~open_world ~decls)
         ~default_mode ()
     in
@@ -617,8 +601,8 @@ let cmd_serve_batch =
     (Cmd.info "serve-batch" ~doc)
     Term.(
       const run $ file $ jobs $ metrics $ no_stats $ deadline_ms
-      $ max_oracle_calls $ inject $ compile_flag $ default_mode_flag
-      $ open_world_flag $ decl_flags $ trace_flag $ trace_sample_arg)
+      $ max_oracle_calls $ inject $ default_mode_flag $ open_world_flag
+      $ decl_flags $ trace_flag $ trace_sample_arg)
 
 (* ------------------------------------------------------------------ *)
 (* The TCP front-end                                                   *)
@@ -645,6 +629,27 @@ let per_conn_window_arg =
         ~doc:
           "Per-connection bound on responses owed; past it the server \
            stops reading that socket and lets TCP push back.")
+
+(* How serve, shard and router go live: write the bound ports, one per
+   line, to --port-file (temp + rename, so a poller never reads a
+   partial file), then block until SIGINT or SIGTERM.  The handlers are
+   installed first, so a signal sent as soon as the file appears still
+   drains. *)
+let publish_and_wait port_file ports =
+  let stop = Atomic.make false in
+  let on_signal _ = Atomic.set stop true in
+  Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
+  Option.iter
+    (fun path ->
+      let tmp = path ^ ".tmp" in
+      Out_channel.with_open_text tmp (fun oc ->
+          List.iter (Printf.fprintf oc "%d\n") ports);
+      Sys.rename tmp path)
+    port_file;
+  while not (Atomic.get stop) do
+    Unix.sleepf 0.05
+  done
 
 let cmd_serve =
   let doc =
@@ -750,7 +755,7 @@ let cmd_serve =
              ephemeral --port 0.")
   in
   let run host port jobs window per_conn_window max_line no_stats
-      drain_timeout deadline_ms max_oracle_calls inject compile default_mode
+      drain_timeout deadline_ms max_oracle_calls inject default_mode
       open_world decls metrics_port store_dir snapshot_interval port_file
       trace trace_sample =
     if window < 1 || per_conn_window < 1 || max_line < 1 then begin
@@ -758,7 +763,7 @@ let cmd_serve =
       exit 1
     end;
     let config =
-      engine_config_of_flags ~deadline_ms ~max_oracle_calls ~inject ~compile
+      engine_config_of_flags ~deadline_ms ~max_oracle_calls ~inject
         ~decls:(decls_of_flags ~open_world ~decls)
         ~default_mode ()
     in
@@ -780,25 +785,8 @@ let cmd_serve =
     (match store_dir with
     | Some dir -> Format.eprintf "recdb: durable store in %s@." dir
     | None -> ());
-    (match port_file with
-    | None -> ()
-    | Some path ->
-        (* temp + rename so a poller never reads a partial file *)
-        let tmp = path ^ ".tmp" in
-        let oc = open_out tmp in
-        Printf.fprintf oc "%d\n" (Server.port server);
-        (match Server.metrics_port server with
-        | Some mp -> Printf.fprintf oc "%d\n" mp
-        | None -> ());
-        close_out oc;
-        Sys.rename tmp path);
-    let stop = Atomic.make false in
-    let on_signal _ = Atomic.set stop true in
-    Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-    while not (Atomic.get stop) do
-      Unix.sleepf 0.05
-    done;
+    publish_and_wait port_file
+      (Server.port server :: Option.to_list (Server.metrics_port server));
     let adm = Server.admission server in
     Format.eprintf "recdb: draining (%d in flight)...@."
       (Admission.inflight adm);
@@ -817,8 +805,8 @@ let cmd_serve =
     Term.(
       const run $ host_arg $ port $ jobs $ window_arg $ per_conn_window_arg
       $ max_line $ no_stats $ drain_timeout $ deadline_ms $ max_oracle_calls
-      $ inject $ compile_flag $ default_mode_flag $ open_world_flag
-      $ decl_flags $ metrics_port $ store_dir $ snapshot_interval
+      $ inject $ default_mode_flag $ open_world_flag $ decl_flags
+      $ metrics_port $ store_dir $ snapshot_interval
       $ port_file $ trace_flag $ trace_sample_arg)
 
 let cmd_loadgen =
@@ -914,43 +902,42 @@ let cmd_loadgen =
       const run $ host_arg $ port $ connections $ requests $ pipeline $ rate
       $ endpoints)
 
-let cmd_bench_server =
-  let doc =
-    "Benchmark the TCP front-end (E27): byte-identity of socket-served \
-     vs. batch-served responses, loopback throughput and latency \
-     quantiles per connection count, and the shed rate at 2x the \
-     admission window (typed overloaded errors; the in-flight high-water \
-     mark never exceeds the window; a shed asks zero oracle questions).  \
-     Exits 1 on any violation."
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write results as JSON.")
-  in
-  let requests =
-    Arg.(
-      value & opt int 400
-      & info [ "requests" ] ~docv:"N" ~doc:"Requests per measurement.")
-  in
-  let conns =
-    Arg.(
-      value
-      & opt (list int) [ 1; 2; 4; 8 ]
-      & info [ "connections" ] ~docv:"N,..."
-          ~doc:"Connection counts for the throughput rows.")
-  in
-  let run out requests conns_list =
-    let result = Net_bench.run ?out ~requests ~conns_list () in
-    match Net_bench.violations result with
-    | [] -> Format.printf "server bench: OK@."
-    | vs ->
-        List.iter (Format.eprintf "violation: %s@.") vs;
-        exit 1
-  in
-  Cmd.v (Cmd.info "bench-server" ~doc)
-    Term.(const run $ out $ requests $ conns)
+(* The forking smokes' shared scaffolding.  Each works in a fresh
+   scratch directory holding the child's port file and log, removed
+   when every check passes and kept (with the log) when one fails. *)
+let smoke_dir dir =
+  Proc.rm_rf dir;
+  Unix.mkdir dir 0o755;
+  dir
+
+let smoke_fail name ~dir fs =
+  List.iter (Format.eprintf "%s failure: %s@." name) fs;
+  Format.eprintf "%s: child log kept in %s@." name dir;
+  exit 1
+
+let smoke_verdict name ~dir = function
+  | [] -> Proc.rm_rf dir
+  | fs -> smoke_fail name ~dir fs
+
+(* [recdb serve --port 0 ARGS] forked from this executable under
+   Proc.with_server.  A child that never comes up or does not drain to
+   exit 0 on SIGTERM is reported to [fail]; [body]'s value is kept
+   even then, so the smoke still reports its own checks. *)
+let serve_argv args =
+  Array.of_list (Sys.executable_name :: "serve" :: "--port" :: "0" :: args)
+
+let with_serve ~dir ~fail args body =
+  let v = ref None in
+  (match
+     Proc.with_server
+       ~log:(Filename.concat dir "server.log")
+       ~port_file:(Filename.concat dir "server.port")
+       (serve_argv args)
+       (fun ~port ~metrics_port -> v := Some (body ~port ~metrics_port))
+   with
+  | Ok () -> ()
+  | Error e -> fail e);
+  !v
 
 let cmd_server_smoke =
   let doc =
@@ -971,60 +958,27 @@ let cmd_server_smoke =
       & info [ "c"; "connections" ] ~docv:"N" ~doc:"Concurrent connections.")
   in
   let run requests connections =
-    let exe = Sys.executable_name in
-    let dir = "_server_smoke" in
-    Proc.rm_rf dir;
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    let port_file = Filename.concat dir "server.port" in
-    let log = Filename.concat dir "server.log" in
-    let pid =
-      Proc.spawn ~log
-        [|
-          exe; "serve"; "--port"; "0"; "--port-file"; port_file;
-          "--window"; "256"; "--per-conn-window"; "64";
-        |]
-    in
-    let port =
-      match Proc.wait_port_file port_file with
-      | Ok (port, _) -> port
-      | Error e ->
-          Format.eprintf "server-smoke: %s (child log: %s)@." e log;
-          Proc.kill_and_reap pid Sys.sigkill;
-          exit 1
-    in
-    let report = Loadgen.run ~port ~connections ~requests ~pipeline:4 () in
-    (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-    let status = snd (Unix.waitpid [] pid) in
-    Format.printf "server-smoke: %a@." Loadgen.pp_report report;
-    let failures =
-      (if report.Loadgen.answered <> report.Loadgen.sent then
-         [
-           Printf.sprintf "%d answered of %d sent" report.Loadgen.answered
-             report.Loadgen.sent;
-         ]
-       else [])
-      @ (if report.Loadgen.errors > 0 then
-           [ Printf.sprintf "%d error responses" report.Loadgen.errors ]
-         else [])
-      @ (if report.Loadgen.shed > 0 then
-           [ Printf.sprintf "%d sheds under nominal load" report.Loadgen.shed ]
-         else [])
-      @ (if report.Loadgen.lost > 0 then
-           [ Printf.sprintf "%d requests lost" report.Loadgen.lost ]
-         else [])
-      @
-      match status with
-      | Unix.WEXITED 0 -> []
-      | _ -> [ "child did not drain cleanly on SIGTERM (nonzero exit)" ]
-    in
-    match failures with
-    | [] ->
-        Format.printf "server-smoke: clean shutdown, zero errors@.";
-        Proc.rm_rf dir
-    | fs ->
-        List.iter (Format.eprintf "server-smoke failure: %s@.") fs;
-        Format.eprintf "server-smoke: child log kept at %s@." log;
-        exit 1
+    let dir = smoke_dir "_server_smoke" in
+    let failures = ref [] in
+    let fail fmt = Format.kasprintf (fun s -> failures := s :: !failures) fmt in
+    (match
+       with_serve ~dir ~fail:(fail "%s")
+         [ "--window"; "256"; "--per-conn-window"; "64" ]
+         (fun ~port ~metrics_port:_ ->
+           Loadgen.run ~port ~connections ~requests ~pipeline:4 ())
+     with
+    | None -> ()
+    | Some report ->
+        Format.printf "server-smoke: %a@." Loadgen.pp_report report;
+        let r = report in
+        if r.Loadgen.answered <> r.Loadgen.sent then
+          fail "%d answered of %d sent" r.Loadgen.answered r.Loadgen.sent;
+        if r.Loadgen.errors > 0 then fail "%d error responses" r.Loadgen.errors;
+        if r.Loadgen.shed > 0 then
+          fail "%d sheds under nominal load" r.Loadgen.shed;
+        if r.Loadgen.lost > 0 then fail "%d requests lost" r.Loadgen.lost);
+    smoke_verdict "server-smoke" ~dir (List.rev !failures);
+    Format.printf "server-smoke: clean shutdown, zero errors@."
   in
   Cmd.v (Cmd.info "server-smoke" ~doc) Term.(const run $ requests $ connections)
 
@@ -1114,148 +1068,6 @@ let cmd_crash_test =
         exit 1
   in
   Cmd.v (Cmd.info "crash-test" ~doc) Term.(const run $ requests $ jobs $ every)
-
-let cmd_bench_resilience =
-  let doc =
-    "Benchmark the resilience layer (E25): budget-guard overhead on \
-     repeated evaluation, deadline/budget trips on a diverging request, \
-     and retry determinism under injected faults."
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write results as JSON.")
-  in
-  let trials =
-    Arg.(
-      value & opt int 3
-      & info [ "trials" ] ~docv:"N" ~doc:"Timing trials (best is kept).")
-  in
-  let requests =
-    Arg.(
-      value & opt int 2000
-      & info [ "requests" ] ~docv:"N"
-          ~doc:"Batch size for the overhead measurement.")
-  in
-  let fault_requests =
-    Arg.(
-      value & opt int 200
-      & info [ "fault-requests" ] ~docv:"N"
-          ~doc:"Batch size for the fault-injection run.")
-  in
-  let run out trials requests fault_requests =
-    ignore
-      (Engine_bench.run_resilience ?out ~trials ~requests ~fault_requests ())
-  in
-  Cmd.v
-    (Cmd.info "bench-resilience" ~doc)
-    Term.(const run $ out $ trials $ requests $ fault_requests)
-
-let cmd_bench_parallel =
-  let doc =
-    "Benchmark parallel serving with the shared memo layer (E26): \
-     cold/warm batch throughput per domain count (counts above \
-     Domain.recommended_domain_count are reported as skipped), \
-     byte-identity of every pool response to the sequential reference, \
-     and the cross-worker question bound (pool-wide genuine oracle \
-     questions never exceed the sequential count).  Exits 1 if any \
-     measured run is not byte-identical, exceeds the question bound, or \
-     loses a worker."
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write results as JSON.")
-  in
-  let requests =
-    Arg.(
-      value & opt int 600
-      & info [ "requests" ] ~docv:"N" ~doc:"Batch size (default 600).")
-  in
-  let domains =
-    Arg.(
-      value
-      & opt (list int) [ 1; 2; 4; 8 ]
-      & info [ "domains" ] ~docv:"N,..."
-          ~doc:"Domain counts to measure (default 1,2,4,8).")
-  in
-  let run out requests domains_list =
-    let p = Engine_bench.run_parallel ?out ~requests ~domains_list () in
-    let violations =
-      List.concat_map
-        (fun (r : Engine_bench.parallel_run) ->
-          if r.Engine_bench.p_skipped then []
-          else
-            (if r.Engine_bench.p_identical then []
-             else
-               [
-                 Printf.sprintf "%d domains: results differ from sequential"
-                   r.Engine_bench.p_domains;
-               ])
-            @ (if r.Engine_bench.questions_ok then []
-               else
-                 [
-                   Printf.sprintf
-                     "%d domains: %d questions > sequential %d"
-                     r.Engine_bench.p_domains r.Engine_bench.p_questions
-                     p.Engine_bench.seq_questions;
-                 ])
-            @
-            if r.Engine_bench.p_deaths = 0 then []
-            else
-              [
-                Printf.sprintf "%d domains: %d worker death(s)"
-                  r.Engine_bench.p_domains r.Engine_bench.p_deaths;
-              ])
-        p.Engine_bench.p_runs
-    in
-    match violations with
-    | [] -> Format.printf "parallel serving: OK@."
-    | vs ->
-        List.iter (Format.eprintf "violation: %s@.") vs;
-        exit 1
-  in
-  Cmd.v
-    (Cmd.info "bench-parallel" ~doc)
-    Term.(const run $ out $ requests $ domains)
-
-let cmd_bench_obs =
-  let doc =
-    "Benchmark the observability subsystem (E28): tracing overhead on the \
-     batch workload with sampling off / 1-in-64 / full (off and sampled \
-     must stay under 5%), byte-identity of every response in every mode \
-     (observation must not change a served byte), ledger exactness (every \
-     traced request's span slices sum to its response's question count), \
-     and a worked span tree for a budget-tripped request.  Exits 1 on any \
-     violation."
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write results as JSON.")
-  in
-  let requests =
-    Arg.(
-      value & opt int 2000
-      & info [ "requests" ] ~docv:"N" ~doc:"Batch size per trial.")
-  in
-  let trials =
-    Arg.(
-      value & opt int 3
-      & info [ "trials" ] ~docv:"N" ~doc:"Timing trials (best is kept).")
-  in
-  let run out requests trials =
-    let r = Engine_bench.run_obs ?out ~requests ~trials () in
-    match r.Engine_bench.ob_violations with
-    | [] -> Format.printf "obs bench: OK@."
-    | vs ->
-        List.iter (Format.eprintf "violation: %s@.") vs;
-        exit 1
-  in
-  Cmd.v (Cmd.info "bench-obs" ~doc) Term.(const run $ out $ requests $ trials)
 
 let cmd_stats =
   let doc =
@@ -1499,35 +1311,6 @@ let cmd_obs_smoke =
   in
   Cmd.v (Cmd.info "obs-smoke" ~doc) Term.(const run $ requests)
 
-let cmd_bench_engine =
-  let doc =
-    "Benchmark the engine: oracle-call savings from the LRU cache on \
-     repeated evaluation, and batch throughput on 1/2/4 worker domains."
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write results as JSON.")
-  in
-  let repeats =
-    Arg.(
-      value & opt int 25
-      & info [ "repeats" ] ~docv:"N" ~doc:"Cache-workload repetitions.")
-  in
-  let requests =
-    Arg.(
-      value & opt int 1000
-      & info [ "requests" ] ~docv:"N" ~doc:"Batch size for the pool runs.")
-  in
-  let run out repeats requests =
-    Format.printf "engine benchmark:@.";
-    Engine_bench.run ?out ~repeats ~requests ()
-  in
-  Cmd.v
-    (Cmd.info "bench-engine" ~doc)
-    Term.(const run $ out $ repeats $ requests)
-
 let cmd_rql =
   let doc =
     "Evaluate an RQL query (let/fix bindings over FO formulas, see \
@@ -1577,7 +1360,7 @@ let cmd_rql =
     let mode = if naive then Rql.Rql_plan.Naive else Rql.Rql_plan.Planned in
     let config =
       engine_config_of_flags ~deadline_ms:None ~max_oracle_calls:None
-        ~inject:None ~compile:true
+        ~inject:None
         ~decls:(decls_of_flags ~open_world ~decls)
         ()
     in
@@ -1648,61 +1431,6 @@ let cmd_rql =
       const run $ inst $ cutoff $ naive $ explain $ open_world_flag
       $ decl_flags $ query)
 
-let cmd_bench_rql =
-  let doc =
-    "Benchmark the RQL planner (E29): Def. 3.9 questions naive vs \
-     cost-planned on a mixed fixpoint workload, plan-cache behaviour on \
-     a warm re-serve, byte-identity across all modes.  Exits 1 on any \
-     violation."
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write results as JSON.")
-  in
-  let requests =
-    Arg.(
-      value & opt int 120
-      & info [ "requests" ] ~docv:"N" ~doc:"Workload size.")
-  in
-  let run out requests =
-    let r = Engine_bench.run_rql ?out ~requests () in
-    if r.Engine_bench.r_violations <> [] then exit 1
-  in
-  Cmd.v (Cmd.info "bench-rql" ~doc) Term.(const run $ out $ requests)
-
-let cmd_bench_compile =
-  let doc =
-    "Benchmark the compiled evaluation tier (E31): interpreter-vs-compiled \
-     hot loops (gated at --min-speedup), then a mixed batch served with \
-     compilation off and on, checking response bytes and the Def. 3.9 \
-     question ledger pairwise on every request.  Exits 1 on any violation."
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write results as JSON.")
-  in
-  let requests =
-    Arg.(
-      value & opt int 200
-      & info [ "requests" ] ~docv:"N" ~doc:"Pairwise-checked batch size.")
-  in
-  let min_speedup =
-    Arg.(
-      value & opt float 5.0
-      & info [ "min-speedup" ] ~docv:"X"
-          ~doc:"Acceptance gate for the interpretation-bound hot loops.")
-  in
-  let run out requests min_speedup =
-    let k = Engine_bench.run_compile ?out ~requests ~min_speedup () in
-    if k.Engine_bench.k_violations <> [] then exit 1
-  in
-  Cmd.v (Cmd.info "bench-compile" ~doc)
-    Term.(const run $ out $ requests $ min_speedup)
-
 let cmd_rql_smoke =
   let doc =
     "CI smoke for the RQL front-end: fork a real recdb serve child on an \
@@ -1748,45 +1476,46 @@ let cmd_rql_smoke =
     end;
     (* stats vary with memo state; the golden contract is the
        deterministic part of each response only. *)
-    let exe = Sys.executable_name in
-    let dir = "_rql_smoke" in
-    Proc.rm_rf dir;
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    let port_file = Filename.concat dir "server.port" in
-    let log = Filename.concat dir "server.log" in
-    let pid =
-      Proc.spawn ~log
-        [|
-          exe; "serve"; "--port"; "0"; "--port-file"; port_file; "--no-stats";
-          "--window"; "64"; "--per-conn-window"; "32";
-        |]
+    let dir = smoke_dir "_rql_smoke" in
+    let failures = ref [] in
+    let fail s = failures := s :: !failures in
+    let observed =
+      match
+        with_serve ~dir ~fail
+          [ "--no-stats"; "--window"; "64"; "--per-conn-window"; "32" ]
+          (fun ~port ~metrics_port:_ -> Proc.send_and_collect ~port requests)
+      with
+      | Some (Ok responses) ->
+          (* The server may answer out of order across the pipeline; the
+             golden file is committed sorted by id. *)
+          Some (Proc.sort_by_id responses)
+      | Some (Error e) ->
+          fail ("workload send failed: " ^ e);
+          None
+      | None -> None
     in
-    let port =
-      match Proc.wait_port_file port_file with
-      | Ok (port, _) -> port
-      | Error e ->
-          Format.eprintf "rql-smoke: %s (child log: %s)@." e log;
-          Proc.kill_and_reap pid Sys.sigkill;
-          exit 1
+    let rec diff i e o acc =
+      match (e, o) with
+      | [], [] -> List.rev acc
+      | e :: es, o :: os ->
+          diff (i + 1) es os
+            (if String.equal e o then acc
+             else Printf.sprintf "line %d:\n  expected: %s\n  got:      %s" i e o :: acc)
+      | e :: es, [] ->
+          diff (i + 1) es []
+            (Printf.sprintf "line %d missing (expected %s)" i e :: acc)
+      | [], o :: os ->
+          diff (i + 1) [] os
+            (Printf.sprintf "line %d unexpected: %s" i o :: acc)
     in
-    let responses =
-      match Proc.send_and_collect ~port requests with
-      | Ok responses -> responses
-      | Error e ->
-          Format.eprintf "rql-smoke: workload send failed: %s@." e;
-          Proc.kill_and_reap pid Sys.sigkill;
-          exit 1
-    in
-    (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-    (match Unix.waitpid [] pid with
-    | _, Unix.WEXITED 0 -> Proc.rm_rf dir
-    | _ ->
-        Format.eprintf
-          "rql-smoke: child did not drain cleanly on SIGTERM (log: %s)@." log;
-        exit 1);
-    (* The server may answer out of order across the pipeline; the
-       golden file is committed sorted by id. *)
-    let observed = Proc.sort_by_id responses in
+    (match observed with
+    | Some observed when not update ->
+        List.iter
+          (fun d -> fail ("difference: " ^ d))
+          (diff 1 (read_lines expected_file) observed [])
+    | _ -> ());
+    smoke_verdict "rql-smoke" ~dir (List.rev !failures);
+    let observed = Option.value observed ~default:[] in
     if update then begin
       let oc = open_out expected_file in
       List.iter
@@ -1798,31 +1527,9 @@ let cmd_rql_smoke =
       Format.printf "rql-smoke: wrote %d responses to %s@."
         (List.length observed) expected_file
     end
-    else begin
-      let expected = read_lines expected_file in
-      let rec diff i e o acc =
-        match (e, o) with
-        | [], [] -> List.rev acc
-        | e :: es, o :: os ->
-            diff (i + 1) es os
-              (if String.equal e o then acc
-               else Printf.sprintf "line %d:\n  expected: %s\n  got:      %s" i e o :: acc)
-        | e :: es, [] ->
-            diff (i + 1) es []
-              (Printf.sprintf "line %d missing (expected %s)" i e :: acc)
-        | [], o :: os ->
-            diff (i + 1) [] os
-              (Printf.sprintf "line %d unexpected: %s" i o :: acc)
-      in
-      match diff 1 expected observed [] with
-      | [] ->
-          Format.printf
-            "rql-smoke: %d responses match %s, clean drain@."
-            (List.length observed) expected_file
-      | diffs ->
-          List.iter (Format.eprintf "rql-smoke difference: %s@.") diffs;
-          exit 1
-    end
+    else
+      Format.printf "rql-smoke: %d responses match %s, clean drain@."
+        (List.length observed) expected_file
   in
   Cmd.v (Cmd.info "rql-smoke" ~doc)
     Term.(const run $ requests_file $ expected_file $ update)
@@ -1848,31 +1555,6 @@ let cmd_store_inspect =
   in
   Cmd.v (Cmd.info "store-inspect" ~doc) Term.(const run $ dir)
 
-let cmd_bench_store =
-  let doc =
-    "Benchmark durability (E30): cold vs warm-start Def. 3.9 questions and \
-     time-to-first-response on the mixed workload, snapshot size, and \
-     fault-recovery rows (truncation, bit flip, future format version).  \
-     Exits 1 on any violation — warm must be byte-identical with < 5% of \
-     cold's questions, faults must recover to correct answers."
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write results as JSON.")
-  in
-  let requests =
-    Arg.(
-      value & opt int 160
-      & info [ "requests" ] ~docv:"N" ~doc:"Workload size.")
-  in
-  let run out requests =
-    let r = Store_bench.run ?out ~requests () in
-    if r.Store_bench.b_violations <> [] then exit 1
-  in
-  Cmd.v (Cmd.info "bench-store" ~doc) Term.(const run $ out $ requests)
-
 let cmd_store_smoke =
   let doc =
     "CI crash-recovery smoke: serve the mixed workload through a durable \
@@ -1889,75 +1571,8 @@ let cmd_store_smoke =
   let dir_arg =
     Arg.(
       value & opt string "_store_smoke"
-      & info [ "dir" ] ~docv:"DIR" ~doc:"Scratch store directory.")
-  in
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-        Unix.rmdir path
-      end
-      else Sys.remove path
-  in
-  (* Child management: the smoke forks real [recdb serve] processes so
-     kill -9 exercises genuine crash recovery, not an in-process fake. *)
-  let spawn_serve ~exe ~dir ~port_file ~log =
-    (try Sys.remove port_file with Sys_error _ -> ());
-    let log_fd =
-      Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644
-    in
-    let pid =
-      Unix.create_process exe
-        [|
-          exe; "serve"; "--port"; "0"; "-j"; "1"; "--no-stats";
-          "--metrics-port"; "0"; "--store"; dir;
-          "--snapshot-interval"; "0.4"; "--port-file"; port_file;
-        |]
-        Unix.stdin log_fd log_fd
-    in
-    Unix.close log_fd;
-    pid
-  in
-  let wait_port_file path =
-    let deadline = Unix.gettimeofday () +. 20. in
-    let rec go () =
-      if Sys.file_exists path then begin
-        let ic = open_in path in
-        let p = int_of_string (String.trim (input_line ic)) in
-        let mp =
-          match input_line ic with
-          | l -> Some (int_of_string (String.trim l))
-          | exception End_of_file -> None
-        in
-        close_in ic;
-        (p, mp)
-      end
-      else if Unix.gettimeofday () > deadline then begin
-        Format.eprintf "store-smoke: child never wrote %s@." path;
-        exit 1
-      end
-      else begin
-        Unix.sleepf 0.05;
-        go ()
-      end
-    in
-    go ()
-  in
-  let send_and_collect ~port lines =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-    List.iter (fun line -> Frame.write_line fd line) lines;
-    Unix.shutdown fd Unix.SHUTDOWN_SEND;
-    let reader = Frame.reader fd in
-    let rec collect acc =
-      match Frame.read reader with
-      | Frame.Line line -> collect (line :: acc)
-      | Frame.Oversized _ | Frame.Truncated _ -> collect acc
-      | Frame.Eof -> List.rev acc
-    in
-    let responses = collect [] in
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    responses
+      & info [ "dir" ] ~docv:"DIR"
+          ~doc:"Scratch directory: the store, the child's port file and log.")
   in
   let scrape_gauge ~metrics_port name =
     match Expo_server.get ~port:metrics_port ~path:"/metrics" () with
@@ -1976,19 +1591,8 @@ let cmd_store_smoke =
                       (String.length line - String.length prefix))
                else None)
   in
-  let id_of line =
-    match Json.parse line with
-    | Ok j -> ( match Json.member "id" j with Some (Json.Int i) -> i | _ -> -1)
-    | Error _ -> -1
-  in
-  let sort_by_id lines =
-    List.sort (fun a b -> compare (id_of a) (id_of b)) lines
-  in
   let run requests dir =
-    let exe = Sys.executable_name in
-    rm_rf dir;
-    let port_file = dir ^ ".port" and log = dir ^ ".log" in
-    (try Sys.remove log with Sys_error _ -> ());
+    let dir = smoke_dir dir in
     let batch =
       Engine_bench.build_batch (max 1 (requests * 3 / 4))
       @ Engine_bench.build_rql_batch ~planner:Request.Plan_cost
@@ -1996,94 +1600,117 @@ let cmd_store_smoke =
     in
     let lines = List.map (fun r -> Json.to_string (Request.to_json r)) batch in
     let reference =
-      sort_by_id
+      Proc.sort_by_id
         (List.map
            (fun r -> Json.to_string (Request.response_to_json ~stats:false r))
            (Engine.handle_all (Engine.create ()) batch))
     in
     let failures = ref [] in
     let fail fmt = Format.kasprintf (fun s -> failures := s :: !failures) fmt in
-    (* --- phase 1: cold durable server ------------------------------ *)
-    let pid = spawn_serve ~exe ~dir ~port_file ~log in
-    let port, metrics = wait_port_file port_file in
-    let cold = sort_by_id (send_and_collect ~port lines) in
-    if cold <> reference then fail "cold responses differ from sequential";
+    (* Both phases fork a real durable [recdb serve] on the same store,
+       so kill -9 exercises genuine crash recovery, not an in-process
+       fake. *)
+    let store = Filename.concat dir "store" in
+    let args =
+      [
+        "-j"; "1"; "--no-stats"; "--metrics-port"; "0"; "--store"; store;
+        "--snapshot-interval"; "0.4";
+      ]
+    in
+    let served ~port what =
+      match Proc.send_and_collect ~port lines with
+      | Ok responses ->
+          if Proc.sort_by_id responses <> reference then
+            fail "%s responses differ from sequential" what
+      | Error e -> fail "%s workload send failed: %s" what e
+    in
+    (* --- phase 1: cold durable server, kill -9 mid-load.  It is never
+       meant to drain, so it is spawned directly rather than under
+       Proc.with_server. ---------------------------------------------- *)
+    let port_file = Filename.concat dir "cold.port" in
+    let pid =
+      Proc.spawn
+        ~log:(Filename.concat dir "cold.log")
+        (serve_argv (args @ [ "--port-file"; port_file ]))
+    in
     let cold_questions =
-      match metrics with
-      | None -> None
-      | Some mp -> scrape_gauge ~metrics_port:mp "pool_oracle_questions"
+      match Proc.wait_port_file port_file with
+      | Error e ->
+          Proc.kill_and_reap pid Sys.sigkill;
+          fail "%s" e;
+          None
+      | Ok (port, metrics_port) ->
+          served ~port "cold";
+          let cold_questions =
+            Option.bind metrics_port (fun mp ->
+                scrape_gauge ~metrics_port:mp "pool_oracle_questions")
+          in
+          (* wait for a write-behind snapshot to land, then re-send the
+             workload and shoot the server while it is answering *)
+          let deadline = Unix.gettimeofday () +. 10. in
+          let rec wait_snapshot () =
+            match metrics_port with
+            | None -> Unix.sleepf 1.0
+            | Some mp -> (
+                match
+                  scrape_gauge ~metrics_port:mp "store_snapshot_last_entries"
+                with
+                | Some n when n > 0. -> ()
+                | _ ->
+                    if Unix.gettimeofday () > deadline then
+                      fail "no snapshot within 10s of serving"
+                    else begin
+                      Unix.sleepf 0.1;
+                      wait_snapshot ()
+                    end)
+          in
+          wait_snapshot ();
+          let killer =
+            Thread.create
+              (fun () ->
+                Unix.sleepf 0.05;
+                Unix.kill pid Sys.sigkill)
+              ()
+          in
+          (* the crash drops the connection mid-stream; whatever arrives
+             before EOF is noise — the contract is about the restart *)
+          ignore (Proc.send_and_collect ~port lines);
+          Thread.join killer;
+          ignore (Unix.waitpid [] pid);
+          cold_questions
     in
-    (* wait for a write-behind snapshot to land, then kill -9 mid-load:
-       re-send the workload and shoot the server while it is answering *)
-    let deadline = Unix.gettimeofday () +. 10. in
-    let rec wait_snapshot () =
-      match metrics with
-      | None -> Unix.sleepf 1.0
-      | Some mp -> (
-          match scrape_gauge ~metrics_port:mp "store_snapshot_last_entries" with
-          | Some n when n > 0. -> ()
-          | _ ->
-              if Unix.gettimeofday () > deadline then
-                fail "no snapshot within 10s of serving"
-              else begin
-                Unix.sleepf 0.1;
-                wait_snapshot ()
-              end)
-    in
-    wait_snapshot ();
-    let killer =
-      Thread.create
-        (fun () ->
-          Unix.sleepf 0.05;
-          Unix.kill pid Sys.sigkill)
-        ()
-    in
-    (* the crash drops the connection mid-stream; whatever arrives
-       before EOF is noise — the contract is about the restart *)
-    (try ignore (send_and_collect ~port lines) with Unix.Unix_error _ -> ());
-    Thread.join killer;
-    ignore (Unix.waitpid [] pid);
-    (* --- phase 2: warm restart on the crashed store ---------------- *)
-    let pid2 = spawn_serve ~exe ~dir ~port_file ~log in
-    let port2, metrics2 = wait_port_file port_file in
-    let warm = sort_by_id (send_and_collect ~port:port2 lines) in
-    if warm <> reference then fail "warm responses differ from sequential";
-    (match (metrics2, cold_questions) with
-    | Some mp, Some coldq -> (
-        (match scrape_gauge ~metrics_port:mp "pool_oracle_questions" with
-        | Some warmq ->
-            if coldq > 0. && warmq >= 0.05 *. coldq then
-              fail "warm questions %.0f not < 5%%%% of cold %.0f" warmq coldq
-            else
-              Format.printf
-                "store-smoke: cold %.0f questions, warm %.0f (%.1f%%)@."
-                coldq warmq
-                (if coldq > 0. then 100. *. warmq /. coldq else 0.)
-        | None -> fail "pool_oracle_questions missing from warm /metrics");
-        match scrape_gauge ~metrics_port:mp "store_last_flush_age_seconds" with
-        | Some _ -> ()
-        | None -> fail "store_last_flush_age_seconds missing from /metrics")
-    | _ -> fail "metrics unavailable; cannot check the question ratio");
-    (* --- phase 3: clean SIGTERM drain flushes a final snapshot ----- *)
-    Unix.kill pid2 Sys.sigterm;
-    (match Unix.waitpid [] pid2 with
-    | _, Unix.WEXITED 0 -> ()
-    | _, _ -> fail "warm server did not exit cleanly on SIGTERM");
-    if not (Sys.file_exists (Filename.concat dir "snapshot.rdb")) then
+    (* --- phase 2: warm restart on the crashed store, then a clean
+       SIGTERM drain (checked by the harness) ------------------------- *)
+    ignore
+    @@ with_serve ~dir ~fail:(fail "%s") args (fun ~port ~metrics_port ->
+        served ~port "warm";
+        match (metrics_port, cold_questions) with
+        | Some mp, Some coldq -> (
+            (match scrape_gauge ~metrics_port:mp "pool_oracle_questions" with
+            | Some warmq ->
+                if coldq > 0. && warmq >= 0.05 *. coldq then
+                  fail "warm questions %.0f not < 5%%%% of cold %.0f" warmq
+                    coldq
+                else
+                  Format.printf
+                    "store-smoke: cold %.0f questions, warm %.0f (%.1f%%)@."
+                    coldq warmq
+                    (if coldq > 0. then 100. *. warmq /. coldq else 0.)
+            | None -> fail "pool_oracle_questions missing from warm /metrics");
+            match
+              scrape_gauge ~metrics_port:mp "store_last_flush_age_seconds"
+            with
+            | Some _ -> ()
+            | None -> fail "store_last_flush_age_seconds missing from /metrics")
+        | _ -> fail "metrics unavailable; cannot check the question ratio");
+    (* --- phase 3: the drain flushed a final snapshot ---------------- *)
+    if not (Sys.file_exists (Filename.concat store "snapshot.rdb")) then
       fail "no snapshot after clean drain";
-    (match !failures with
-    | [] ->
-        Format.printf
-          "store-smoke: %d requests; crash mid-load recovered, responses \
-           byte-identical cold and warm, clean drain@."
-          (List.length lines);
-        rm_rf dir;
-        (try Sys.remove port_file with Sys_error _ -> ());
-        (try Sys.remove log with Sys_error _ -> ())
-    | fs ->
-        List.iter (Format.eprintf "store-smoke failure: %s@.") fs;
-        Format.eprintf "store-smoke: child log kept at %s@." log;
-        exit 1)
+    smoke_verdict "store-smoke" ~dir (List.rev !failures);
+    Format.printf
+      "store-smoke: %d requests; crash mid-load recovered, responses \
+       byte-identical cold and warm, clean drain@."
+      (List.length lines)
   in
   Cmd.v (Cmd.info "store-smoke" ~doc) Term.(const run $ requests $ dir_arg)
 
@@ -2146,22 +1773,7 @@ let cmd_shard =
         Format.eprintf "recdb: supervising %d shard(s): %s@." n
           (String.concat ", "
              (List.map (fun (h, p) -> Printf.sprintf "%s:%d" h p) endpoints));
-        (match port_file with
-        | None -> ()
-        | Some path ->
-            (* temp + rename so a poller never reads a partial file *)
-            let tmp = path ^ ".tmp" in
-            let oc = open_out tmp in
-            List.iter (fun (_, p) -> Printf.fprintf oc "%d\n" p) endpoints;
-            close_out oc;
-            Sys.rename tmp path);
-        let stop = Atomic.make false in
-        let on_signal _ = Atomic.set stop true in
-        Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-        Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-        while not (Atomic.get stop) do
-          Unix.sleepf 0.05
-        done;
+        publish_and_wait port_file (List.map snd endpoints);
         Format.eprintf "recdb: stopping %d shard(s) (%d respawn(s) so far)@."
           n (Shard_sup.respawns sup);
         Shard_sup.stop sup
@@ -2312,24 +1924,8 @@ let cmd_router =
     (match Router.metrics_port router with
     | Some mp -> Format.eprintf "recdb: metrics on %s:%d/metrics@." host mp
     | None -> ());
-    (match port_file with
-    | None -> ()
-    | Some path ->
-        let tmp = path ^ ".tmp" in
-        let oc = open_out tmp in
-        Printf.fprintf oc "%d\n" (Router.port router);
-        (match Router.metrics_port router with
-        | Some mp -> Printf.fprintf oc "%d\n" mp
-        | None -> ());
-        close_out oc;
-        Sys.rename tmp path);
-    let stop = Atomic.make false in
-    let on_signal _ = Atomic.set stop true in
-    Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-    while not (Atomic.get stop) do
-      Unix.sleepf 0.05
-    done;
+    publish_and_wait port_file
+      (Router.port router :: Option.to_list (Router.metrics_port router));
     let c = Router.counters router in
     Format.eprintf
       "recdb: draining router (routed %d, hedges %d, wins %d, sheds %d)...@."
@@ -2345,69 +1941,6 @@ let cmd_router =
       const run $ host_arg $ port $ window_arg $ shard_args $ shards_file
       $ hedge_ms $ queue_timeout_ms $ no_stats $ metrics_port $ max_line
       $ port_file)
-
-let cmd_bench_cluster =
-  let doc =
-    "Benchmark sharded cluster serving (E32): byte-identity and ledger \
-     containment of the mixed workload routed over real shard processes \
-     vs the sequential in-process reference, hedged tail latency under an \
-     injected slow shard (duplicate questions visibly counted), and \
-     kill -9 mid-load recovery through the supervisor.  Exits 1 on any \
-     violation — this is the cluster-smoke CI gate."
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write results as JSON.")
-  in
-  let requests =
-    Arg.(
-      value & opt int 240
-      & info [ "requests" ] ~docv:"N" ~doc:"Workload size.")
-  in
-  let shards =
-    Arg.(
-      value & opt int 3
-      & info [ "shards" ] ~docv:"N" ~doc:"Shard child processes.")
-  in
-  let run out requests shards =
-    let r =
-      Cluster_bench.run ?out ~requests ~shards ~exe:Sys.executable_name ()
-    in
-    if r.Cluster_bench.c_violations <> [] then exit 1
-  in
-  Cmd.v
-    (Cmd.info "bench-cluster" ~doc)
-    Term.(const run $ out $ requests $ shards)
-
-let cmd_bench_incomplete =
-  let doc =
-    "Benchmark incompleteness-aware answering (E33): per-request mode \
-     containment certain \xe2\x8a\x86 exact \xe2\x8a\x86 possible on the \
-     demo open-world declarations, closed-world byte-identity across all \
-     four modes, approximate-mode convergence to the certain answer as \
-     the consult budget grows, and zero question-ledger overhead for the \
-     certificate machinery.  Exits 1 on any violation."
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write results as JSON.")
-  in
-  let requests =
-    Arg.(
-      value & opt int 120
-      & info [ "requests" ] ~docv:"N" ~doc:"Workload size.")
-  in
-  let run out requests =
-    let r = Incomplete_bench.run ?out ~requests () in
-    if Incomplete_bench.violations r <> [] then exit 1
-  in
-  Cmd.v
-    (Cmd.info "bench-incomplete" ~doc)
-    Term.(const run $ out $ requests)
 
 let cmd_incomplete_smoke =
   let doc =
@@ -2595,6 +2128,161 @@ let cmd_incomplete_smoke =
   in
   Cmd.v (Cmd.info "incomplete-smoke" ~doc) Term.(const run $ const ())
 
+(* One entry point for the benchmarks.  Each prints its tables, writes
+   its JSON with -o, and returns the acceptance checks it violated; a
+   flag the named bench does not read is a usage error, not a silent
+   no-op. *)
+let cmd_bench =
+  let benches =
+    (* name, summary, flags read beyond -o, run *)
+    [
+      ( "engine",
+        "E24: LRU oracle savings and 1/2/4-domain pool batches (exit 1 if a \
+         pool run is not byte-identical to sequential).",
+        [ "--requests" ],
+        fun ~out ~requests ~trials:_ ~fault_requests:_ ->
+          Engine_bench.run ?out ?requests () );
+      ( "resilience",
+        "E25: guard overhead (reported), deadline and budget trips on \
+         tree(paths3, 6), retry determinism under injected faults (exit 1 \
+         if a probe does not trip with its typed error, the budget \
+         overspends, or a non-faulted response changes).",
+        [ "--requests"; "--trials"; "--fault-requests" ],
+        fun ~out ~requests ~trials ~fault_requests ->
+          Engine_bench.run_resilience ?out ?trials ?requests ?fault_requests
+            () );
+      ( "parallel",
+        "E26: shared-memo pools cold and warm (exit 1 unless every measured \
+         run is byte-identical to sequential, asks no more questions and \
+         loses no worker).",
+        [ "--requests" ],
+        fun ~out ~requests ~trials:_ ~fault_requests:_ ->
+          Engine_bench.run_parallel ?out ?requests () );
+      ( "server",
+        "E27: socket vs batch byte-identity, loopback throughput at 1/2/4/8 \
+         connections, typed sheds at 2x the admission window.",
+        [ "--requests" ],
+        fun ~out ~requests ~trials:_ ~fault_requests:_ ->
+          Net_bench.run ?out ?requests () );
+      ( "obs",
+        "E28: tracing overhead off / 1-in-64 / full, byte-identity with \
+         tracing on, exact ledger slices, a worked budget-trip trace.",
+        [ "--requests"; "--trials" ],
+        fun ~out ~requests ~trials ~fault_requests:_ ->
+          Engine_bench.run_obs ?out ?requests ?trials () );
+      ( "rql",
+        "E29: planned vs naive questions, warm re-serve with no new plans or \
+         questions, byte-identity across planners.",
+        [ "--requests" ],
+        fun ~out ~requests ~trials:_ ~fault_requests:_ ->
+          Engine_bench.run_rql ?out ?requests () );
+      ( "compile",
+        "E31: interpreter-vs-compiled hot loops (the two gated ones >= 5x), \
+         then the golden sets served compiled must reproduce the frozen \
+         interpreted output in test/golden/compile_interp.jsonl (run from \
+         the source root; --requests cuts the 200-request e31 batch).",
+        [ "--requests" ],
+        fun ~out ~requests ~trials:_ ~fault_requests:_ ->
+          let golden = "test/golden/compile_interp.jsonl" in
+          if Sys.file_exists golden then
+            Engine_bench.run_compile ?out ~golden ?requests ()
+          else [ golden ^ " not found: run bench compile from the source root" ]
+      );
+      ( "store",
+        "E30: cold vs warm-start questions and the snapshot fault matrix \
+         (warm byte-identical with < 5% of cold's questions).",
+        [ "--requests" ],
+        fun ~out ~requests ~trials:_ ~fault_requests:_ ->
+          Store_bench.run ?out ?requests () );
+      ( "cluster",
+        "E32: three shard processes behind the router: routed == \
+         sequential bytes, ledger containment, hedging under a stopped \
+         shard, kill -9 recovery.",
+        [ "--requests" ],
+        fun ~out ~requests ~trials:_ ~fault_requests:_ ->
+          Cluster_bench.run ?out ?requests ~exe:Sys.executable_name () );
+      ( "incomplete",
+        "E33: certain \xe2\x8a\x86 exact \xe2\x8a\x86 possible on the \
+         demo declarations, closed-world identity, approximate convergence, \
+         zero ledger overhead.",
+        [ "--requests" ],
+        fun ~out ~requests ~trials:_ ~fault_requests:_ ->
+          Incomplete_bench.run ?out ?requests () );
+    ]
+  in
+  let doc = "Run one benchmark; exit 1 if any acceptance check fails." in
+  let man =
+    `S Manpage.s_description
+    :: List.map
+         (fun (name, summary, flags, _) ->
+           `I
+             ( name,
+               Printf.sprintf "%s  Flags: -o%s." summary
+                 (String.concat "" (List.map (( ^ ) ", ") flags)) ))
+         benches
+  in
+  let bench_name =
+    Arg.(
+      required
+      & pos 0
+          (some (enum (List.map (fun (n, _, _, _) -> (n, n)) benches)))
+          None
+      & info [] ~docv:"NAME" ~doc:"Which benchmark (see DESCRIPTION).")
+  in
+  let out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write results as JSON.")
+  in
+  let count long doc =
+    Arg.(value & opt (some int) None & info [ long ] ~docv:"N" ~doc)
+  in
+  let requests = count "requests" "Workload size (each bench has its own default)."
+  and trials = count "trials" "Timing trials, best kept (resilience, obs)."
+  and fault_requests =
+    count "fault-requests" "Batch size of the fault-injection run (resilience)."
+  in
+  let run name out requests trials fault_requests =
+    let _, _, reads, bench = List.find (fun (n, _, _, _) -> n = name) benches in
+    let unread =
+      List.find_map
+        (fun (flag, v) ->
+          if Option.is_some v && not (List.mem flag reads) then
+            Some (Printf.sprintf "bench %s does not take %s" name flag)
+          else None)
+        [
+          ("--requests", requests);
+          ("--trials", trials);
+          ("--fault-requests", fault_requests);
+        ]
+    in
+    let usage =
+      match (name, requests) with
+      | "compile", Some n when n > Engine_bench.golden_e31_requests ->
+          Some
+            (Printf.sprintf
+               "bench compile takes --requests <= %d (the frozen e31 batch)"
+               Engine_bench.golden_e31_requests)
+      | _ -> unread
+    in
+    match usage with
+    | Some msg -> `Error (true, msg)
+    | None -> (
+        let violations = bench ~out ~requests ~trials ~fault_requests in
+        Option.iter (Format.printf "wrote %s@.") out;
+        match violations with
+        | [] ->
+            Format.printf "bench %s: OK@." name;
+            `Ok ()
+        | vs ->
+            List.iter (Format.eprintf "violation: %s@.") vs;
+            exit 1)
+  in
+  Cmd.v (Cmd.info "bench" ~doc ~man)
+    Term.(
+      ret (const run $ bench_name $ out $ requests $ trials $ fault_requests))
+
 let () =
   let doc = "query languages over recursive (infinite, computable) databases" in
   let info = Cmd.info "recdb" ~version:"1.0.0" ~doc in
@@ -2613,24 +2301,15 @@ let () =
             cmd_serve_batch;
             cmd_serve;
             cmd_loadgen;
-            cmd_bench_engine;
-            cmd_bench_parallel;
-            cmd_bench_server;
             cmd_server_smoke;
             cmd_crash_test;
-            cmd_bench_resilience;
-            cmd_bench_obs;
+            cmd_bench;
             cmd_stats;
             cmd_obs_smoke;
-            cmd_bench_rql;
-            cmd_bench_compile;
             cmd_rql_smoke;
             cmd_store_inspect;
-            cmd_bench_store;
             cmd_store_smoke;
             cmd_shard;
             cmd_router;
-            cmd_bench_cluster;
-            cmd_bench_incomplete;
             cmd_incomplete_smoke;
           ]))

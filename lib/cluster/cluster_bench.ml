@@ -72,7 +72,8 @@ let to_json (r : result) =
         Json.List (List.map (fun v -> Json.String v) r.c_violations) );
     ]
 
-let run ?out ?(requests = 240) ?(shards = 3) ~exe () =
+let run ?out ?(requests = 240) ~exe () =
+  let shards = 3 in
   Frame.ignore_sigpipe ();
   let dir = "_cluster_bench" in
   Proc.rm_rf dir;
@@ -105,18 +106,7 @@ let run ?out ?(requests = 240) ?(shards = 3) ~exe () =
     Shard_sup.start ~dir ~extra_args:[ "-j"; "1"; "--no-stats" ] ~exe
       ~n:shards ()
   with
-  | Error e ->
-      let result =
-        {
-          c_shards = shards;
-          c_requests = List.length lines;
-          c_seq_questions = seq_questions;
-          c_rows = [];
-          c_violations = [ "supervisor failed to start: " ^ e ];
-        }
-      in
-      Format.eprintf "bench-cluster: %s@." e;
-      result
+  | Error e -> [ "supervisor failed to start: " ^ e ]
   | Ok sup ->
       let endpoints = Shard_sup.endpoints sup in
       (* plain router: rows routed/crash/stats *)
@@ -155,7 +145,7 @@ let run ?out ?(requests = 240) ?(shards = 3) ~exe () =
       wait_ready "plain" router;
       wait_ready "hedging" hedger;
       (* --- row 1: routed byte-identity + ledger containment --------- *)
-      Format.eprintf "bench-cluster: row routed...@.";
+      Format.eprintf "bench cluster: row routed...@.";
       let t0 = Unix.gettimeofday () in
       let routed = send_sorted (Router.port router) in
       let routed_wall = Unix.gettimeofday () -. t0 in
@@ -194,7 +184,7 @@ let run ?out ?(requests = 240) ?(shards = 3) ~exe () =
          drive a legal baseline and the throughput/latency gap the
          router's own hop.  Lost or error responses on the direct path
          are violations; the overhead itself is reported, not judged. *)
-      Format.eprintf "bench-cluster: row direct...@.";
+      Format.eprintf "bench cluster: row direct...@.";
       let n = List.length lines in
       let routed_load =
         Loadgen.run ~port:(Router.port router) ~connections:4 ~requests:n
@@ -269,14 +259,14 @@ let run ?out ?(requests = 240) ?(shards = 3) ~exe () =
         Thread.join resume;
         report
       in
-      Format.eprintf "bench-cluster: row hedge (plain door)...@.";
+      Format.eprintf "bench cluster: row hedge (plain door)...@.";
       let plain_report = stall_run (Router.port router) in
       (* the plain run warmed every question its workload asks; from
          here to the post-hedge sample, every new question in the
          merged ledger is a hedge duplicate a losing shard really
          asked *)
       let q_before_hedge = total (fst (Router.merged_ledger router)) in
-      Format.eprintf "bench-cluster: row hedge (hedging door)...@.";
+      Format.eprintf "bench cluster: row hedge (hedging door)...@.";
       let hedged_report = stall_run (Router.port hedger) in
       let hcounters = Router.counters hedger in
       let q_after_hedge = total (fst (Router.merged_ledger router)) in
@@ -303,7 +293,7 @@ let run ?out ?(requests = 240) ?(shards = 3) ~exe () =
           ("duplicate_questions", Json.Int duplicates);
         ];
       (* --- row 4: kill -9 mid-load, supervisor respawn, failover ---- *)
-      Format.eprintf "bench-cluster: row crash...@.";
+      Format.eprintf "bench cluster: row crash...@.";
       let respawns_before = Shard_sup.respawns sup in
       (* kill synchronously, before the load: a warm cluster answers
          the whole run in milliseconds, so a delayed kill would land
@@ -356,7 +346,7 @@ let run ?out ?(requests = 240) ?(shards = 3) ~exe () =
           ("post_recovery_identical", Json.Bool (after_crash = reference));
         ];
       (* --- row 5: the stats op through the front door --------------- *)
-      Format.eprintf "bench-cluster: row stats...@.";
+      Format.eprintf "bench cluster: row stats...@.";
       let stats_ok =
         match
           Proc.send_and_collect ~port:(Router.port router)
@@ -385,24 +375,13 @@ let run ?out ?(requests = 240) ?(shards = 3) ~exe () =
         }
       in
       Format.printf
-        "bench-cluster: %d requests over %d shards; cluster %d questions, \
+        "bench cluster: %d requests over %d shards; cluster %d questions, \
          sequential %d; hedges %d (wins %d, %d duplicate questions); \
          respawns %d@."
         result.c_requests shards cluster_q seq_questions
         hcounters.Router.hedges_fired hcounters.Router.hedge_wins duplicates
         (Shard_sup.respawns sup);
-      (match result.c_violations with
-      | [] ->
-          Format.printf "bench-cluster: all E32 acceptance checks pass@.";
-          Proc.rm_rf dir
-      | vs ->
-          List.iter (Format.eprintf "bench-cluster violation: %s@.") vs;
-          Format.eprintf "bench-cluster: shard logs kept in %s@." dir);
-      (match out with
-      | None -> ()
-      | Some path ->
-          let oc = open_out path in
-          output_string oc (Json.to_string (to_json result));
-          output_char oc '\n';
-          close_out oc);
-      result
+      if result.c_violations = [] then Proc.rm_rf dir
+      else Format.eprintf "bench cluster: shard logs kept in %s@." dir;
+      Json.write_opt out (fun () -> to_json result);
+      result.c_violations

@@ -4,28 +4,9 @@
     Forks real [recdb serve] shard processes ([exe]), so every row
     exercises genuine process boundaries. *)
 
-type row = {
-  b_name : string;  (** ["routed"], ["hedge"], ["crash"], ["stats"] *)
-  b_requests : int;
-  b_wall_s : float;
-  b_detail : (string * Json.t) list;
-}
-
-type result = {
-  c_shards : int;
-  c_requests : int;
-  c_seq_questions : int;
-      (** Def. 3.9 questions of the sequential in-process reference *)
-  c_rows : row list;
-  c_violations : string list;  (** empty = all acceptance checks pass *)
-}
-
-val to_json : result -> Json.t
-
-val run :
-  ?out:string -> ?requests:int -> ?shards:int -> exe:string -> unit -> result
+val run : ?out:string -> ?requests:int -> exe:string -> unit -> string list
 (** Run E32: [requests] (default 240, the store-smoke mix of the E17
-    batch plus RQL) through [shards] (default 3) child servers behind
-    an in-process router.  Prints a summary; when [out] is given also
-    writes the JSON there ([BENCH_cluster.json]).  Returns the result
-    so [recdb bench-cluster] can exit nonzero on a violation. *)
+    batch plus RQL) through three child servers behind an in-process
+    router.  Prints a summary; when [out] is given also writes the JSON
+    there ([BENCH_cluster.json]).  Returns the violated acceptance
+    checks. *)

@@ -114,3 +114,27 @@ let alive pid =
 let kill_and_reap pid signal =
   (try Unix.kill pid signal with Unix.Unix_error _ -> ());
   try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
+
+let with_server ~log ~port_file argv body =
+  (try Sys.remove port_file with Sys_error _ -> ());
+  let pid = spawn ~log (Array.append argv [| "--port-file"; port_file |]) in
+  let failed fmt =
+    Printf.ksprintf (fun s -> Error (Printf.sprintf "%s (log: %s)" s log)) fmt
+  in
+  match wait_port_file port_file with
+  | Error e ->
+      kill_and_reap pid Sys.sigkill;
+      failed "%s" e
+  | Ok (port, metrics_port) -> (
+      let v =
+        try body ~port ~metrics_port
+        with e ->
+          kill_and_reap pid Sys.sigkill;
+          raise e
+      in
+      Unix.kill pid Sys.sigterm;
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> Ok v
+      | _, Unix.WEXITED n -> failed "server exited %d on SIGTERM" n
+      | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) ->
+          failed "server stopped by signal %d on SIGTERM" n)

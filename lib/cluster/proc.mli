@@ -15,6 +15,22 @@ val wait_port_file :
     serving port, optional second line the metrics port.  Half-written
     files are retried; [Error] after [timeout_s] (default 20s). *)
 
+val with_server :
+  log:string ->
+  port_file:string ->
+  string array ->
+  (port:int -> metrics_port:int option -> 'a) ->
+  ('a, string) result
+(** [with_server ~log ~port_file argv body] runs [body] against a
+    server child: it removes any stale [port_file] (so a dead server's
+    port is never read back), spawns [argv] with ["--port-file";
+    port_file] appended and output appended to [log], waits for the
+    port ({!wait_port_file}), runs [body], then sends
+    SIGTERM and requires exit status 0.  [Error] — naming the [log],
+    which is left in place — when the port never appears or the child
+    does not exit 0; a [body] that raises gets the child SIGKILLed and
+    reaped first. *)
+
 val connect :
   ?host:string -> port:int -> unit -> (Unix.file_descr, string) result
 

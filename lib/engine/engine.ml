@@ -35,7 +35,6 @@ type config = {
   limits : Resilience.limits;
   retry : Resilience.retry;
   faults : Faulty_oracle.config option;
-  compile : bool;
   decls : (string * Incomplete.Decl.t) list;
       (* per-instance completeness declarations; instances without one
          are fully total and always answer exactly *)
@@ -48,7 +47,6 @@ let default_config =
     limits = Resilience.no_limits;
     retry = Resilience.default_retry;
     faults = None;
-    compile = true;
     decls = [];
     default_mode = Request.M_exact;
   }
@@ -566,12 +564,13 @@ let error_kind : Request.error -> string = function
   | Request.Worker_crash _ -> "worker_crash"
   | Request.Overloaded _ -> "overloaded"
 
-(* [compile] selects the closure-compiled evaluators (config.compile,
-   default on; `recdb --compile off` keeps the tree-walk interpreters).
-   Both paths consult identical oracle entry points in identical order,
-   so responses and the Def. 3.9 ledger are byte-for-byte equal — E31
-   asserts it pairwise on every benched request. *)
-let eval_payload ~tr ~shared ~compile entry (payload : Request.payload) :
+(* Evaluation always runs through the closure-compiled tier.  The
+   compilers consult the oracles at the same entry points in the same
+   order as the tree-walk interpreters, so responses and the Def. 3.9
+   ledger equal the interpreters' byte for byte — the parity properties
+   in test_compile and the frozen interpreted golden file (E31) check
+   it. *)
+let eval_payload ~tr ~shared entry (payload : Request.payload) :
     (Request.outcome, Request.error) result =
   match payload with
   | Request.Classes { db_type; rank } -> eval_classes ~db_type ~rank
@@ -582,11 +581,9 @@ let eval_payload ~tr ~shared ~compile entry (payload : Request.payload) :
           match Rlogic.Ast.free_vars f with
           | [] ->
               let b =
-                if compile then
-                  (compiled_of ~tr entry.compiled.c_sentences sentence
-                     (fun () -> Hs.Fo_compile.sentence entry.hs f))
-                    ()
-                else Hs.Fo_eval.eval_sentence entry.hs f
+                (compiled_of ~tr entry.compiled.c_sentences sentence
+                   (fun () -> Hs.Fo_compile.sentence entry.hs f))
+                  ()
               in
               Ok (Request.Bool b)
           | vars -> Error (Request.Not_a_sentence vars)))
@@ -601,18 +598,14 @@ let eval_payload ~tr ~shared ~compile entry (payload : Request.payload) :
                  (Printf.sprintf "cutoff must be in 0..%d" max_cutoff))
           else
             let rank = List.length vars in
-            let reps, members =
-              if compile then
-                let cq =
-                  compiled_of ~tr entry.compiled.c_queries query (fun () ->
-                      Hs.Fo_compile.compile_query entry.hs q)
-                in
-                ( Hs.Fo_compile.eval_reps cq ~rank,
-                  Hs.Fo_compile.eval_upto cq ~cutoff )
-              else
-                ( Hs.Fo_eval.eval_reps entry.hs q ~rank,
-                  Hs.Fo_eval.eval_upto entry.hs q ~cutoff )
+            let cq =
+              compiled_of ~tr entry.compiled.c_queries query (fun () ->
+                  Hs.Fo_compile.compile_query entry.hs q)
             in
+            (* members before reps: the order the frozen interpreted
+               ledger asks in, which a budget trip makes visible *)
+            let members = Hs.Fo_compile.eval_upto cq ~cutoff in
+            let reps = Hs.Fo_compile.eval_reps cq ~rank in
             Ok
               (Request.Rel
                  {
@@ -644,17 +637,13 @@ let eval_payload ~tr ~shared ~compile entry (payload : Request.payload) :
               (Request.Bad_request
                  (Printf.sprintf "fuel must be in 1..%d" Request.Bounds.max_fuel))
           else (
-            match
-              if compile then
-                let cp =
-                  compiled_of ~tr entry.compiled.c_programs program (fun () ->
-                      Ql.Ql_compile.compile
-                        ~algebra:(Lazy.force entry.compiled.c_algebra)
-                        p)
-                in
-                Ql.Ql_compile.run cp ~fuel
-              else Ql.Ql_hs.run entry.hs ~fuel p
-            with
+            let cp =
+              compiled_of ~tr entry.compiled.c_programs program (fun () ->
+                  Ql.Ql_compile.compile
+                    ~algebra:(Lazy.force entry.compiled.c_algebra)
+                    p)
+            in
+            match Ql.Ql_compile.run cp ~fuel with
             | Ql.Ql_interp.Halted store ->
                 let v = store.(0) in
                 Ok
@@ -719,22 +708,18 @@ let eval_payload ~tr ~shared ~compile entry (payload : Request.payload) :
                         ~compute)
               | _ -> None
             in
+            let mode_tag =
+              match mode with
+              | Rql.Rql_plan.Naive -> "n:"
+              | Rql.Rql_plan.Planned -> "c:"
+            in
+            (* prepare validates like the interpreter's first run; a
+               validation error raises here, is never cached, and maps
+               to the same Ill_formed below *)
             match
-              if compile then
-                let mode_tag =
-                  match mode with
-                  | Rql.Rql_plan.Naive -> "n:"
-                  | Rql.Rql_plan.Planned -> "c:"
-                in
-                (* prepare validates like the interpreter's first run;
-                   a validation error raises here, is never cached, and
-                   maps to the same Ill_formed below *)
-                let pr =
-                  compiled_of ~tr entry.compiled.c_rql (mode_tag ^ text)
-                    (fun () -> Rql.Rql_compile.prepare entry.hs plan)
-                in
-                Rql.Rql_compile.run ?memo ~cutoff pr
-              else Rql.Rql_eval.run ?memo ~cutoff entry.hs plan
+              Rql.Rql_compile.run ?memo ~cutoff
+                (compiled_of ~tr entry.compiled.c_rql (mode_tag ^ text)
+                   (fun () -> Rql.Rql_compile.prepare entry.hs plan))
             with
             | Rql.Rql_eval.Bool b -> Ok (Request.Bool b)
             | Rql.Rql_eval.Rel { rank; reps; members } ->
@@ -757,7 +742,7 @@ let eval_payload ~tr ~shared ~compile entry (payload : Request.payload) :
    is consult-denominated, so even its trip point ignores cache warmth
    — which is what lets the pair live in [Shared_memo] and in store
    snapshots under the mode-prefixed key. *)
-let eval_incomplete ~tr ~shared ~compile entry ~(mode : Request.mode)
+let eval_incomplete ~tr ~shared entry ~(mode : Request.mode)
     (payload : Request.payload) : Shared_memo.result_value =
   let decl =
     (* unreachable None: [effective_mode] downgrades undeclared
@@ -944,7 +929,7 @@ let eval_incomplete ~tr ~shared ~compile entry ~(mode : Request.mode)
   | Request.Classes _ | Request.Tree _ | Request.Stats ->
       (* never touch a relation: [effective_mode] routes these to the
          exact path; kept total for direct callers *)
-      exact (eval_payload ~tr ~shared ~compile entry payload)
+      exact (eval_payload ~tr ~shared entry payload)
 
 (* Mode resolution, most-specific wins: the RQL [mode <word>] text
    prefix, then the request's wire mode, then the server default.  An
@@ -1245,13 +1230,12 @@ let handle ?queued_s t (req : Request.t) : Request.response =
                 | Request.M_exact ->
                     {
                       Shared_memo.value =
-                        eval_payload ~tr:t.trace ~shared:t.shared
-                          ~compile:t.config.compile entry req.Request.payload;
+                        eval_payload ~tr:t.trace ~shared:t.shared entry
+                          req.Request.payload;
                       cert = Request.Cert_exact;
                     }
                 | _ ->
-                    eval_incomplete ~tr:t.trace ~shared:t.shared
-                      ~compile:t.config.compile entry ~mode
+                    eval_incomplete ~tr:t.trace ~shared:t.shared entry ~mode
                       req.Request.payload
               in
               let eval () =

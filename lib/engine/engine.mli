@@ -35,16 +35,18 @@ type t
     the oracle hot path carries no guard at all; configuring either
     installs a cheap per-question check (E25 measures its overhead).
 
-    [compile] (default [true]) routes evaluation through the
-    closure-compiled tier: sentences, queries, QL programs and RQL
-    plans are specialized once per (entry, source text) into closures
-    over pre-resolved frame slots and hoisted oracle handles, cached in
-    the entry, and reused by every later request.  Compiled and
-    interpreted evaluation consult identical oracle entry points in
-    identical order, so responses and the Def. 3.9 question ledger are
-    byte-identical either way (E31 asserts it pairwise); [false] keeps
-    the tree-walk interpreters (the E31 baseline, `recdb --compile
-    off`).
+    Evaluation always runs through the closure-compiled tier:
+    sentences, queries, QL programs and RQL plans are specialized once
+    per (entry, source text) into closures over pre-resolved frame
+    slots and hoisted oracle handles, cached in the entry, and reused
+    by every later request.  The compilers consult the oracles at the
+    same entry points in the same order as the tree-walk interpreters,
+    so responses and the Def. 3.9 question ledger equal the
+    interpreters' byte for byte.  The interpreters remain the reference
+    at library level: the parity properties in [test_compile] compare
+    the two evaluators directly, and E31 checks the engine against a
+    golden file frozen from the last interpreted engine
+    ([test/golden/compile_interp.jsonl]).
 
     [decls] attaches a completeness declaration ({!Incomplete.Decl}) to
     named instances: relations marked [open] make the instance stand
@@ -62,7 +64,6 @@ type config = {
   limits : Resilience.limits;
   retry : Resilience.retry;
   faults : Faulty_oracle.config option;
-  compile : bool;
   decls : (string * Incomplete.Decl.t) list;
   default_mode : Request.mode;
 }

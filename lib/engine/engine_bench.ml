@@ -31,7 +31,8 @@ let e17_sentences =
     "exists x. forall y. y != x -> R1(x, y)";
   ]
 
-let cache_workload ?(repeats = 25) () =
+let cache_workload () =
+  let repeats = 25 in
   (* Uncached: a fresh instance, atoms hit the raw oracles every time. *)
   let base =
     match Engine.build_instance "triangles" with
@@ -136,7 +137,8 @@ let time f =
   let x = f () in
   (x, Unix.gettimeofday () -. t0)
 
-let batch_workload ?(requests = 1000) ?(domains_list = [ 1; 2; 4 ]) () =
+let batch_workload ?(requests = 1000) () =
+  let domains_list = [ 1; 2; 4 ] in
   let batch = build_batch requests in
   let recommended_domains = Domain.recommended_domain_count () in
   let sequential, sequential_s =
@@ -419,15 +421,27 @@ let run_resilience ?out ?trials ?requests ?fault_requests () =
      lost, non-faulted results identical to clean run: %b@."
     f.seed f.fault_period f.faults_injected f.f_requests f.retries f.failures
     f.deterministic;
-  (match out with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Json.to_string (resilience_to_json o [ d; b ] f));
-      output_char oc '\n';
-      close_out oc;
-      Format.printf "  wrote %s@." path);
-  (o, [ d; b ], f)
+  Json.write_opt out (fun () -> resilience_to_json o [ d; b ] f);
+  (* Gated: both bounds must trip with their typed error and the budget
+     must never overspend; retries must not change a non-faulted byte.
+     The guard overhead is reported, not judged. *)
+  List.concat
+    [
+      (if d.error_kind = "deadline_exceeded" then []
+       else
+         [ Printf.sprintf "deadline probe returned %s, not deadline_exceeded"
+             d.error_kind ]);
+      (if b.error_kind = "budget_exceeded" then []
+       else
+         [ Printf.sprintf "budget probe returned %s, not budget_exceeded"
+             b.error_kind ]);
+      (if b.within_bound then []
+       else
+         [ Printf.sprintf "budget probe asked %d questions > quota %.0f"
+             b.questions_spent b.configured ]);
+      (if f.deterministic then []
+       else [ "non-faulted responses differ from the clean run" ]);
+    ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -472,8 +486,8 @@ let to_json (c : cache_result) (b : batch_result) =
           ] );
     ]
 
-let run ?out ?repeats ?requests () =
-  let c = cache_workload ?repeats () in
+let run ?out ?requests () =
+  let c = cache_workload () in
   Format.printf
     "  cache (E17 workload, %d repeats): %d raw oracle calls uncached, %d \
      cached (%d hits) — %.1fx fewer@."
@@ -500,14 +514,15 @@ let run ?out ?repeats ?requests () =
     Format.printf
       "    (single-core host: multi-domain rows are skipped; the 1-domain \
        pool run checks correctness and overhead)@.";
-  match out with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Json.to_string (to_json c b));
-      output_char oc '\n';
-      close_out oc;
-      Format.printf "  wrote %s@." path
+  Json.write_opt out (fun () -> to_json c b);
+  List.filter_map
+    (fun r ->
+      if r.skipped || r.identical then None
+      else
+        Some
+          (Printf.sprintf "%d domains: results differ from sequential"
+             r.domains))
+    b.runs
 
 (* ------------------------------------------------------------------ *)
 (* E26: parallel serving with the shared memo layer.  Three claims to
@@ -539,7 +554,8 @@ type parallel_result = {
   p_runs : parallel_run list;
 }
 
-let parallel_workload ?(requests = 600) ?(domains_list = [ 1; 2; 4; 8 ]) () =
+let parallel_workload ?(requests = 600) () =
+  let domains_list = [ 1; 2; 4; 8 ] in
   let batch = build_batch requests in
   let recommended = Domain.recommended_domain_count () in
   let engine = Engine.create () in
@@ -635,9 +651,9 @@ let parallel_to_json (p : parallel_result) =
              p.p_runs) );
     ]
 
-let run_parallel ?out ?requests ?domains_list () =
+let run_parallel ?out ?requests () =
   Format.printf "parallel serving benchmark (E26):@.";
-  let p = parallel_workload ?requests ?domains_list () in
+  let p = parallel_workload ?requests () in
   Format.printf
     "  batch of %d requests, %d recommended domain%s: sequential cold %.3fs, \
      warm %.3fs, %d genuine questions@."
@@ -659,15 +675,25 @@ let run_parallel ?out ?requests ?domains_list () =
           r.cold_s r.cold_speedup r.warm_s r.warm_speedup r.p_identical
           r.p_questions r.questions_ok r.p_deaths)
     p.p_runs;
-  (match out with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Json.to_string (parallel_to_json p));
-      output_char oc '\n';
-      close_out oc;
-      Format.printf "  wrote %s@." path);
-  p
+  Json.write_opt out (fun () -> parallel_to_json p);
+  List.concat_map
+    (fun r ->
+      if r.p_skipped then []
+      else
+        (if r.p_identical then []
+         else
+           [ Printf.sprintf "%d domains: results differ from sequential"
+               r.p_domains ])
+        @ (if r.questions_ok then []
+           else
+             [ Printf.sprintf "%d domains: %d questions > sequential %d"
+                 r.p_domains r.p_questions p.seq_questions ])
+        @
+        if r.p_deaths = 0 then []
+        else
+          [ Printf.sprintf "%d domains: %d worker death(s)" r.p_domains
+              r.p_deaths ])
+    p.p_runs
 
 (* ------------------------------------------------------------------ *)
 (* E28: the observability subsystem.  Three claims: (1) tracing is
@@ -882,16 +908,8 @@ let run_obs ?out ?requests ?trials () =
     "  budget trip (tree(paths3,6), quota 200): %s, trace accounts for %d \
      questions@."
     r.budget_error r.budget_questions;
-  List.iter (fun v -> Format.printf "  VIOLATION: %s@." v) r.ob_violations;
-  (match out with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Json.to_string (obs_to_json r));
-      output_char oc '\n';
-      close_out oc;
-      Format.printf "  wrote %s@." path);
-  r
+  Json.write_opt out (fun () -> obs_to_json r);
+  r.ob_violations
 
 (* ------------------------------------------------------------------ *)
 (* E29: the RQL front-end.  Three claims: (1) the cost-based planner
@@ -1075,16 +1093,8 @@ let run_rql ?out ?requests () =
     r.cold_plan_misses r.cold_plan_hits r.warm_plan_misses r.warm_plan_hits
     r.warm_new_questions;
   Format.printf "  naive and planned byte-identical: %b@." r.r_identical;
-  List.iter (fun v -> Format.printf "  VIOLATION: %s@." v) r.r_violations;
-  (match out with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Json.to_string (rql_to_json r));
-      output_char oc '\n';
-      close_out oc;
-      Format.printf "  wrote %s@." path);
-  r
+  Json.write_opt out (fun () -> rql_to_json r);
+  r.r_violations
 
 (* ------------------------------------------------------------------ *)
 (* E31: the closure-compiled hot path.  Two layers of evidence.
@@ -1102,13 +1112,16 @@ let run_rql ?out ?requests () =
    so compilation only removes the thin control walk around it — the
    measured ratio is evidence of overhead removed, not a gate.
 
-   The engine pairwise check is the correctness half: the same mixed
-   batch (FO sentences and queries, class counts, QL programs, RQL
-   fixpoints) served by a compile-off and a compile-on engine, fresh
-   and memo-private, asserting per request that the response bytes
-   (stats stripped) AND the Def. 3.9 ledger — oracle_calls, tb_calls,
-   equiv_calls, cache_hits — are identical.  Compilation that changed
-   either would be a wrong answer, not a speedup. *)
+   The golden check is the correctness half.  The engine has one
+   evaluation path, the compiled one; the interpreted engine it
+   replaced was run once on the golden sets below (a mixed batch of FO
+   sentences and queries, class counts, QL programs and RQL fixpoints,
+   plus budget- and deadline-tripped requests) and its output frozen
+   in test/golden/compile_interp.jsonl.  A fresh, memo-private engine
+   must reproduce every line: the response bytes (stats stripped) AND
+   the Def. 3.9 ledger — oracle_calls, tb_calls, equiv_calls,
+   cache_hits.  Compilation that changed either would be a wrong
+   answer, not a speedup. *)
 
 type hot_run = {
   h_name : string;
@@ -1123,12 +1136,9 @@ type compile_result = {
   k_requests : int;
   k_min_speedup : float;
   k_hot : hot_run list;
-  k_engine_interp_s : float;
-  k_engine_compiled_s : float;
-  k_engine_speedup : float;  (* informational: oracle cost dominates *)
-  k_checked : int;  (* pairwise-compared responses *)
-  k_bytes_identical : bool;
-  k_ledger_identical : bool;
+  k_golden_s : float;  (* serving every golden set, compiled *)
+  k_checked : int;  (* responses compared against the golden file *)
+  k_golden_ok : bool;  (* every one reproduced the frozen line *)
   k_violations : string list;
 }
 
@@ -1308,7 +1318,7 @@ let e31_ql_batch_programs =
 let build_compile_batch n =
   (* The mixed E24 batch, every seventh request replaced by an RQL
      fixpoint and every eleventh by a QL program, so all four compiled
-     evaluators serve inside one pairwise-checked batch. *)
+     evaluators serve inside one batch checked against the golden file. *)
   let nprog = List.length e31_ql_batch_programs in
   let nrql = List.length rql_texts in
   List.map
@@ -1338,7 +1348,127 @@ let build_compile_batch n =
       else r)
     (build_batch n)
 
-let compile_workload ?(requests = 200) ?(min_speedup = 5.0) ?(trials = 3) () =
+(* The golden sets: inputs the interpreted engine was frozen on.  Each
+   is served by a fresh engine under its own limits — "budget" trips a
+   200-question quota mid-evaluation, "deadline" a 0 s deadline at the
+   first guard tick — so the typed errors and their exact cost-so-far
+   are part of the reference too. *)
+let golden_trips =
+  [
+    Request.make ~id:1 (Request.Tree { instance = "paths3"; depth = 6 });
+    Request.make ~id:2
+      (Request.Query
+         {
+           instance = "triangles";
+           query = "{(x, y) | exists z. R1(x, z) && R1(z, y)}";
+           cutoff = 10;
+         });
+  ]
+
+let golden_mixed =
+  List.concat_map
+    (fun (i, instance) ->
+      [
+        Request.make
+          ~id:((10 * i) + 1)
+          (Request.Sentence
+             { instance; sentence = "exists x. forall y. y != x -> R1(x, y)" });
+        Request.make
+          ~id:((10 * i) + 2)
+          (Request.Program
+             { instance; program = "Y1 <- ~(Rel1 & E)"; fuel = 1000; cutoff = 4 });
+        Request.make
+          ~id:((10 * i) + 3)
+          (Request.Rql { instance; text = e31_rql_text; cutoff = 4;
+                         planner = Request.Plan_cost });
+      ])
+    [ (1, "triangles"); (2, "mod2") ]
+
+let golden_e31_requests = 200
+
+let golden_input ~e31 = function
+  | "mixed" -> (Resilience.no_limits, golden_mixed)
+  | "budget" ->
+      ({ Resilience.max_oracle_calls = Some 200; deadline_s = None },
+       golden_trips)
+  | "deadline" ->
+      ({ Resilience.max_oracle_calls = None; deadline_s = Some 0.0 },
+       golden_trips)
+  | "e31" -> (Resilience.no_limits, build_compile_batch e31)
+  | set -> invalid_arg ("Engine_bench: no golden set " ^ set)
+
+let golden_line set (r : Request.response) =
+  let s = r.Request.stats in
+  Json.to_string
+    (Json.Obj
+       [
+         ("set", Json.String set);
+         ("response", Request.response_to_json ~stats:false r);
+         ("oracle_calls", Json.Int s.Request.oracle_calls);
+         ("tb_calls", Json.Int s.Request.tb_calls);
+         ("equiv_calls", Json.Int s.Request.equiv_calls);
+         ("cache_hits", Json.Int s.Request.cache_hits);
+       ])
+
+let read_lines path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> String.trim l <> "")
+
+(* Serve one golden set and diff it line by line against the frozen
+   file; the e31 set may be cut to a prefix (a fresh sequential engine
+   serves a prefix exactly as it serves the start of the whole batch).
+   Returns the number of responses served and the differences. *)
+let golden_diff ~path ?(e31 = golden_e31_requests) set =
+  match read_lines path with
+  | exception Sys_error e -> (0, [ "cannot read the golden file: " ^ e ])
+  | lines -> (
+      let tag = Printf.sprintf {|{"set":%S,|} set in
+      let expected = List.filter (String.starts_with ~prefix:tag) lines in
+      let expected =
+        if set = "e31" then List.filteri (fun i _ -> i < e31) expected
+        else expected
+      in
+      let limits, batch = golden_input ~e31 set in
+      let engine =
+        Engine.create ~config:{ Engine.default_config with limits } ()
+      in
+      let observed =
+        List.map (golden_line set) (Engine.handle_all engine batch)
+      in
+      let n = List.length observed in
+      if List.length expected <> n then
+        ( n,
+          [
+            Printf.sprintf "golden %s: %d responses served, the file has %d"
+              set n (List.length expected);
+          ] )
+      else
+        match
+          List.filter
+            (fun (e, o) -> not (String.equal e o))
+            (List.combine expected observed)
+        with
+        | [] -> (n, [])
+        | (e, o) :: rest ->
+            ( n,
+              [
+                Printf.sprintf
+                  "golden %s: %d of %d responses differ; first:\n\
+                  \  expected %s\n\
+                  \  got      %s"
+                  set (1 + List.length rest) n e o;
+              ] ))
+
+let golden_sets = [ "mixed"; "budget"; "deadline"; "e31" ]
+
+let check_golden ~path set = snd (golden_diff ~path set)
+
+(* The acceptance gate for the interpretation-bound hot loops. *)
+let min_speedup = 5.0
+
+let compile_workload ~golden ?(requests = golden_e31_requests) () =
+  let trials = 3 in
   let violations = ref [] in
   let violate fmt =
     Printf.ksprintf (fun s -> violations := s :: !violations) fmt
@@ -1359,60 +1489,19 @@ let compile_workload ?(requests = 200) ?(min_speedup = 5.0) ?(trials = 3) () =
         violate "%s: speedup %.2fx < %.1fx gate (%.4fs vs %.4fs)" h.h_name
           h.h_speedup min_speedup h.h_interp_s h.h_compiled_s)
     hot;
-  (* Pairwise identity: fresh engines, no shared memo, same batch. *)
-  let batch = build_compile_batch requests in
-  let serve compile =
-    let config = { Engine.default_config with Engine.compile } in
-    let engine = Engine.create ~config () in
-    time (fun () -> Engine.handle_all engine batch)
+  let diffs, k_golden_s =
+    time (fun () ->
+        List.map (golden_diff ~path:golden ~e31:requests) golden_sets)
   in
-  let interp_rs, k_engine_interp_s = serve false in
-  let compiled_rs, k_engine_compiled_s = serve true in
-  let k_checked = ref 0 in
-  let byte_bad = ref 0 and ledger_bad = ref 0 in
-  List.iter2
-    (fun (a : Request.response) (b : Request.response) ->
-      incr k_checked;
-      let bytes r =
-        Json.to_string (Request.response_to_json ~stats:false r)
-      in
-      if not (String.equal (bytes a) (bytes b)) then begin
-        incr byte_bad;
-        if !byte_bad = 1 then
-          violate "request %d: compiled response bytes differ" a.Request.id
-      end;
-      let ledger (r : Request.response) =
-        ( r.Request.stats.Request.oracle_calls,
-          r.Request.stats.Request.tb_calls,
-          r.Request.stats.Request.equiv_calls,
-          r.Request.stats.Request.cache_hits )
-      in
-      if ledger a <> ledger b then begin
-        incr ledger_bad;
-        if !ledger_bad = 1 then
-          let oa, ta, ea, ca = ledger a and ob, tb, eb, cb = ledger b in
-          violate
-            "request %d: ledger differs — interpreted %d/%d/%d/%d vs \
-             compiled %d/%d/%d/%d (oracle/tb/equiv/hits)"
-            a.Request.id oa ta ea ca ob tb eb cb
-      end)
-    interp_rs compiled_rs;
-  if !byte_bad > 1 then violate "%d responses differ in bytes" !byte_bad;
-  if !ledger_bad > 1 then violate "%d responses differ in ledger" !ledger_bad;
-  if !k_checked = 0 then violate "no responses compared";
+  let k_checked = List.fold_left (fun acc (n, _) -> acc + n) 0 diffs in
+  List.iter (fun (_, vs) -> List.iter (violate "%s") vs) diffs;
   {
     k_requests = requests;
     k_min_speedup = min_speedup;
     k_hot = hot;
-    k_engine_interp_s;
-    k_engine_compiled_s;
-    k_engine_speedup =
-      (if k_engine_compiled_s > 0. then
-         k_engine_interp_s /. k_engine_compiled_s
-       else Float.infinity);
-    k_checked = !k_checked;
-    k_bytes_identical = !byte_bad = 0;
-    k_ledger_identical = !ledger_bad = 0;
+    k_golden_s;
+    k_checked;
+    k_golden_ok = List.for_all (fun (_, vs) -> vs = []) diffs;
     k_violations = List.rev !violations;
   }
 
@@ -1436,23 +1525,20 @@ let compile_to_json (k : compile_result) =
                    ("identical", Json.Bool h.h_identical);
                  ])
              k.k_hot) );
-      ( "engine_batch",
+      ( "golden",
         Json.Obj
           [
-            ("interpreted_s", Json.Float k.k_engine_interp_s);
-            ("compiled_s", Json.Float k.k_engine_compiled_s);
-            ("speedup", Json.Float k.k_engine_speedup);
+            ("compiled_s", Json.Float k.k_golden_s);
             ("checked", Json.Int k.k_checked);
-            ("bytes_identical", Json.Bool k.k_bytes_identical);
-            ("ledger_identical", Json.Bool k.k_ledger_identical);
+            ("identical", Json.Bool k.k_golden_ok);
           ] );
       ( "violations",
         Json.List (List.map (fun s -> Json.String s) k.k_violations) );
     ]
 
-let run_compile ?out ?requests ?min_speedup () =
+let run_compile ?out ~golden ?requests () =
   Format.printf "Compiled-evaluation benchmark (E31):@.";
-  let k = compile_workload ?requests ?min_speedup () in
+  let k = compile_workload ~golden ?requests () in
   List.iter
     (fun h ->
       Format.printf "  %-12s %8.4fs interpreted  %8.4fs compiled  %6.2fx%s%s@."
@@ -1461,17 +1547,8 @@ let run_compile ?out ?requests ?min_speedup () =
         (if h.h_identical then "" else "  MISMATCH"))
     k.k_hot;
   Format.printf
-    "  engine batch (%d requests): %.3fs interpreted, %.3fs compiled \
-     (%.2fx); bytes identical: %b, ledger identical: %b@."
-    k.k_requests k.k_engine_interp_s k.k_engine_compiled_s
-    k.k_engine_speedup k.k_bytes_identical k.k_ledger_identical;
-  List.iter (fun v -> Format.printf "  VIOLATION: %s@." v) k.k_violations;
-  (match out with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Json.to_string (compile_to_json k));
-      output_char oc '\n';
-      close_out oc;
-      Format.printf "  wrote %s@." path);
-  k
+    "  golden sets (e31 batch of %d requests): %d responses served \
+     compiled in %.3fs, checked against the frozen interpreted output@."
+    k.k_requests k.k_checked k.k_golden_s;
+  Json.write_opt out (fun () -> compile_to_json k);
+  k.k_violations

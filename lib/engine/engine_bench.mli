@@ -1,206 +1,13 @@
-(** The engine benchmark: cached-vs-uncached repeated evaluation on the
-    E17 workload, and 1/2/4-domain batch throughput.  Shared between
-    [bench/main.exe] (which writes [BENCH_engine.json]) and
-    [recdb bench-engine]. *)
-
-type cache_result = {
-  repeats : int;
-  uncached_oracle_calls : int;  (** raw Rᵢ questions, no cache *)
-  cached_oracle_calls : int;  (** raw Rᵢ questions through the LRU *)
-  cache_hits : int;
-  reduction : float;  (** uncached / cached *)
-}
-
-type batch_run = {
-  domains : int;
-  skipped : bool;
-      (** [domains] exceeds [Domain.recommended_domain_count ()]: the
-          row is reported as skipped ("insufficient cores") instead of
-          as a meaningless slowdown measurement *)
-  wall_s : float;
-  speedup : float;  (** sequential wall / this wall *)
-  identical : bool;  (** results byte-identical to sequential *)
-}
-
-type batch_result = {
-  requests : int;
-  recommended_domains : int;  (** [Domain.recommended_domain_count ()] *)
-  sequential_s : float;
-  runs : batch_run list;
-}
+(** The engine benchmarks E24–E26, E28, E29 and E31, shared between
+    [bench/main.exe] (which writes the committed [BENCH_*.json]
+    baselines) and [recdb bench NAME].  Every [run*] prints its tables,
+    writes the JSON to [out] when given, and returns the violated
+    acceptance checks — empty when all hold. *)
 
 val build_batch : int -> Request.t list
 (** The mixed workload (sentences, queries, a class count every tenth
     request, over five instances) used by the batch and fault
     workloads — also what [recdb crash-test] serves. *)
-
-val cache_workload : ?repeats:int -> unit -> cache_result
-(** Evaluate E17's four sentences on [triangles] [repeats] times
-    (default 25), once against raw oracles and once through an engine's
-    LRU. *)
-
-val batch_workload : ?requests:int -> ?domains_list:int list -> unit -> batch_result
-(** Build a mixed batch (default 1000 requests over five instances),
-    evaluate it sequentially, then on pools of [domains_list] (default
-    [[1; 2; 4]]) domains, checking byte-identity each time.  Domain
-    counts above [Domain.recommended_domain_count ()] are skipped, not
-    measured. *)
-
-val to_json : cache_result -> batch_result -> Json.t
-
-val run : ?out:string -> ?repeats:int -> ?requests:int -> unit -> unit
-(** Print the tables; when [out] is given, also write the JSON there. *)
-
-(** {2 E25: the resilience layer} *)
-
-type overhead_result = {
-  o_requests : int;
-  trials : int;
-  plain_s : float;  (** best of [trials], unguarded engine *)
-  guarded_s : float;  (** best of [trials], generous limits armed *)
-  overhead_frac : float;  (** [guarded_s /. plain_s -. 1.] *)
-}
-
-type bound_probe = {
-  bound : string;  (** ["deadline"] or ["budget"] *)
-  configured : float;  (** seconds, or question quota *)
-  error_kind : string;  (** the typed error actually returned *)
-  probe_wall_s : float;
-  questions_spent : int;  (** oracle + T_B + ≅_B questions at abort *)
-  within_bound : bool;
-}
-
-type fault_result = {
-  f_requests : int;
-  seed : int;
-  fault_period : int;
-  faults_injected : int;
-  retries : int;
-  failures : int;  (** requests lost to [Oracle_unavailable] *)
-  deterministic : bool;
-      (** non-faulted results byte-identical to a clean run *)
-}
-
-val resilience_to_json :
-  overhead_result -> bound_probe list -> fault_result -> Json.t
-
-val run_resilience :
-  ?out:string ->
-  ?trials:int ->
-  ?requests:int ->
-  ?fault_requests:int ->
-  unit ->
-  overhead_result * bound_probe list * fault_result
-(** The E25 benchmark: budget-guard overhead on the E24 mixed batch
-    ([requests], default 2000, on a fresh engine; best of [trials],
-    default 3), deadline and budget trips on the heaviest expressible
-    request ([tree(paths3, 6)]), and retry-under-faults determinism on
-    a mixed batch of [fault_requests] (default 200).  Prints a summary;
-    when [out] is given, also writes the JSON there
-    ([BENCH_resilience.json]). *)
-
-(** {2 E26: parallel serving with the shared memo layer} *)
-
-type parallel_run = {
-  p_domains : int;
-  p_skipped : bool;  (** more domains than cores — not measured *)
-  cold_s : float;  (** fresh pool, cold memos *)
-  warm_s : float;  (** same pool, same batch again *)
-  cold_speedup : float;  (** sequential cold / pool cold *)
-  warm_speedup : float;  (** sequential warm / pool warm *)
-  p_identical : bool;
-      (** both pool passes byte-identical to the sequential reference *)
-  p_questions : int;
-      (** genuine questions across all workers after the cold pass *)
-  questions_ok : bool;  (** [p_questions <= seq_questions] *)
-  p_deaths : int;  (** worker deaths (must be 0) *)
-}
-
-type parallel_result = {
-  p_requests : int;
-  p_recommended : int;  (** [Domain.recommended_domain_count ()] *)
-  seq_cold_s : float;
-  seq_warm_s : float;
-  seq_questions : int;  (** Def. 3.9 questions of the sequential cold run *)
-  p_runs : parallel_run list;
-}
-
-val parallel_workload :
-  ?requests:int -> ?domains_list:int list -> unit -> parallel_result
-(** The E26 workload: the mixed batch (default 600 requests) evaluated
-    cold and warm on one sequential engine, then cold and warm on
-    shared-memo pools of each domain count in [domains_list] (default
-    [[1; 2; 4; 8]], counts above the recommendation skipped), checking
-    byte-identity, the cross-worker question bound, and that no worker
-    died. *)
-
-val parallel_to_json : parallel_result -> Json.t
-
-val run_parallel :
-  ?out:string -> ?requests:int -> ?domains_list:int list -> unit ->
-  parallel_result
-(** Print the E26 tables; when [out] is given, also write the JSON
-    there ([BENCH_parallel.json]).  Returns the result so callers (the
-    [recdb bench-parallel] smoke gate) can fail on an identity or
-    containment violation. *)
-
-(** {2 E28: the observability subsystem} *)
-
-type obs_mode_run = {
-  om_mode : string;  (** ["off"], ["sampled"] (1-in-64) or ["full"] *)
-  om_wall_s : float;  (** best of trials *)
-  om_overhead_frac : float;  (** vs the off run; [0.] for off itself *)
-  om_identical : bool;  (** responses byte-identical to the off run *)
-  om_traced : int;  (** traces collected in the last trial *)
-}
-
-type obs_result = {
-  ob_requests : int;
-  ob_trials : int;
-  ob_modes : obs_mode_run list;
-  ledger_checked : int;  (** traced requests matched against stats *)
-  ledger_exact : bool;
-      (** every traced request's question slots summed exactly to its
-          response's [oracle_calls + tb_calls + equiv_calls] *)
-  budget_error : string;  (** error kind of the worked budget-trip probe *)
-  budget_questions : int;  (** its trace's question total (≤ the quota) *)
-  budget_trace : string;  (** the worked span tree, one-line JSON *)
-  ob_violations : string list;  (** empty = all acceptance checks pass *)
-}
-
-val obs_workload : ?requests:int -> ?trials:int -> unit -> obs_result
-(** The E28 workload: the E24 mixed batch ([requests], default 2000) on
-    a fresh sequential engine, [trials] (default 3) runs per tracing
-    mode (off / 1-in-64 / full), checking overhead (< 5%, with an
-    absolute slack for sub-50ms smoke runs), byte-identity of responses
-    in every mode, ledger exactness on every traced request of the full
-    run, and a worked budget-tripped trace ([tree(paths3, 6)] under a
-    200-question quota). *)
-
-val obs_to_json : obs_result -> Json.t
-
-val run_obs : ?out:string -> ?requests:int -> ?trials:int -> unit -> obs_result
-(** Print the E28 tables; when [out] is given, also write the JSON
-    there ([BENCH_obs.json]).  Returns the result so [recdb bench-obs]
-    can exit nonzero on a violation. *)
-
-(** {2 E29: the RQL front-end and its cost-based planner} *)
-
-type rql_result = {
-  r_requests : int;
-  naive_questions : int;  (** Def. 3.9 questions, naive planner, cold *)
-  planned_questions : int;  (** same workload, cost-based planner, cold *)
-  question_ratio : float;  (** naive / planned (the planner's savings) *)
-  cold_plan_misses : int;  (** plans compiled during the cold pass *)
-  cold_plan_hits : int;  (** raw/normalized plan-cache hits, cold *)
-  warm_plan_misses : int;  (** must be 0: nothing re-parsed or re-planned *)
-  warm_plan_hits : int;  (** raw-text plan-cache hits on the warm pass *)
-  warm_new_questions : int;
-      (** must be 0: the warm pass (same texts, smaller member window)
-          is answered entirely from warm memos *)
-  r_identical : bool;  (** naive = planned byte-identity, cold and warm *)
-  r_violations : string list;  (** empty = all acceptance checks pass *)
-}
 
 val build_rql_batch :
   ?cutoff:int -> planner:Request.planner -> int -> Request.t list
@@ -209,64 +16,74 @@ val build_rql_batch :
     duplicate fixpoints, sentences, plain queries and a tree — cycled
     over five instances. *)
 
-val rql_workload : ?requests:int -> unit -> rql_result
-(** The E29 workload (default 120 requests): the batch evaluated cold
-    under both planners on fresh shared-memo engines (byte-identity and
-    the question ratio), then re-served warm with a one-smaller cutoff
-    (plan-cache hits, zero re-plans, zero new questions). *)
+val run : ?out:string -> ?requests:int -> unit -> string list
+(** E24: raw-oracle savings of the LRU on 25 repetitions of E17's four
+    sentences, then a mixed batch ([requests], default 1000) served
+    sequentially and on pools of 1/2/4 domains (counts above
+    [Domain.recommended_domain_count ()] are skipped, not measured).
+    Violation: a measured pool run not byte-identical to sequential. *)
 
-val rql_to_json : rql_result -> Json.t
+val run_resilience :
+  ?out:string ->
+  ?trials:int ->
+  ?requests:int ->
+  ?fault_requests:int ->
+  unit ->
+  string list
+(** E25: budget-guard overhead on the mixed batch ([requests], default
+    2000, best of [trials], default 3; reported, not gated), deadline
+    and budget trips on the heaviest expressible request
+    ([tree(paths3, 6)]), and retry-under-faults determinism on a mixed
+    batch of [fault_requests] (default 200).  Violations: the deadline
+    probe is not [deadline_exceeded]; the budget probe is not
+    [budget_exceeded] or asks more than its quota; a non-faulted
+    response of the fault run differs from the clean run. *)
 
-val run_rql : ?out:string -> ?requests:int -> unit -> rql_result
-(** Print the E29 table; when [out] is given, also write the JSON there
-    ([BENCH_rql.json]).  Returns the result so [recdb bench-rql] can
-    exit nonzero on a violation. *)
+val run_parallel : ?out:string -> ?requests:int -> unit -> string list
+(** E26: the mixed batch ([requests], default 600) cold and warm on one
+    sequential engine, then on shared-memo pools of 1/2/4/8 domains
+    (counts above the recommendation skipped).  Violations, per
+    measured domain count: responses not byte-identical to sequential,
+    more genuine questions than the sequential engine, a worker
+    death. *)
 
-(** {2 E31: the closure-compiled hot path} *)
+val run_obs : ?out:string -> ?requests:int -> ?trials:int -> unit -> string list
+(** E28: the mixed batch ([requests], default 2000) on a fresh
+    sequential engine, [trials] (default 3) runs per tracing mode (off /
+    1-in-64 / full).  Violations: off or sampled overhead >= 5% (with
+    an absolute slack for sub-50ms smoke runs), a response that differs
+    across modes, a traced request whose span slices do not sum to its
+    stats, or a budget-trip probe ([tree(paths3, 6)] under a
+    200-question quota) that does not trip within its quota. *)
 
-type hot_run = {
-  h_name : string;
-      (** ["fo_deep"], ["qf_bounded"], ["rql_fixpoint"] or
-          ["ql_program"] *)
-  h_gated : bool;  (** counts toward the ≥ 5× acceptance gate *)
-  h_interp_s : float;  (** interpreter loop, best of trials *)
-  h_compiled_s : float;  (** compiled loop (compile hoisted out) *)
-  h_speedup : float;
-  h_identical : bool;  (** both evaluators returned the same outcome *)
-}
+val run_rql : ?out:string -> ?requests:int -> unit -> string list
+(** E29: the RQL batch ([requests], default 120) cold under both
+    planners on fresh shared-memo engines, then re-served warm with a
+    one-smaller cutoff.  Violations: error responses, naive and planned
+    answers differ, the planner saves no questions, the warm pass
+    re-plans or asks a new question. *)
 
-type compile_result = {
-  k_requests : int;
-  k_min_speedup : float;  (** the gate (default 5.0) *)
-  k_hot : hot_run list;
-  k_engine_interp_s : float;  (** mixed batch, [compile = false] *)
-  k_engine_compiled_s : float;  (** same batch, [compile = true] *)
-  k_engine_speedup : float;
-      (** informational, ungated — engine requests are oracle-bound *)
-  k_checked : int;  (** responses compared pairwise *)
-  k_bytes_identical : bool;  (** [response_to_json ~stats:false] equal *)
-  k_ledger_identical : bool;
-      (** per request, (oracle_calls, tb_calls, equiv_calls,
-          cache_hits) equal *)
-  k_violations : string list;  (** empty = all acceptance checks pass *)
-}
+(** {2 E31: the compiled evaluation tier} *)
 
-val compile_workload :
-  ?requests:int -> ?min_speedup:float -> ?trials:int -> unit -> compile_result
-(** The E31 workload: interpreter-vs-compiled hot loops — deep
-    Eq-heavy FO quantification and bounded-domain Qf enumeration
-    (interpretation-bound, gated at [min_speedup]) plus ungated RQL
-    and QL rows whose hot loops are memo/set traffic identical in
-    both modes — then a mixed batch
-    ([requests], default 200, FO + classes + QL + RQL) served by a
-    compile-off and a compile-on engine, fresh and memo-private,
-    checking byte- and Def. 3.9-ledger-identity pairwise on every
-    response. *)
+val check_golden : path:string -> string -> string list
+(** [check_golden ~path set] serves golden set [set] — ["mixed"],
+    ["budget"], ["deadline"] or ["e31"], the request sets whose
+    interpreted-engine output is frozen in the golden file
+    ([test/golden/compile_interp.jsonl] in the source tree) — on a fresh engine
+    (under the set's own budget or deadline) and compares each response
+    — bytes with stats stripped, plus [oracle_calls], [tb_calls],
+    [equiv_calls] and [cache_hits] — with the frozen line in [path].
+    Returns the differences; empty when the set reproduces exactly. *)
 
-val compile_to_json : compile_result -> Json.t
+val golden_e31_requests : int
+(** The size of the e31 batch frozen in the golden file (200); the most
+    [run_compile ~requests] can check. *)
 
-val run_compile :
-  ?out:string -> ?requests:int -> ?min_speedup:float -> unit -> compile_result
-(** Print the E31 table; when [out] is given, also write the JSON there
-    ([BENCH_compile.json]).  Returns the result so [recdb bench-compile]
-    can exit nonzero on a violation. *)
+val run_compile : ?out:string -> golden:string -> ?requests:int -> unit -> string list
+(** E31: interpreter-vs-compiled hot loops at library level — deep
+    Eq-heavy FO quantification and bounded-domain Qf enumeration,
+    gated at 5x, plus ungated RQL and QL rows — then every golden set,
+    the e31 batch cut to its first [requests] (default and maximum
+    200), checked against the golden file [golden].  Violations: a hot
+    loop whose evaluators disagree or a gated one under 5x, any
+    difference from the golden file. *)

@@ -51,8 +51,6 @@ let to_json r =
         Json.List (List.map (fun v -> Json.String v) r.i_violations) );
     ]
 
-let violations r = r.i_violations
-
 (* ------------------------------------------------------------------ *)
 (* Workloads                                                           *)
 
@@ -377,15 +375,5 @@ let run ?out ?(requests = 120) () =
                 | _ -> None)
               b.b_detail)))
     rows;
-  (match result.i_violations with
-  | [] -> Format.printf "incomplete bench: OK@."
-  | vs -> List.iter (Format.printf "violation: %s@.") vs);
-  (match out with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Json.to_string (to_json result));
-      output_char oc '\n';
-      close_out oc;
-      Format.printf "wrote %s@." path);
-  result
+  Json.write_opt out (fun () -> to_json result);
+  result.i_violations

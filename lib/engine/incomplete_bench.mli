@@ -3,30 +3,12 @@
     declarations, closed-world byte-identity across all four modes,
     approximate-mode convergence to the certain answer under a growing
     consult budget, and zero question-ledger overhead for the
-    certificate machinery.  Shared between [bench/main.exe] and
-    [recdb bench-incomplete]. *)
+    certificate machinery ([recdb bench incomplete]). *)
 
-type row = {
-  b_name : string;
-      (** ["subset"], ["closed_world"], ["approximate"], ["overhead"] *)
-  b_requests : int;
-  b_wall_s : float;
-  b_detail : (string * Json.t) list;
-}
-
-type result = {
-  i_requests : int;
-  i_rows : row list;
-  i_violations : string list;  (** empty = all acceptance checks pass *)
-}
-
-val to_json : result -> Json.t
-val violations : result -> string list
-
-val run : ?out:string -> ?requests:int -> unit -> result
+val run : ?out:string -> ?requests:int -> unit -> string list
 (** Run E33: [requests] (default 120) mode-triplicated requests over
     the {!Incomplete.Decl.demo} instances, the closed-world identity
     batch, the budget sweep and the overhead pair.  Prints a summary;
     when [out] is given also writes the JSON there
-    ([BENCH_incomplete.json]).  Returns the result so
-    [recdb bench-incomplete] can exit nonzero on a violation. *)
+    ([BENCH_incomplete.json]).  Returns the violated acceptance
+    checks. *)

@@ -63,6 +63,15 @@ let to_string j =
   write buf j;
   Buffer.contents buf
 
+let write_opt out f =
+  Option.iter
+    (fun path ->
+      let oc = open_out path in
+      output_string oc (to_string (f ()));
+      output_char oc '\n';
+      close_out oc)
+    out
+
 let pp ppf j = Format.pp_print_string ppf (to_string j)
 
 (* ------------------------------------------------------------------ *)

@@ -19,6 +19,10 @@ type t =
 val to_string : t -> string
 (** Compact (no insignificant whitespace), deterministic rendering. *)
 
+val write_opt : string option -> (unit -> t) -> unit
+(** [write_opt (Some path) f] writes [to_string (f ())] and a newline to
+    [path]; [None] does nothing (how the benches honour [-o]). *)
+
 val pp : Format.formatter -> t -> unit
 
 val parse : string -> (t, string) result

@@ -69,6 +69,6 @@ val to_string : t -> string
 
 val demo : (string * string) list
 (** The demonstration open-world declarations used by
-    [recdb serve --open-world], [bench-incomplete] and the smokes:
+    [recdb serve --open-world], [bench incomplete] and the smokes:
     instance name → declaration text, covering no-oracle, known-subset
     and possible-superset shapes. *)

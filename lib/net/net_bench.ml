@@ -207,7 +207,8 @@ let to_json { ident; rows; shed } =
           ] );
     ]
 
-let run ?out ?(requests = 400) ?(conns_list = [ 1; 2; 4; 8 ]) () =
+let run ?out ?(requests = 400) () =
+  let conns_list = [ 1; 2; 4; 8 ] in
   Format.printf "server benchmark (E27), %d requests per measurement:@."
     requests;
   let ident = identity_check ~requests in
@@ -231,12 +232,5 @@ let run ?out ?(requests = 400) ?(conns_list = [ 1; 2; 4; 8 ]) () =
     /. float_of_int (max 1 shed.s_report.Loadgen.answered))
     shed.s_high_water shed.s_pool_questions shed.s_seq_questions;
   let result = { ident; rows; shed } in
-  (match out with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Json.to_string (to_json result));
-      output_char oc '\n';
-      close_out oc;
-      Format.printf "  wrote %s@." path
-  | None -> ());
-  result
+  Json.write_opt out (fun () -> to_json result);
+  violations result

@@ -1,4 +1,4 @@
-(** E27: the network serving benchmark ([recdb bench-server],
+(** E27: the network serving benchmark ([recdb bench server],
     [BENCH_server.json]).
 
     Three measurements over loopback:
@@ -17,43 +17,10 @@
       and ask no more Def. 3.9 questions than a sequential run of the
       full batch (shed requests ask zero). *)
 
-type conn_row = {
-  c_conns : int;
-  c_report : Loadgen.report;
-}
-
-type shed_probe = {
-  s_window : int;
-  s_offered : int;  (** concurrent requests the client keeps in flight *)
-  s_report : Loadgen.report;
-  s_high_water : int;
-  s_window_respected : bool;  (** [high_water <= window] *)
-  s_pool_questions : int;  (** server-side Def. 3.9 ledger after the run *)
-  s_seq_questions : int;  (** sequential ledger for the {e full} batch *)
-  s_questions_ok : bool;  (** [pool <= seq]: sheds asked nothing *)
-}
-
-type identity = {
-  i_requests : int;
-  i_identical : bool;
-}
-
-type result = {
-  ident : identity;
-  rows : conn_row list;
-  shed : shed_probe;
-}
-
-val violations : result -> string list
-(** Empty when every E27 gate holds: identity, everything answered,
-    no unexpected errors, sheds present under 2x overload, window
-    respected, question bound respected. *)
-
-val to_json : result -> Json.t
-
-val run :
-  ?out:string -> ?requests:int -> ?conns_list:int list -> unit -> result
-(** Run E27 with [requests] per measurement (default 400) and
-    [conns_list] connection counts (default [[1; 2; 4; 8]]).  Prints
-    the tables; when [out] is given, also writes the JSON there
-    ([BENCH_server.json]). *)
+val run : ?out:string -> ?requests:int -> unit -> string list
+(** Run E27 with [requests] per measurement (default 400) at 1, 2, 4
+    and 8 connections.  Prints the tables; when [out] is given, also
+    writes the JSON there ([BENCH_server.json]).  Returns the violated
+    gates: identity, everything answered, no unexpected errors, sheds
+    present under 2x overload, window respected, question bound
+    respected. *)

@@ -1,4 +1,4 @@
-(* E30: the durability benchmark ([recdb bench-store],
+(* E30: the durability benchmark ([recdb bench store],
    [BENCH_store.json]).
 
    Cold vs warm start on the mixed workload (the E24 batch plus RQL
@@ -160,7 +160,8 @@ let fault_run ~name ~golden ~pristine ~batch ~cold_bytes damage =
   rm_rf dir;
   row
 
-let workload ?(requests = 160) ?(dir = "_store_bench") () =
+let workload ?(requests = 160) () =
+  let dir = "_store_bench" in
   let batch = build_workload requests in
   rm_rf dir;
   (* --- cold ------------------------------------------------------- *)
@@ -300,9 +301,9 @@ let to_json (r : result) =
         Json.List (List.map (fun s -> Json.String s) r.b_violations) );
     ]
 
-let run ?out ?requests ?dir () =
+let run ?out ?requests () =
   Format.printf "Durability benchmark (E30):@.";
-  let r = workload ?requests ?dir () in
+  let r = workload ?requests () in
   Format.printf
     "  cold: %d questions, %.3fs (first response %.4fs)@."
     r.cold.p_questions r.cold.p_wall_s r.cold.p_first_response_s;
@@ -326,13 +327,5 @@ let run ?out ?requests ?dir () =
     r.faults;
   Format.printf "  warm and fault responses byte-identical: %b@."
     (r.warm.p_identical && List.for_all (fun f -> f.f_identical) r.faults);
-  List.iter (fun v -> Format.printf "  VIOLATION: %s@." v) r.b_violations;
-  (match out with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Json.to_string (to_json r));
-      output_char oc '\n';
-      close_out oc;
-      Format.printf "  wrote %s@." path);
-  r
+  Json.write_opt out (fun () -> to_json r);
+  r.b_violations

@@ -1,4 +1,4 @@
-(** E30: the durability benchmark ([recdb bench-store],
+(** E30: the durability benchmark ([recdb bench store],
     [BENCH_store.json]).
 
     Serves the mixed workload (the E24 batch plus RQL requests, so
@@ -11,42 +11,7 @@
     future-version file refused, truncation detected as a torn tail,
     the bit flip skipped as a CRC failure. *)
 
-type phase = {
-  p_questions : int;  (** Def. 3.9 ledger for the whole batch *)
-  p_wall_s : float;
-  p_first_response_s : float;  (** time to answer the batch's head *)
-  p_load_s : float;  (** snapshot load time (0 when cold) *)
-  p_entries_loaded : int;
-  p_identical : bool;  (** responses byte-identical to the cold run *)
-}
-
-type fault_row = {
-  f_name : string;
-  f_entries_loaded : int;
-  f_entries_skipped : int;
-  f_torn_tail : bool;
-  f_refused : bool;
-  f_questions : int;
-  f_identical : bool;
-}
-
-type result = {
-  b_requests : int;
-  cold : phase;
-  warm : phase;
-  question_ratio : float;  (** warm / cold *)
-  snapshot_entries : int;
-  snapshot_bytes : int;
-  faults : fault_row list;
-  b_violations : string list;  (** empty = all E30 gates hold *)
-}
-
-val workload : ?requests:int -> ?dir:string -> unit -> result
-(** Run E30 ([requests] default 160; [dir] default [_store_bench], a
-    scratch directory removed afterwards). *)
-
-val to_json : result -> Json.t
-
-val run : ?out:string -> ?requests:int -> ?dir:string -> unit -> result
-(** {!workload} plus the printed summary; [out] also writes the JSON
-    ([BENCH_store.json]). *)
+val run : ?out:string -> ?requests:int -> unit -> string list
+(** Run E30 ([requests] default 160, in the scratch directory
+    [_store_bench], removed afterwards), print the summary, write the
+    JSON to [out] when given, and return the violated gates. *)

@@ -344,6 +344,48 @@ let test_dead_shard_is_typed_never_fatal () =
                     (Printf.sprintf "expected oracle_unavailable, got %s"
                        (Option.value ~default:"<none>" k)))))
 
+(* ------------------------------------------------------------------ *)
+(* Proc.with_server: the smokes' process harness, driven by a /bin/sh
+   child that speaks the --port-file protocol, so no recdb binary is
+   needed.  with_server appends "--port-file FILE", which reaches the
+   script as $0 and $1. *)
+
+let sh_server ~on_term =
+  [|
+    "/bin/sh";
+    "-c";
+    Printf.sprintf
+      "trap 'exit %d' TERM; sleep 0.2; echo 4242 > \"$1.tmp\"; mv \"$1.tmp\" \
+       \"$1\"; while :; do sleep 0.05; done"
+      on_term;
+  |]
+
+let harness_paths name =
+  let dir = Filename.get_temp_dir_name () in
+  let base = Printf.sprintf "recdb_harness_%d_%s" (Unix.getpid ()) name in
+  (Filename.concat dir (base ^ ".port"), Filename.concat dir (base ^ ".log"))
+
+let test_with_server_ignores_stale_port_file () =
+  let port_file, log = harness_paths "stale" in
+  (* a dead server's port, left behind by an earlier run *)
+  Out_channel.with_open_text port_file (fun oc -> output_string oc "1111\n");
+  let r =
+    Proc.with_server ~log ~port_file (sh_server ~on_term:0)
+      (fun ~port ~metrics_port:_ -> port)
+  in
+  check Alcotest.(result int string) "the new child's port, clean exit"
+    (Ok 4242) r;
+  List.iter Sys.remove [ port_file; log ]
+
+let test_with_server_nonzero_exit_fails () =
+  let port_file, log = harness_paths "exit3" in
+  let r =
+    Proc.with_server ~log ~port_file (sh_server ~on_term:3)
+      (fun ~port ~metrics_port:_ -> port)
+  in
+  check Alcotest.bool "exit 3 on SIGTERM is a failure" true (Result.is_error r);
+  List.iter Sys.remove [ port_file; log ]
+
 let () =
   Alcotest.run "cluster"
     [
@@ -369,5 +411,12 @@ let () =
           Alcotest.test_case
             "dead shards are typed errors, never router death" `Quick
             test_dead_shard_is_typed_never_fatal;
+        ] );
+      ( "proc",
+        [
+          Alcotest.test_case "with_server never reads a stale port file"
+            `Quick test_with_server_ignores_stale_port_file;
+          Alcotest.test_case "with_server fails a nonzero exit on SIGTERM"
+            `Quick test_with_server_nonzero_exit_fails;
         ] );
     ]

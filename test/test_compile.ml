@@ -2,7 +2,8 @@
    observationally identical to the tree-walk interpreters — answers,
    exceptions at the same evaluation points, and the Def. 3.9 question
    ledger (raw Rᵢ, T_B, ≅_B, cache hits) — on random formulas and
-   instances, through the engine, and across budget/deadline trips.
+   instances, and, through the engine, against the frozen output of
+   the interpreted engine across budget/deadline trips.
    Plus unit coverage for the data plane underneath (Env, Arena,
    Tuple.Hashed.copy) and an exact-stats LRU regression for the
    precomputed-hash Oracle_cache nodes. *)
@@ -433,119 +434,21 @@ let test_rql_prepare_error_parity () =
 (* ------------------------------------------------------------------ *)
 (* Engine parity: responses, ledgers, budget and deadline trips        *)
 
-let mk_engine ?(limits = Resilience.no_limits) compile =
-  Engine.create
-    ~config:{ Engine.default_config with Engine.limits; compile }
-    ()
-
-let response_fingerprint r =
-  Json.to_string (Request.response_to_json ~stats:false r)
-
-let ledger_of_response (r : Request.response) =
-  ( r.Request.stats.Request.oracle_calls,
-    r.Request.stats.Request.tb_calls,
-    r.Request.stats.Request.equiv_calls,
-    r.Request.stats.Request.cache_hits )
-
-let check_pairwise name interp compiled =
-  List.iter2
-    (fun (a : Request.response) (b : Request.response) ->
-      check Alcotest.string
-        (Printf.sprintf "%s: request %d bytes" name a.Request.id)
-        (response_fingerprint a) (response_fingerprint b);
-      check
-        Alcotest.(pair (pair int int) (pair int int))
-        (Printf.sprintf "%s: request %d ledger" name a.Request.id)
-        (let o, t, e, c = ledger_of_response a in
-         ((o, t), (e, c)))
-        (let o, t, e, c = ledger_of_response b in
-         ((o, t), (e, c))))
-    interp compiled
-
-let trip_requests =
-  [
-    Request.make ~id:1 (Request.Tree { instance = "paths3"; depth = 6 });
-    Request.make ~id:2
-      (Request.Query
-         {
-           instance = "triangles";
-           query = "{(x, y) | exists z. R1(x, z) && R1(z, y)}";
-           cutoff = 10;
-         });
-  ]
-
-let test_engine_budget_trip_parity () =
-  (* A tight question quota trips mid-evaluation: both modes must stop
-     at exactly the same question with the same typed error and the
-     same exact cost-so-far. *)
-  let limits = { Resilience.max_oracle_calls = Some 200; deadline_s = None } in
-  let ri = Engine.handle_all (mk_engine ~limits false) trip_requests in
-  let rc = Engine.handle_all (mk_engine ~limits true) trip_requests in
-  check_pairwise "budget" ri rc;
-  check Alcotest.bool "the quota really tripped" true
-    (List.exists
-       (fun (r : Request.response) ->
-         match r.Request.result with
-         | Error (Request.Budget_exceeded _) -> true
-         | _ -> false)
-       ri)
-
-let test_engine_deadline_trip_parity () =
-  (* deadline_s = 0 trips at the first guard tick, before any question,
-     in both modes — the deterministic deadline probe. *)
-  let limits = { Resilience.max_oracle_calls = None; deadline_s = Some 0.0 } in
-  let ri = Engine.handle_all (mk_engine ~limits false) trip_requests in
-  let rc = Engine.handle_all (mk_engine ~limits true) trip_requests in
-  check_pairwise "deadline" ri rc;
-  List.iter
-    (fun (r : Request.response) ->
-      match r.Request.result with
-      | Error (Request.Deadline_exceeded _) -> ()
-      | _ -> Alcotest.fail "deadline did not trip")
-    ri
-
-let mixed_requests =
-  List.concat_map
-    (fun (i, instance) ->
-      [
-        Request.make
-          ~id:((10 * i) + 1)
-          (Request.Sentence
-             { instance; sentence = "exists x. forall y. y != x -> R1(x, y)" });
-        Request.make
-          ~id:((10 * i) + 2)
-          (Request.Program
-             { instance; program = "Y1 <- ~(Rel1 & E)"; fuel = 1000; cutoff = 4 });
-        Request.make
-          ~id:((10 * i) + 3)
-          (Request.Rql
-             {
-               instance;
-               text =
-                 "fix p(x, y) = R1(x, y) || exists z. (R1(x, z) && p(z, \
-                  y)); query {(x, y) | p(x, y)}";
-               cutoff = 4;
-               planner = Request.Plan_cost;
-             });
-      ])
-    [ (1, "triangles"); (2, "mod2") ]
-
-let test_engine_mixed_parity () =
-  let ri = Engine.handle_all (mk_engine false) mixed_requests in
-  let rc = Engine.handle_all (mk_engine true) mixed_requests in
-  check_pairwise "mixed" ri rc;
-  List.iter
-    (fun (r : Request.response) ->
-      match r.Request.result with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "error: %s" (Request.error_to_string e))
-    ri
+(* The engine evaluates compiled only; its reference is the output of
+   the interpreted engine it replaced, frozen once in the golden file:
+   per request the response bytes (stats stripped) and the four ledger
+   counts, including the typed budget/deadline errors with the exact
+   question count at the trip. *)
+let check_golden set () =
+  match Engine_bench.check_golden ~path:"golden/compile_interp.jsonl" set with
+  | [] -> ()
+  | diffs -> Alcotest.fail (String.concat "\n" diffs)
 
 let test_engine_compile_counters () =
   let c = Metrics.counter "engine.plans_compiled" in
   let before = Metrics.counter_value c in
   (* a fresh text compiles once, then the cached closure serves *)
-  let engine = mk_engine true in
+  let engine = Engine.create () in
   let req =
     Request.make ~id:1
       (Request.Sentence
@@ -555,11 +458,7 @@ let test_engine_compile_counters () =
          })
   in
   ignore (Engine.handle_all engine [ req; req; req ]);
-  let after = Metrics.counter_value c in
-  check Alcotest.int "compiled exactly once" (before + 1) after;
-  (* compile off: the interpreter path registers no compilations *)
-  ignore (Engine.handle_all (mk_engine false) [ req ]);
-  check Alcotest.int "interpreter compiles nothing" after
+  check Alcotest.int "compiled exactly once" (before + 1)
     (Metrics.counter_value c)
 
 (* ------------------------------------------------------------------ *)
@@ -615,11 +514,10 @@ let () =
         ] );
       ( "engine parity",
         [
-          Alcotest.test_case "mixed batch" `Quick test_engine_mixed_parity;
-          Alcotest.test_case "budget trip" `Quick
-            test_engine_budget_trip_parity;
-          Alcotest.test_case "deadline trip" `Quick
-            test_engine_deadline_trip_parity;
+          Alcotest.test_case "mixed batch" `Quick (check_golden "mixed");
+          Alcotest.test_case "budget trip" `Quick (check_golden "budget");
+          Alcotest.test_case "deadline trip" `Quick (check_golden "deadline");
+          Alcotest.test_case "e31 batch" `Quick (check_golden "e31");
           Alcotest.test_case "compile counters" `Quick
             test_engine_compile_counters;
         ] );
