@@ -1,4 +1,4 @@
-.PHONY: all build test bench resilience-smoke parallel-smoke server-smoke obs-smoke rql-smoke store-smoke compile-smoke cluster-smoke incomplete-smoke check clean
+.PHONY: all build test bench engine-smoke resilience-smoke parallel-smoke server-smoke obs-smoke rql-smoke store-smoke compile-smoke cluster-smoke incomplete-smoke check clean
 
 all: build
 
@@ -8,8 +8,15 @@ build:
 test:
 	dune runtest
 
+# The paper experiment tables E1–E23 (prints only, writes no file).
 bench:
 	dune exec bench/main.exe -- tables
+
+# The E24 smoke: bench engine — exits 1 unless every cached engine
+# answer on the E17 sentences equals uncached evaluation and the LRU
+# asks fewer raw oracle questions than the uncached instance.
+engine-smoke:
+	dune exec bin/recdb.exe -- bench engine
 
 # The E25 smoke: kill workers mid-batch and verify containment (exit 1
 # on any violation), then a scaled-down resilience benchmark — exits 1
@@ -27,14 +34,18 @@ parallel-smoke:
 
 # The E27 smoke: serve a few hundred requests over a loopback socket
 # (ephemeral port) with the load generator — exits 1 unless everything
-# sent is answered with zero errors, zero sheds and a clean drain.
+# sent is answered with zero errors, zero sheds and a clean drain —
+# then a small bench server run: socket == sequential bytes, nothing
+# lost at 1/2/4/8 connections, typed sheds at 2x the admission window.
 server-smoke:
 	dune exec bin/recdb.exe -- server-smoke
+	dune exec bin/recdb.exe -- bench server --requests 100
 
 # The E28 smoke: a small bench obs run (tracing overhead, byte-identity
 # with tracing on, exact ledger slices, a worked budget-trip trace),
-# then obs-smoke — a traced server scraped over /metrics and /traces,
-# exiting 1 unless the exposition is well-formed and every trace parses.
+# then obs-smoke — a forked traced serve child scraped over /metrics
+# and /traces, exiting 1 unless the exposition is well-formed, every
+# trace parses and the child drains clean.
 obs-smoke:
 	dune exec bin/recdb.exe -- bench obs --requests 300 --trials 2 -o BENCH_obs_smoke.json
 	dune exec bin/recdb.exe -- obs-smoke
@@ -83,12 +94,12 @@ cluster-smoke:
 # demo open-world declarations, closed-world byte-identity, approximate
 # convergence, zero ledger overhead), then incomplete-smoke -- the same
 # claims exercised over a real socket, including the typo'd-field
-# counter and --default-mode.
+# counter and --default-mode (two forked serve --open-world children).
 incomplete-smoke:
 	dune exec bin/recdb.exe -- bench incomplete --requests 60 -o BENCH_incomplete_smoke.json
 	dune exec bin/recdb.exe -- incomplete-smoke
 
-check: build test bench resilience-smoke parallel-smoke server-smoke obs-smoke rql-smoke store-smoke compile-smoke cluster-smoke incomplete-smoke
+check: build test bench engine-smoke resilience-smoke parallel-smoke server-smoke obs-smoke rql-smoke store-smoke compile-smoke cluster-smoke incomplete-smoke
 
 clean:
 	dune clean

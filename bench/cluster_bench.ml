@@ -30,35 +30,19 @@
    - {b stats}: the stats op through the router parses as a ledger
      report carrying one row per shard plus the cluster sum.
 
-   The workload mixes the E17 batch with RQL requests (the store-smoke
+   The workload is {!Workload.mixed_with_rql} (the store-smoke
    mix), so routing keys cover both instance-scoped and op-scoped
    payloads. *)
-
-type row = {
-  b_name : string;
-  b_requests : int;
-  b_wall_s : float;
-  b_detail : (string * Json.t) list;
-}
 
 type result = {
   c_shards : int;
   c_requests : int;
   c_seq_questions : int;
-  c_rows : row list;
+  c_rows : Bench_util.row list;
   c_violations : string list;  (** empty = all acceptance checks pass *)
 }
 
 let total (l : Request.ledger) = l.Request.l_questions
-
-let row_to_json r =
-  Json.Obj
-    ([
-       ("name", Json.String r.b_name);
-       ("requests", Json.Int r.b_requests);
-       ("wall_s", Json.Float r.b_wall_s);
-     ]
-    @ r.b_detail)
 
 let to_json (r : result) =
   Json.Obj
@@ -67,7 +51,7 @@ let to_json (r : result) =
       ("shards", Json.Int r.c_shards);
       ("requests", Json.Int r.c_requests);
       ("seq_questions", Json.Int r.c_seq_questions);
-      ("rows", Json.List (List.map row_to_json r.c_rows));
+      ("rows", Json.List (List.map Bench_util.row_to_json r.c_rows));
       ( "violations",
         Json.List (List.map (fun v -> Json.String v) r.c_violations) );
     ]
@@ -83,21 +67,22 @@ let run ?out ?(requests = 240) ~exe () =
   in
   let rows = ref [] in
   let row name requests wall detail =
-    rows := { b_name = name; b_requests = requests; b_wall_s = wall; b_detail = detail } :: !rows
+    rows :=
+      {
+        Bench_util.b_name = name;
+        b_requests = requests;
+        b_wall_s = wall;
+        b_detail = detail;
+      }
+      :: !rows
   in
   (* --- sequential reference: bytes and the question baseline -------- *)
-  let batch =
-    Engine_bench.build_batch (max 1 (requests * 3 / 4))
-    @ Engine_bench.build_rql_batch ~planner:Request.Plan_cost
-        (max 1 (requests / 4))
-  in
+  let batch = Workload.mixed_with_rql requests in
   let lines = List.map (fun r -> Json.to_string (Request.to_json r)) batch in
   let seq_engine = Engine.create () in
   let reference =
     Proc.sort_by_id
-      (List.map
-         (fun r -> Json.to_string (Request.response_to_json ~stats:false r))
-         (Engine.handle_all seq_engine batch))
+      (List.map Bench_util.bytes (Engine.handle_all seq_engine batch))
   in
   let seq_raw, seq_tb, seq_eq, _ = Engine.ledger_counts seq_engine in
   let seq_questions = seq_raw + seq_tb + seq_eq in
@@ -146,9 +131,9 @@ let run ?out ?(requests = 240) ~exe () =
       wait_ready "hedging" hedger;
       (* --- row 1: routed byte-identity + ledger containment --------- *)
       Format.eprintf "bench cluster: row routed...@.";
-      let t0 = Unix.gettimeofday () in
-      let routed = send_sorted (Router.port router) in
-      let routed_wall = Unix.gettimeofday () -. t0 in
+      let routed, routed_wall =
+        Bench_util.time (fun () -> send_sorted (Router.port router))
+      in
       if routed <> reference then begin
         violation "routed responses differ from the sequential reference";
         List.iteri
@@ -383,5 +368,5 @@ let run ?out ?(requests = 240) ~exe () =
         (Shard_sup.respawns sup);
       if result.c_violations = [] then Proc.rm_rf dir
       else Format.eprintf "bench cluster: shard logs kept in %s@." dir;
-      Json.write_opt out (fun () -> to_json result);
+      Bench_util.write_opt out (fun () -> to_json result);
       result.c_violations

@@ -1,24 +1,14 @@
+(* E24: the oracle LRU.  The E17 sentences served repeatedly through
+   the engine must give exactly the answers the uncached evaluator
+   gives, while asking fewer raw oracle questions. *)
+
 type cache_result = {
   repeats : int;
   uncached_oracle_calls : int;
   cached_oracle_calls : int;
   cache_hits : int;
   reduction : float;
-}
-
-type batch_run = {
-  domains : int;
-  skipped : bool;  (* more domains than cores: measuring would be noise *)
-  wall_s : float;
-  speedup : float;
-  identical : bool;
-}
-
-type batch_result = {
-  requests : int;
-  recommended_domains : int;
-  sequential_s : float;
-  runs : batch_run list;
+  mismatches : int;  (* cached answers differing from uncached evaluation *)
 }
 
 (* The E17 workload: Theorem 6.3's representative-based FO evaluation,
@@ -41,9 +31,11 @@ let cache_workload () =
   in
   let formulas = List.map Rlogic.Parser.formula e17_sentences in
   Rdb.Database.reset_oracle_calls (Hs.Hsdb.db base);
-  for _ = 1 to repeats do
-    List.iter (fun f -> ignore (Hs.Fo_eval.eval_sentence base f)) formulas
-  done;
+  let answers =
+    List.concat_map
+      (fun _ -> List.map (Hs.Fo_eval.eval_sentence base) formulas)
+      (Prelude.Ints.range 0 repeats)
+  in
   let uncached = Rdb.Database.oracle_calls (Hs.Hsdb.db base) in
   (* Cached: the same traffic as engine requests; raw questions are the
      LRU misses only. *)
@@ -69,6 +61,9 @@ let cache_workload () =
       (fun acc r -> acc + r.Request.stats.Request.cache_hits)
       0 responses
   in
+  let agrees answer (r : Request.response) =
+    match r.result with Ok (Request.Bool b) -> b = answer | _ -> false
+  in
   {
     repeats;
     uncached_oracle_calls = uncached;
@@ -77,106 +72,54 @@ let cache_workload () =
     reduction =
       (if cached = 0 then Float.infinity
        else float_of_int uncached /. float_of_int cached);
+    mismatches =
+      List.length
+        (List.filter (fun (a, r) -> not (agrees a r))
+           (List.combine answers responses));
   }
 
-(* ------------------------------------------------------------------ *)
+let to_json (c : cache_result) =
+  Json.Obj
+    [
+      ( "cache",
+        Json.Obj
+          [
+            ("workload", Json.String "E17 x triangles");
+            ("repeats", Json.Int c.repeats);
+            ("uncached_oracle_calls", Json.Int c.uncached_oracle_calls);
+            ("cached_oracle_calls", Json.Int c.cached_oracle_calls);
+            ("cache_hits", Json.Int c.cache_hits);
+            ("reduction_factor", Json.Float c.reduction);
+          ] );
+    ]
 
-(* All five instances are graphs (db type (2)), so the same sentences
-   and queries are well-formed on each. *)
-let batch_instances = [ "triangles"; "mod2"; "mod3"; "paths3"; "clique" ]
-
-let batch_sentences =
-  [
-    "forall x. forall y. R1(x, y) -> (exists z. R1(x, z) && R1(y, z))";
-    "exists x. forall y. y != x -> R1(x, y)";
-    "forall x. exists y. forall z. exists w. R1(x, y) || z = w";
-    "exists x. exists y. exists z. R1(x, y) && R1(y, z) && R1(x, z)";
-  ]
-
-(* Queries dominate the batch cost: eval_upto sweeps cutoff² concrete
-   tuples through the ≅_B oracle, a few hundred µs each, which keeps
-   the pool's per-job dispatch overhead well under 1%. *)
-let batch_queries =
-  [
-    "{(x,y) | R1(x,y) && x != y}";
-    "{(x,y) | exists z. R1(x,z) && R1(z,y)}";
-    "{(x) | forall y. R1(x,y) -> (exists z. R1(y,z))}";
-    "{(x,y) | R1(x,y) || R1(y,x)}";
-  ]
-
-let build_batch n =
-  let ninst = List.length batch_instances in
-  let nsent = List.length batch_sentences in
-  let nquer = List.length batch_queries in
-  List.map
-    (fun i ->
-      let instance = List.nth batch_instances (i mod ninst) in
-      let payload =
-        match i mod 10 with
-        | 9 ->
-            (* an instance-free CPU-bound request for variety *)
-            Request.Classes { db_type = [| 2; 1 |]; rank = 2 }
-        | 0 | 1 | 2 | 3 ->
-            let sentence = List.nth batch_sentences (i / ninst mod nsent) in
-            Request.Sentence { instance; sentence }
-        | _ ->
-            let query = List.nth batch_queries (i / ninst mod nquer) in
-            Request.Query { instance; query; cutoff = 10 }
-      in
-      Request.make ~id:(i + 1) payload)
-    (Prelude.Ints.range 0 n)
-
-let results_fingerprint responses =
-  String.concat "\n"
-    (List.map
-       (fun r -> Json.to_string (Request.response_to_json ~stats:false r))
-       responses)
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let x = f () in
-  (x, Unix.gettimeofday () -. t0)
-
-let batch_workload ?(requests = 1000) () =
-  let domains_list = [ 1; 2; 4 ] in
-  let batch = build_batch requests in
-  let recommended_domains = Domain.recommended_domain_count () in
-  let sequential, sequential_s =
-    time (fun () ->
-        let engine = Engine.create () in
-        Engine.handle_all engine batch)
-  in
-  let reference = results_fingerprint sequential in
-  let runs =
-    List.map
-      (fun domains ->
-        (* Honesty: more domains than cores measures scheduler thrash,
-           not the pool — report the row as skipped instead of as a
-           bogus "slowdown". *)
-        if domains > recommended_domains then
-          { domains; skipped = true; wall_s = 0.; speedup = 0.; identical = true }
-        else begin
-          let pool = Pool.create ~domains () in
-          let responses, wall_s = time (fun () -> Pool.run_batch pool batch) in
-          Pool.shutdown pool;
-          {
-            domains;
-            skipped = false;
-            wall_s;
-            speedup = sequential_s /. wall_s;
-            identical = String.equal reference (results_fingerprint responses);
-          }
-        end)
-      domains_list
-  in
-  { requests; recommended_domains; sequential_s; runs }
+let run ?out () =
+  Format.printf "engine benchmark (E24):@.";
+  let c = cache_workload () in
+  let served = List.length e17_sentences * c.repeats in
+  Format.printf
+    "  cache (E17 workload, %d repeats): %d raw oracle calls uncached, %d \
+     cached (%d hits) — %.1fx fewer; %d of %d answers match uncached \
+     evaluation@."
+    c.repeats c.uncached_oracle_calls c.cached_oracle_calls c.cache_hits
+    c.reduction (served - c.mismatches) served;
+  Bench_util.write_opt out (fun () -> to_json c);
+  (if c.mismatches = 0 then []
+   else
+     [ Printf.sprintf "%d of %d cached answers differ from uncached evaluation"
+         c.mismatches served ])
+  @
+  if c.cached_oracle_calls < c.uncached_oracle_calls then []
+  else
+    [ Printf.sprintf "cached engine asked %d raw oracle calls, uncached %d"
+        c.cached_oracle_calls c.uncached_oracle_calls ]
 
 (* ------------------------------------------------------------------ *)
 (* E25: the resilience layer.  Three questions: what does the
-   per-question budget guard cost on the E24 repeated-evaluation
-   workload; do budgets/deadlines actually turn a pathologically
-   expensive request into a fast typed error; and does bounded retry
-   absorb injected faults without changing any answer. *)
+   per-question budget guard cost on the mixed workload; do
+   budgets/deadlines actually turn a pathologically expensive request
+   into a fast typed error; and does bounded retry absorb injected
+   faults without changing any answer. *)
 
 type overhead_result = {
   o_requests : int;
@@ -213,18 +156,13 @@ let generous_limits =
     { max_oracle_calls = Some 1_000_000_000; deadline_s = Some 3600.0 }
 
 let overhead_workload ?(o_requests = 2000) ?(trials = 3) () =
-  let run_once config =
+  let reqs = Workload.mixed o_requests in
+  let best config =
     (* fresh engine per run: memo tables cold, so every run asks the
        same (substantial) number of questions *)
-    let reqs = build_batch o_requests in
-    let engine = Engine.create ?config () in
-    snd (time (fun () -> ignore (Engine.handle_all engine reqs)))
-  in
-  let best config =
-    List.fold_left
-      (fun acc _ -> Float.min acc (run_once config))
-      Float.infinity
-      (Prelude.Ints.range 0 trials)
+    snd
+      (Bench_util.best_of trials (fun () ->
+           Engine.handle_all (Engine.create ?config ()) reqs))
   in
   let plain_s = best None in
   let guarded_s =
@@ -302,13 +240,8 @@ let budget_probe ?(max_oracle_calls = 500) () =
   }
 
 let fault_workload ?(requests = 200) ?(seed = 42) ?(fault_period = 150) () =
-  let batch = build_batch requests in
-  let clean = Engine.handle_all (Engine.create ()) batch in
-  let reference =
-    List.map
-      (fun r -> Json.to_string (Request.response_to_json ~stats:false r))
-      clean
-  in
+  let batch = Workload.mixed requests in
+  let reference = Bench_util.sequential batch in
   let config =
     {
       Engine.default_config with
@@ -337,10 +270,7 @@ let fault_workload ?(requests = 200) ?(seed = 42) ?(fault_period = 150) () =
       (fun (r : Request.response) ref_line ->
         match r.result with
         | Error (Request.Oracle_unavailable _) -> true (* faulted: exempt *)
-        | _ ->
-            String.equal
-              (Json.to_string (Request.response_to_json ~stats:false r))
-              ref_line)
+        | _ -> String.equal (Bench_util.bytes r) ref_line)
       responses reference
   in
   {
@@ -398,7 +328,7 @@ let run_resilience ?out ?trials ?requests ?fault_requests () =
   Format.printf "resilience benchmark (E25):@.";
   let o = overhead_workload ?o_requests:requests ?trials () in
   Format.printf
-    "  budget-check overhead on the E24 mixed batch (%d requests, best of \
+    "  budget-check overhead on the mixed batch (%d requests, best of \
      %d): plain %.4fs, guarded %.4fs — %+.2f%%@."
     o.o_requests o.trials o.plain_s o.guarded_s (100.0 *. o.overhead_frac);
   let d = deadline_probe () in
@@ -421,7 +351,7 @@ let run_resilience ?out ?trials ?requests ?fault_requests () =
      lost, non-faulted results identical to clean run: %b@."
     f.seed f.fault_period f.faults_injected f.f_requests f.retries f.failures
     f.deterministic;
-  Json.write_opt out (fun () -> resilience_to_json o [ d; b ] f);
+  Bench_util.write_opt out (fun () -> resilience_to_json o [ d; b ] f);
   (* Gated: both bounds must trip with their typed error and the budget
      must never overspend; retries must not change a non-faulted byte.
      The guard overhead is reported, not judged. *)
@@ -442,87 +372,6 @@ let run_resilience ?out ?trials ?requests ?fault_requests () =
       (if f.deterministic then []
        else [ "non-faulted responses differ from the clean run" ]);
     ]
-
-(* ------------------------------------------------------------------ *)
-
-let to_json (c : cache_result) (b : batch_result) =
-  Json.Obj
-    [
-      ( "cache",
-        Json.Obj
-          [
-            ("workload", Json.String "E17 x triangles");
-            ("repeats", Json.Int c.repeats);
-            ("uncached_oracle_calls", Json.Int c.uncached_oracle_calls);
-            ("cached_oracle_calls", Json.Int c.cached_oracle_calls);
-            ("cache_hits", Json.Int c.cache_hits);
-            ("reduction_factor", Json.Float c.reduction);
-          ] );
-      ( "batch",
-        Json.Obj
-          [
-            ("requests", Json.Int b.requests);
-            ("recommended_domain_count", Json.Int b.recommended_domains);
-            ("sequential_s", Json.Float b.sequential_s);
-            ( "runs",
-              Json.List
-                (List.map
-                   (fun r ->
-                     if r.skipped then
-                       Json.Obj
-                         [
-                           ("domains", Json.Int r.domains);
-                           ("skipped", Json.String "insufficient cores");
-                         ]
-                     else
-                       Json.Obj
-                         [
-                           ("domains", Json.Int r.domains);
-                           ("wall_s", Json.Float r.wall_s);
-                           ("speedup", Json.Float r.speedup);
-                           ("identical", Json.Bool r.identical);
-                         ])
-                   b.runs) );
-          ] );
-    ]
-
-let run ?out ?requests () =
-  let c = cache_workload () in
-  Format.printf
-    "  cache (E17 workload, %d repeats): %d raw oracle calls uncached, %d \
-     cached (%d hits) — %.1fx fewer@."
-    c.repeats c.uncached_oracle_calls c.cached_oracle_calls c.cache_hits
-    c.reduction;
-  let b = batch_workload ?requests () in
-  let cores = b.recommended_domains in
-  Format.printf "  batch of %d requests (%d core%s): sequential %.3fs@."
-    b.requests cores
-    (if cores = 1 then "" else "s")
-    b.sequential_s;
-  List.iter
-    (fun r ->
-      if r.skipped then
-        Format.printf "    %d domains: skipped (insufficient cores)@." r.domains
-      else
-        Format.printf
-          "    %d domain%s: %.3fs (%.2fx vs sequential), byte-identical: %b@."
-          r.domains
-          (if r.domains = 1 then "" else "s")
-          r.wall_s r.speedup r.identical)
-    b.runs;
-  if cores = 1 then
-    Format.printf
-      "    (single-core host: multi-domain rows are skipped; the 1-domain \
-       pool run checks correctness and overhead)@.";
-  Json.write_opt out (fun () -> to_json c b);
-  List.filter_map
-    (fun r ->
-      if r.skipped || r.identical then None
-      else
-        Some
-          (Printf.sprintf "%d domains: results differ from sequential"
-             r.domains))
-    b.runs
 
 (* ------------------------------------------------------------------ *)
 (* E26: parallel serving with the shared memo layer.  Three claims to
@@ -556,14 +405,18 @@ type parallel_result = {
 
 let parallel_workload ?(requests = 600) () =
   let domains_list = [ 1; 2; 4; 8 ] in
-  let batch = build_batch requests in
+  let batch = Workload.mixed requests in
   let recommended = Domain.recommended_domain_count () in
   let engine = Engine.create () in
-  let sequential, seq_cold_s = time (fun () -> Engine.handle_all engine batch) in
+  let sequential, seq_cold_s =
+    Bench_util.time (fun () -> Engine.handle_all engine batch)
+  in
   let seq_questions = Engine.question_count engine in
   (* Same engine, second pass: the memo-warm serving regime. *)
-  let _, seq_warm_s = time (fun () -> ignore (Engine.handle_all engine batch)) in
-  let reference = results_fingerprint sequential in
+  let _, seq_warm_s =
+    Bench_util.time (fun () -> Engine.handle_all engine batch)
+  in
+  let reference = List.map Bench_util.bytes sequential in
   let p_runs =
     List.map
       (fun domains ->
@@ -582,9 +435,13 @@ let parallel_workload ?(requests = 600) () =
           }
         else begin
           let pool = Pool.create ~domains () in
-          let cold, cold_s = time (fun () -> Pool.run_batch pool batch) in
+          let cold, cold_s =
+            Bench_util.time (fun () -> Pool.run_batch pool batch)
+          in
           let p_questions = Pool.oracle_questions pool in
-          let warm, warm_s = time (fun () -> Pool.run_batch pool batch) in
+          let warm, warm_s =
+            Bench_util.time (fun () -> Pool.run_batch pool batch)
+          in
           let p_deaths = Pool.worker_deaths pool in
           Pool.shutdown pool;
           {
@@ -595,8 +452,8 @@ let parallel_workload ?(requests = 600) () =
             cold_speedup = seq_cold_s /. cold_s;
             warm_speedup = seq_warm_s /. warm_s;
             p_identical =
-              String.equal reference (results_fingerprint cold)
-              && String.equal reference (results_fingerprint warm);
+              List.map Bench_util.bytes cold = reference
+              && List.map Bench_util.bytes warm = reference;
             p_questions;
             questions_ok = p_questions <= seq_questions;
             p_deaths;
@@ -675,7 +532,7 @@ let run_parallel ?out ?requests () =
           r.cold_s r.cold_speedup r.warm_s r.warm_speedup r.p_identical
           r.p_questions r.questions_ok r.p_deaths)
     p.p_runs;
-  Json.write_opt out (fun () -> parallel_to_json p);
+  Bench_util.write_opt out (fun () -> parallel_to_json p);
   List.concat_map
     (fun r ->
       if r.p_skipped then []
@@ -698,7 +555,7 @@ let run_parallel ?out ?requests () =
 (* ------------------------------------------------------------------ *)
 (* E28: the observability subsystem.  Three claims: (1) tracing is
    cheap — off costs nothing (it is the absence of a ctx), 1-in-64
-   sampling and even full tracing stay within a few percent on the E24
+   sampling and even full tracing stay within a few percent on the
    mixed batch; (2) tracing is inert — responses are byte-identical
    with tracing on, because span ledgers only *read* counters; (3) the
    ledger is exact — on every traced request the question slots of the
@@ -728,7 +585,7 @@ type obs_result = {
 let obs_modes = [ "off"; "sampled"; "full" ]
 
 let obs_workload ?(requests = 2000) ?(trials = 3) () =
-  let batch = build_batch requests in
+  let batch = Workload.mixed requests in
   let ctx_of mode () =
     match mode with
     | "off" -> None
@@ -739,26 +596,21 @@ let obs_workload ?(requests = 2000) ?(trials = 3) () =
            request, not just the last 256 *)
         Some (Obs.Trace.make ~capacity:requests ~sampling:Obs.Trace.All ())
   in
-  let run_once mode =
-    (* fresh engine per run: cold memo tables make the runs comparable *)
-    let trace = ctx_of mode () in
-    let engine = Engine.create ?trace () in
-    let responses, wall_s = time (fun () -> Engine.handle_all engine batch) in
-    (responses, wall_s, Engine.traces engine)
-  in
-  (* Best-of-trials wall clock per mode; responses/traces kept from the
-     last trial (they are deterministic across trials anyway). *)
+  (* Best-of-trials wall clock per mode, each run on a fresh engine
+     (cold memo tables make the runs comparable); responses and traces
+     kept from the last trial (they are deterministic across trials
+     anyway). *)
   let measure mode =
-    List.fold_left
-      (fun (w, _, _) _ ->
-        let r, w', trs = run_once mode in
-        (Float.min w w', r, trs))
-      (Float.infinity, [], [])
-      (Prelude.Ints.range 0 trials)
+    let (responses, engine), w =
+      Bench_util.best_of trials (fun () ->
+          let engine = Engine.create ?trace:(ctx_of mode ()) () in
+          (Engine.handle_all engine batch, engine))
+    in
+    (w, responses, Engine.traces engine)
   in
   let runs = List.map (fun m -> (m, measure m)) obs_modes in
   let off_wall, off_responses, _ = List.assoc "off" runs in
-  let reference = results_fingerprint off_responses in
+  let reference = List.map Bench_util.bytes off_responses in
   let modes =
     List.map
       (fun (m, (w, responses, traces)) ->
@@ -766,7 +618,7 @@ let obs_workload ?(requests = 2000) ?(trials = 3) () =
           om_mode = m;
           om_wall_s = w;
           om_overhead_frac = (if m = "off" then 0.0 else (w /. off_wall) -. 1.0);
-          om_identical = String.equal reference (results_fingerprint responses);
+          om_identical = List.map Bench_util.bytes responses = reference;
           om_traced = List.length traces;
         })
       runs
@@ -890,7 +742,7 @@ let obs_to_json (r : obs_result) =
 let run_obs ?out ?requests ?trials () =
   Format.printf "observability benchmark (E28):@.";
   let r = obs_workload ?requests ?trials () in
-  Format.printf "  E24 mixed batch, %d requests, best of %d:@." r.ob_requests
+  Format.printf "  mixed batch, %d requests, best of %d:@." r.ob_requests
     r.ob_trials;
   List.iter
     (fun m ->
@@ -908,7 +760,7 @@ let run_obs ?out ?requests ?trials () =
     "  budget trip (tree(paths3,6), quota 200): %s, trace accounts for %d \
      questions@."
     r.budget_error r.budget_questions;
-  Json.write_opt out (fun () -> obs_to_json r);
+  Bench_util.write_opt out (fun () -> obs_to_json r);
   r.ob_violations
 
 (* ------------------------------------------------------------------ *)
@@ -919,42 +771,6 @@ let run_obs ?out ?requests ?trials () =
    definition memo, asks zero new genuine questions; (3) every mode
    returns byte-identical answers — the planner may only shrink the
    ledger, never change a served byte. *)
-
-let rql_instances = [ "triangles"; "mod2"; "paths3"; "arrows"; "bipartite" ]
-
-(* Query targets carry no inline cutoff, so the request-level cutoff
-   applies — the warm pass shrinks it by one, forcing a fresh
-   whole-request evaluation whose member window is a subset of the cold
-   pass's (hence answerable entirely from warm memos). *)
-let rql_texts =
-  [
-    "fix conn(x, y) = R1(x, y) || exists z. (R1(x, z) && conn(z, y)); \
-     query {(x, y) | conn(x, y)}";
-    (* whitespace/alpha variant of the previous query: same normalized
-       text, so the cold pass already shares its compiled plan *)
-    "fix r(u,v)=R1(u,v)||exists w.(R1(u,w)&&r(w,v));query {(u,v)|r(u,v)}";
-    "fix dead(x, y) = R1(x, y) || exists z. (R1(x, z) && dead(z, y)); \
-     let live(x) = exists y. R1(x, y); query {(x) | live(x)}";
-    "let e(x, y) = R1(x, y) || R1(y, x); let ee(x, y) = e(x, y); \
-     sentence exists x. exists y. ee(x, y)";
-    "fix p(x, y) = R1(x, y) || exists z. (R1(x, z) && p(z, y)); \
-     fix q(u, v) = R1(u, v) || exists w. (R1(u, w) && q(w, v)); \
-     sentence exists x. exists y. (p(x, y) && q(y, x))";
-    "sentence forall x. forall y. (R1(x, y) -> exists z. R1(y, z))";
-    "query {(x, y) | R1(x, y) && x != y}";
-    "tree 2";
-  ]
-
-let build_rql_batch ?(cutoff = 4) ~planner n =
-  let ninst = List.length rql_instances in
-  let ntext = List.length rql_texts in
-  List.map
-    (fun i ->
-      let instance = List.nth rql_instances (i mod ninst) in
-      let text = List.nth rql_texts (i / ninst mod ntext) in
-      Request.make ~id:(i + 1)
-        (Request.Rql { instance; text; cutoff; planner }))
-    (Prelude.Ints.range 0 n)
 
 type rql_result = {
   r_requests : int;
@@ -978,13 +794,13 @@ let rql_workload ?(requests = 120) () =
   in
   let naive_engine, naive_serve = serve () in
   let planned_engine, planned_serve = serve () in
-  let cold_naive = build_rql_batch ~planner:Request.Plan_naive requests in
-  let cold_planned = build_rql_batch ~planner:Request.Plan_cost requests in
+  let cold_naive = Workload.rql ~planner:Request.Plan_naive requests in
+  let cold_planned = Workload.rql ~planner:Request.Plan_cost requests in
   let warm_naive =
-    build_rql_batch ~cutoff:3 ~planner:Request.Plan_naive requests
+    Workload.rql ~cutoff:3 ~planner:Request.Plan_naive requests
   in
   let warm_planned =
-    build_rql_batch ~cutoff:3 ~planner:Request.Plan_cost requests
+    Workload.rql ~cutoff:3 ~planner:Request.Plan_cost requests
   in
   let rn = naive_serve cold_naive in
   let naive_questions = Engine.question_count naive_engine in
@@ -1002,12 +818,9 @@ let rql_workload ?(requests = 120) () =
   let warm_new_questions =
     Engine.question_count planned_engine - planned_questions
   in
-  let identical_cold =
-    String.equal (results_fingerprint rn) (results_fingerprint rp)
-  in
-  let identical_warm =
-    String.equal (results_fingerprint wn) (results_fingerprint wp)
-  in
+  let same a b = List.map Bench_util.bytes a = List.map Bench_util.bytes b in
+  let identical_cold = same rn rp in
+  let identical_warm = same wn wp in
   let errors =
     List.filter
       (fun (r : Request.response) -> Stdlib.Result.is_error r.Request.result)
@@ -1093,7 +906,7 @@ let run_rql ?out ?requests () =
     r.cold_plan_misses r.cold_plan_hits r.warm_plan_misses r.warm_plan_hits
     r.warm_new_questions;
   Format.printf "  naive and planned byte-identical: %b@." r.r_identical;
-  Json.write_opt out (fun () -> rql_to_json r);
+  Bench_util.write_opt out (fun () -> rql_to_json r);
   r.r_violations
 
 (* ------------------------------------------------------------------ *)
@@ -1166,21 +979,13 @@ let e31_rql_text =
 
 let e31_ql_program = "Y1 <- E; Y2 <- Y1^; Y3 <- Y2!%; Y4 <- ~(Rel1 & Y3)"
 
-let best_of trials f =
-  let best = ref Float.infinity in
-  for _ = 1 to trials do
-    let _, s = time f in
-    if s < !best then best := s
-  done;
-  !best
-
 let hot_run ~name ~gated ~trials ~interp ~compiled ~equal =
   (* Warm both paths first: the instance memos (children lists, tree
      levels) fill on the first evaluation and are shared state — both
      timed loops must run against the same warm tables. *)
   let a = interp () and b = compiled () in
-  let h_interp_s = best_of trials interp in
-  let h_compiled_s = best_of trials compiled in
+  let h_interp_s = snd (Bench_util.best_of trials interp) in
+  let h_compiled_s = snd (Bench_util.best_of trials compiled) in
   {
     h_name = name;
     h_gated = gated;
@@ -1316,15 +1121,18 @@ let e31_ql_batch_programs =
   ]
 
 let build_compile_batch n =
-  (* The mixed E24 batch, every seventh request replaced by an RQL
+  (* The mixed batch, every seventh request replaced by an RQL
      fixpoint and every eleventh by a QL program, so all four compiled
      evaluators serve inside one batch checked against the golden file. *)
   let nprog = List.length e31_ql_batch_programs in
-  let nrql = List.length rql_texts in
+  let nrql = List.length Workload.rql_texts in
   List.map
     (fun (r : Request.t) ->
       let i = r.Request.id in
-      let instance = List.nth batch_instances (i mod List.length batch_instances) in
+      let instance =
+        List.nth Workload.batch_instances
+          (i mod List.length Workload.batch_instances)
+      in
       if i mod 11 = 5 then
         { r with
           Request.payload =
@@ -1340,13 +1148,15 @@ let build_compile_batch n =
           Request.payload =
             Request.Rql
               {
-                instance = List.nth rql_instances (i mod List.length rql_instances);
-                text = List.nth rql_texts (i / 7 mod nrql);
+                instance =
+                  List.nth Workload.rql_instances
+                    (i mod List.length Workload.rql_instances);
+                text = List.nth Workload.rql_texts (i / 7 mod nrql);
                 cutoff = 4;
                 planner = Request.Plan_cost;
               } }
       else r)
-    (build_batch n)
+    (Workload.mixed n)
 
 (* The golden sets: inputs the interpreted engine was frozen on.  Each
    is served by a fresh engine under its own limits — "budget" trips a
@@ -1490,7 +1300,7 @@ let compile_workload ~golden ?(requests = golden_e31_requests) () =
           h.h_speedup min_speedup h.h_interp_s h.h_compiled_s)
     hot;
   let diffs, k_golden_s =
-    time (fun () ->
+    Bench_util.time (fun () ->
         List.map (golden_diff ~path:golden ~e31:requests) golden_sets)
   in
   let k_checked = List.fold_left (fun acc (n, _) -> acc + n) 0 diffs in
@@ -1550,5 +1360,5 @@ let run_compile ?out ~golden ?requests () =
     "  golden sets (e31 batch of %d requests): %d responses served \
      compiled in %.3fs, checked against the frozen interpreted output@."
     k.k_requests k.k_checked k.k_golden_s;
-  Json.write_opt out (fun () -> compile_to_json k);
+  Bench_util.write_opt out (fun () -> compile_to_json k);
   k.k_violations

@@ -1,27 +1,13 @@
-(** The engine benchmarks E24–E26, E28, E29 and E31, shared between
-    [bench/main.exe] (which writes the committed [BENCH_*.json]
-    baselines) and [recdb bench NAME].  Every [run*] prints its tables,
-    writes the JSON to [out] when given, and returns the violated
-    acceptance checks — empty when all hold. *)
+(** The engine benchmarks E24–E26, E28, E29 and E31 behind
+    [recdb bench NAME].  Every [run*] prints its tables, writes the
+    JSON to [out] when given, and returns the violated acceptance
+    checks — empty when all hold. *)
 
-val build_batch : int -> Request.t list
-(** The mixed workload (sentences, queries, a class count every tenth
-    request, over five instances) used by the batch and fault
-    workloads — also what [recdb crash-test] serves. *)
-
-val build_rql_batch :
-  ?cutoff:int -> planner:Request.planner -> int -> Request.t list
-(** A mixed RQL workload — transitive-closure fixpoints, an alpha/ws
-    variant sharing a normalized plan, dead bindings, shared [let]s,
-    duplicate fixpoints, sentences, plain queries and a tree — cycled
-    over five instances. *)
-
-val run : ?out:string -> ?requests:int -> unit -> string list
+val run : ?out:string -> unit -> string list
 (** E24: raw-oracle savings of the LRU on 25 repetitions of E17's four
-    sentences, then a mixed batch ([requests], default 1000) served
-    sequentially and on pools of 1/2/4 domains (counts above
-    [Domain.recommended_domain_count ()] are skipped, not measured).
-    Violation: a measured pool run not byte-identical to sequential. *)
+    sentences on triangles.  Violations: a cached engine answer that
+    differs from {!Hs.Fo_eval.eval_sentence} on the uncached instance,
+    or no fewer raw oracle calls cached than uncached. *)
 
 val run_resilience :
   ?out:string ->

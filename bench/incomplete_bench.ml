@@ -17,16 +17,9 @@
      and identical bytes as a plain engine — certificates are computed
      structurally, never by asking oracles. *)
 
-type row = {
-  b_name : string;
-  b_requests : int;
-  b_wall_s : float;
-  b_detail : (string * Json.t) list;
-}
-
 type result = {
   i_requests : int;
-  i_rows : row list;
+  i_rows : Bench_util.row list;
   i_violations : string list;
 }
 
@@ -35,18 +28,7 @@ let to_json r =
     [
       ("experiment", Json.String "E33 incomplete");
       ("requests", Json.Int r.i_requests);
-      ( "rows",
-        Json.List
-          (List.map
-             (fun b ->
-               Json.Obj
-                 ([
-                    ("name", Json.String b.b_name);
-                    ("requests", Json.Int b.b_requests);
-                    ("wall_s", Json.Float b.b_wall_s);
-                  ]
-                 @ b.b_detail))
-             r.i_rows) );
+      ("rows", Json.List (List.map Bench_util.row_to_json r.i_rows));
       ( "violations",
         Json.List (List.map (fun v -> Json.String v) r.i_violations) );
     ]
@@ -107,15 +89,8 @@ let closed_payloads =
 
 let cycle pool n = List.init n (fun i -> List.nth pool (i mod List.length pool))
 
-let bytes_of r = Json.to_string (Request.response_to_json ~stats:false r)
-
 let tuples_subset small big =
   List.for_all (fun t -> List.exists (Prelude.Tuple.equal t) big) small
-
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let v = f () in
-  (v, Unix.gettimeofday () -. t0)
 
 (* ------------------------------------------------------------------ *)
 (* Row 1: certain ⊆ exact ⊆ possible                                   *)
@@ -161,9 +136,9 @@ let subset_row ~requests ~violations =
         violate "subset: request %d: modes disagree on outcome shape" i
     | _ -> violate "subset: request %d: a mode returned an error" i
   in
-  let (), wall = timed (fun () -> List.iteri check payloads) in
+  let (), wall = Bench_util.time (fun () -> List.iteri check payloads) in
   {
-    b_name = "subset";
+    Bench_util.b_name = "subset";
     b_requests = requests;
     b_wall_s = wall;
     b_detail =
@@ -198,19 +173,19 @@ let closed_world_row ~requests ~violations =
         (Some (Request.M_approximate { budget = Request.default_budget }))
         payload
     in
-    let reference = bytes_of { re with Request.id = 0 } in
+    let reference = Bench_util.bytes { re with Request.id = 0 } in
     List.iter
       (fun (mode, r) ->
-        if bytes_of { r with Request.id = 0 } <> reference then
+        if Bench_util.bytes { r with Request.id = 0 } <> reference then
           violate "closed_world: request %d: %s mode differs from exact" i mode;
         if r.Request.cert <> Request.Cert_exact then
           violate "closed_world: request %d: %s mode attached a certificate" i
             mode)
       [ ("certain", rc); ("possible", rp); ("approximate", ra) ]
   in
-  let (), wall = timed (fun () -> List.iteri check payloads) in
+  let (), wall = Bench_util.time (fun () -> List.iteri check payloads) in
   {
-    b_name = "closed_world";
+    Bench_util.b_name = "closed_world";
     b_requests = requests;
     b_wall_s = wall;
     b_detail = [ ("modes_compared", Json.Int 4) ];
@@ -233,7 +208,9 @@ let approximate_row ~violations =
   let violate fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
   let reference =
     List.map
-      (fun p -> bytes_of { (serve (Some Request.M_certain) p) with Request.id = 0 })
+      (fun p ->
+        Bench_util.bytes
+          { (serve (Some Request.M_certain) p) with Request.id = 0 })
       open_payloads
   in
   let total = List.length open_payloads in
@@ -246,7 +223,7 @@ let approximate_row ~violations =
     List.iteri
       (fun i p ->
         let r = serve (Some (Request.M_approximate { budget = b })) p in
-        let bytes = bytes_of { r with Request.id = 0 } in
+        let bytes = Bench_util.bytes { r with Request.id = 0 } in
         let ref_bytes = List.nth reference i in
         (match r.Request.cert with
         | Request.Cert_approximate { budget_spent; _ } ->
@@ -266,7 +243,7 @@ let approximate_row ~violations =
     !n
   in
   let (), wall =
-    timed (fun () ->
+    Bench_util.time (fun () ->
         matched := run_budget !budget;
         sweep := (!budget, !matched) :: !sweep;
         while !matched < total && !budget < cap do
@@ -279,7 +256,7 @@ let approximate_row ~violations =
     violate "approximate: %d/%d requests still differ from certain at budget %d"
       (total - !matched) total !budget;
   {
-    b_name = "approximate";
+    Bench_util.b_name = "approximate";
     b_requests = total;
     b_wall_s = wall;
     b_detail =
@@ -302,7 +279,7 @@ let overhead_row ~requests ~violations =
   let payloads = cycle open_payloads requests in
   let serve_all engine =
     List.map
-      (fun p -> bytes_of (Engine.handle engine (Request.make ~id:0 p)))
+      (fun p -> Bench_util.bytes (Engine.handle engine (Request.make ~id:0 p)))
       payloads
   in
   let plain = Engine.create () in
@@ -314,12 +291,7 @@ let overhead_row ~requests ~violations =
   (* best of three passes each: the first pays the oracle evaluation,
      the warm repeats measure the per-request serving path (where a
      certificate scan would show up if exact mode ever ran one) *)
-  let best engine =
-    let bytes, w0 = timed (fun () -> serve_all engine) in
-    let _, w1 = timed (fun () -> serve_all engine) in
-    let _, w2 = timed (fun () -> serve_all engine) in
-    (bytes, min w0 (min w1 w2))
-  in
+  let best engine = Bench_util.best_of 3 (fun () -> serve_all engine) in
   let plain_bytes, plain_s = best plain in
   let declared_bytes, declared_s = best declared in
   let violate fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
@@ -336,7 +308,7 @@ let overhead_row ~requests ~violations =
   if frac >= 0.05 && declared_s -. plain_s >= 0.05 then
     violate "overhead: wall overhead %.1f%% >= 5%%" (100. *. frac);
   {
-    b_name = "overhead";
+    Bench_util.b_name = "overhead";
     b_requests = requests;
     b_wall_s = plain_s +. declared_s;
     b_detail =
@@ -364,7 +336,7 @@ let run ?out ?(requests = 120) () =
     { i_requests = requests; i_rows = rows; i_violations = List.rev !violations }
   in
   List.iter
-    (fun b ->
+    (fun (b : Bench_util.row) ->
       Format.printf "%-14s %5d requests  %8.3fs  %s@." b.b_name b.b_requests
         b.b_wall_s
         (String.concat ", "
@@ -375,5 +347,5 @@ let run ?out ?(requests = 120) () =
                 | _ -> None)
               b.b_detail)))
     rows;
-  Json.write_opt out (fun () -> to_json result);
+  Bench_util.write_opt out (fun () -> to_json result);
   result.i_violations

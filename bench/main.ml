@@ -2,9 +2,11 @@
 
    The paper has no numbered tables or figures (it is pure theory), so —
    per DESIGN.md — every theorem, proposition, worked example and proof
-   construction becomes an experiment E1–E18, each regenerating the
+   construction becomes an experiment E1–E23, each regenerating the
    "row" the paper's text asserts.  This executable prints all the
-   experiment tables and then times the core algorithms with Bechamel.
+   experiment tables and then times the core algorithms with Bechamel;
+   it writes no file.  The serving experiments E24–E33 are
+   [recdb bench NAME] (the library beside this file).
 
      dune exec bench/main.exe              -- tables + timings
      dune exec bench/main.exe -- tables    -- tables only
@@ -809,32 +811,6 @@ let e23 () =
     ];
   row "  (T_B answers are memoized: repeated tree walks add no questions)@."
 
-(* ------------------------------------------------------------------ *)
-(* E24: the serving engine — memoized oracles and the worker pool      *)
-
-let e24 () =
-  section "E24"
-    "lib/engine: oracle-call savings from the LRU, worker-pool batches";
-  ignore (Engine_bench.run ~out:"BENCH_engine.json" ())
-
-(* ------------------------------------------------------------------ *)
-(* E25: resilience — budgets, deadlines, injected faults               *)
-
-let e25 () =
-  section "E25"
-    "lib/engine resilience: guard overhead, budget/deadline trips, \
-     retry under faults";
-  ignore (Engine_bench.run_resilience ~out:"BENCH_resilience.json" ())
-
-(* ------------------------------------------------------------------ *)
-(* E26: parallel serving — work stealing and the shared memo layer     *)
-
-let e26 () =
-  section "E26"
-    "lib/engine parallel serving: work-stealing dispatch, shared memo \
-     layer, per-domain speedup";
-  ignore (Engine_bench.run_parallel ~out:"BENCH_parallel.json" ())
-
 let tables () =
   e1 ();
   e2 ();
@@ -858,10 +834,7 @@ let tables () =
   e20 ();
   e21 ();
   e22 ();
-  e23 ();
-  e24 ();
-  e25 ();
-  e26 ()
+  e23 ()
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel timing benches — one per experiment's core algorithm.      *)

@@ -19,67 +19,23 @@ type result = { ident : identity; rows : conn_row list; shed : shed_probe }
    Engine.handle_all must serialize identically (modulo response
    order, which the wire relaxes per connection — hence sort by id). *)
 
-let response_id line =
-  match Json.parse line with
-  | Ok j -> ( match Json.member "id" j with Some (Json.Int i) -> i | _ -> -1)
-  | Error _ -> -1
-
-(* One raw client: a sender thread streaming every request, the calling
-   thread collecting response lines (reading concurrently, so neither
-   side's socket buffer can deadlock the exchange). *)
-let serve_over_socket ~port requests =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd
-    (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port));
-  let sender =
-    Thread.create
-      (fun () ->
-        (try
-           List.iter
-             (fun r ->
-               Frame.write_line fd (Json.to_string (Request.to_json r)))
-             requests
-         with Unix.Unix_error _ | Sys_error _ -> ());
-        try Unix.shutdown fd Unix.SHUTDOWN_SEND
-        with Unix.Unix_error _ -> ())
-      ()
-  in
-  let reader = Frame.reader fd in
-  let n = List.length requests in
-  let lines = ref [] in
-  let got = ref 0 in
-  let eof = ref false in
-  while !got < n && not !eof do
-    match Frame.read reader with
-    | Frame.Line l ->
-        lines := l :: !lines;
-        incr got
-    | Frame.Eof | Frame.Truncated _ -> eof := true
-    | Frame.Oversized _ -> eof := true
-  done;
-  Thread.join sender;
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  List.rev !lines
-
-let sort_by_id lines =
-  List.sort compare (List.map (fun l -> (response_id l, l)) lines)
-  |> List.map snd
-
 let identity_check ~requests =
-  let batch = Engine_bench.build_batch requests in
-  let reference =
-    List.map
-      (fun r -> Json.to_string (Request.response_to_json ~stats:false r))
-      (Engine.handle_all (Engine.create ()) batch)
-  in
+  let batch = Workload.mixed requests in
+  let reference = Bench_util.sequential batch in
   let server =
     Server.start ~stats:false ~window:256 ~per_conn_window:64 ()
   in
-  let served = serve_over_socket ~port:(Server.port server) batch in
+  let served =
+    Proc.send_and_collect ~port:(Server.port server)
+      (List.map (fun r -> Json.to_string (Request.to_json r)) batch)
+  in
   ignore (Server.drain ~timeout_s:30.0 server);
   {
     i_requests = requests;
-    i_identical = sort_by_id served = sort_by_id reference;
+    i_identical =
+      (match served with
+      | Ok served -> Proc.sort_by_id served = Proc.sort_by_id reference
+      | Error _ -> false);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -97,7 +53,7 @@ let throughput_row ~requests c_conns =
 let shed_probe_run ~requests =
   let s_window = 8 in
   let s_offered = 2 * s_window in
-  let batch = Engine_bench.build_batch requests in
+  let batch = Workload.mixed requests in
   let s_seq_questions =
     let e = Engine.create () in
     ignore (Engine.handle_all e batch);
@@ -174,6 +130,23 @@ let violations { ident; rows; shed } =
   if shed.s_report.Loadgen.errors = 0 then []
   else [ Printf.sprintf "shed run saw %d error responses" shed.s_report.Loadgen.errors ]
 
+let report_to_json (r : Loadgen.report) =
+  Json.Obj
+    [
+      ("connections", Json.Int r.connections);
+      ("sent", Json.Int r.sent);
+      ("answered", Json.Int r.answered);
+      ("ok", Json.Int r.ok);
+      ("errors", Json.Int r.errors);
+      ("shed", Json.Int r.shed);
+      ("lost", Json.Int r.lost);
+      ("wall_s", Json.Float r.wall_s);
+      ("throughput_rps", Json.Float r.throughput);
+      ("p50_s", Json.Float r.p50_s);
+      ("p95_s", Json.Float r.p95_s);
+      ("p99_s", Json.Float r.p99_s);
+    ]
+
 let to_json { ident; rows; shed } =
   Json.Obj
     [
@@ -190,7 +163,7 @@ let to_json { ident; rows; shed } =
                Json.Obj
                  [
                    ("connections", Json.Int c_conns);
-                   ("report", Loadgen.report_to_json c_report);
+                   ("report", report_to_json c_report);
                  ])
              rows) );
       ( "shed",
@@ -198,7 +171,7 @@ let to_json { ident; rows; shed } =
           [
             ("window", Json.Int shed.s_window);
             ("offered_inflight", Json.Int shed.s_offered);
-            ("report", Loadgen.report_to_json shed.s_report);
+            ("report", report_to_json shed.s_report);
             ("high_water", Json.Int shed.s_high_water);
             ("window_respected", Json.Bool shed.s_window_respected);
             ("pool_questions", Json.Int shed.s_pool_questions);
@@ -232,5 +205,5 @@ let run ?out ?(requests = 400) () =
     /. float_of_int (max 1 shed.s_report.Loadgen.answered))
     shed.s_high_water shed.s_pool_questions shed.s_seq_questions;
   let result = { ident; rows; shed } in
-  Json.write_opt out (fun () -> to_json result);
+  Bench_util.write_opt out (fun () -> to_json result);
   violations result

@@ -3,7 +3,7 @@
 
     Three measurements over loopback:
 
-    - {b identity}: the E17 mixed workload served over a socket
+    - {b identity}: the mixed workload ({!Workload.mixed}) served over a socket
       produces responses byte-identical (modulo id-correlation order)
       to a sequential {!Engine.handle_all} of the same requests — the
       wire changes nothing about the serving semantics.

@@ -1,9 +1,10 @@
 (* E30: the durability benchmark ([recdb bench store],
    [BENCH_store.json]).
 
-   Cold vs warm start on the mixed workload (the E24 batch plus RQL
-   requests so plan-cache entries are exercised): serve cold, snapshot,
-   then reload into a fresh memo and serve the same batch warm.  The
+   Cold vs warm start on {!Workload.mixed_with_rql} (the mixed batch
+   plus RQL requests, so plan-cache entries are exercised): serve
+   cold, snapshot, then reload into a fresh memo and serve the same
+   batch warm.  The
    gates are the durability contract itself — warm responses
    byte-identical to cold, warm genuine-question count < 5% of cold —
    plus fault rows (truncated snapshot, bit-flipped record, future
@@ -40,103 +41,64 @@ type result = {
   b_violations : string list;
 }
 
-let response_bytes resp =
-  Json.to_string (Request.response_to_json ~stats:false resp)
-
-let build_workload n =
-  let base = Engine_bench.build_batch (max 1 (n * 3 / 4)) in
-  let rql =
-    Engine_bench.build_rql_batch ~planner:Request.Plan_cost (max 1 (n / 4))
-  in
-  base @ rql
-
 (* Serve [batch] on a fresh single-domain pool over [memo], returning
    the ledger and the response bytes.  One domain keeps the ledger
    deterministic on any host (no cross-worker cold-key races). *)
 let serve memo batch =
   let pool = Pool.create ~domains:1 ~shared:memo () in
-  let t0 = Unix.gettimeofday () in
-  let first =
-    match batch with
-    | [] -> []
-    | r :: _ -> Pool.run_batch pool [ r ]
-  in
-  let first_s = Unix.gettimeofday () -. t0 in
-  let rest = match batch with [] -> [] | _ :: rs -> Pool.run_batch pool rs in
-  let wall = Unix.gettimeofday () -. t0 in
+  let head, rest = match batch with [] -> ([], []) | r :: rs -> ([ r ], rs) in
+  let first, first_s = Bench_util.time (fun () -> Pool.run_batch pool head) in
+  let rest, rest_s = Bench_util.time (fun () -> Pool.run_batch pool rest) in
   let questions = Pool.oracle_questions pool in
   Pool.shutdown ~timeout_s:10. pool;
-  (List.map response_bytes (first @ rest), questions, wall, first_s)
+  ( List.map Bench_util.bytes (first @ rest),
+    questions,
+    first_s +. rest_s,
+    first_s )
 
 let load_into_fresh_memo ~dir =
   let memo = Shared_memo.create () in
-  let t0 = Unix.gettimeofday () in
-  let store, report = Store.open_store ~write_behind:false ~dir memo in
-  let load_s = Unix.gettimeofday () -. t0 in
+  let (store, report), load_s =
+    Bench_util.time (fun () -> Store.open_store ~write_behind:false ~dir memo)
+  in
   (memo, store, report, load_s)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path data =
+  Out_channel.with_open_bin path (fun oc -> output_string oc data)
+
+(* Rewrite the snapshot in [dir] through [f]. *)
+let damage_snapshot f ~dir =
+  let path = Filename.concat dir "snapshot.rdb" in
+  write_file path (f (Bytes.of_string (read_file path)))
 
 (* Flip one byte well inside the snapshot body (past the header and
    first frame header, so the damage lands in a record payload). *)
-let corrupt_snapshot ~dir =
-  let path = Filename.concat dir "snapshot.rdb" in
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let b = Bytes.create n in
-  really_input ic b 0 n;
-  close_in ic;
-  let off = Store_codec.header_len + 8 + 2 in
-  if off < n then
-    Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0xFF));
-  let oc = open_out_bin path in
-  output_bytes oc b;
-  close_out oc
+let corrupt_snapshot =
+  damage_snapshot (fun b ->
+      let off = Store_codec.header_len + 8 + 2 in
+      if off < Bytes.length b then
+        Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0xFF));
+      Bytes.to_string b)
 
-let truncate_snapshot ~dir =
-  let path = Filename.concat dir "snapshot.rdb" in
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let keep = max Store_codec.header_len (n - (n / 3)) in
-  let b = Bytes.create keep in
-  really_input ic b 0 keep;
-  close_in ic;
-  let oc = open_out_bin path in
-  output_bytes oc b;
-  close_out oc
+let truncate_snapshot =
+  damage_snapshot (fun b ->
+      let n = Bytes.length b in
+      Bytes.sub_string b 0 (max Store_codec.header_len (n - (n / 3))))
 
-let future_version_snapshot ~dir =
-  let path = Filename.concat dir "snapshot.rdb" in
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let b = Bytes.create n in
-  really_input ic b 0 n;
-  close_in ic;
-  (* bump the u32 LE version field at offset 4 *)
-  Bytes.set b 4 (Char.chr (Char.code (Bytes.get b 4) + 1));
-  let oc = open_out_bin path in
-  output_bytes oc b;
-  close_out oc
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
+(* bump the u32 LE version field at offset 4 *)
+let future_version_snapshot =
+  damage_snapshot (fun b ->
+      Bytes.set b 4 (Char.chr (Char.code (Bytes.get b 4) + 1));
+      Bytes.to_string b)
 
 let copy_dir src dst =
-  rm_rf dst;
+  Proc.rm_rf dst;
   Unix.mkdir dst 0o755;
   Array.iter
     (fun f ->
-      let ic = open_in_bin (Filename.concat src f) in
-      let n = in_channel_length ic in
-      let b = Bytes.create n in
-      really_input ic b 0 n;
-      close_in ic;
-      let oc = open_out_bin (Filename.concat dst f) in
-      output_bytes oc b;
-      close_out oc)
+      write_file (Filename.concat dst f) (read_file (Filename.concat src f)))
     (Sys.readdir src)
 
 let fault_run ~name ~golden ~pristine ~batch ~cold_bytes damage =
@@ -157,13 +119,13 @@ let fault_run ~name ~golden ~pristine ~batch ~cold_bytes damage =
       f_identical = bytes = cold_bytes;
     }
   in
-  rm_rf dir;
+  Proc.rm_rf dir;
   row
 
 let workload ?(requests = 160) () =
   let dir = "_store_bench" in
-  let batch = build_workload requests in
-  rm_rf dir;
+  let batch = Workload.mixed_with_rql requests in
+  Proc.rm_rf dir;
   (* --- cold ------------------------------------------------------- *)
   let memo = Shared_memo.create () in
   let store, _ = Store.open_store ~write_behind:false ~dir memo in
@@ -200,15 +162,15 @@ let workload ?(requests = 160) () =
   let faults =
     [
       fault_run ~name:"truncated" ~golden ~pristine:dir ~batch ~cold_bytes
-        (fun ~dir -> truncate_snapshot ~dir);
+        truncate_snapshot;
       fault_run ~name:"bit_flip" ~golden ~pristine:dir ~batch ~cold_bytes
-        (fun ~dir -> corrupt_snapshot ~dir);
+        corrupt_snapshot;
       fault_run ~name:"future_version" ~golden ~pristine:dir ~batch
-        ~cold_bytes (fun ~dir -> future_version_snapshot ~dir);
+        ~cold_bytes future_version_snapshot;
     ]
   in
-  rm_rf golden;
-  rm_rf dir;
+  Proc.rm_rf golden;
+  Proc.rm_rf dir;
   let ratio =
     if cold_questions = 0 then 0.
     else float_of_int warm_questions /. float_of_int cold_questions
@@ -327,5 +289,5 @@ let run ?out ?requests () =
     r.faults;
   Format.printf "  warm and fault responses byte-identical: %b@."
     (r.warm.p_identical && List.for_all (fun f -> f.f_identical) r.faults);
-  Json.write_opt out (fun () -> to_json r);
+  Bench_util.write_opt out (fun () -> to_json r);
   r.b_violations

@@ -1011,7 +1011,7 @@ let cmd_crash_test =
       Format.eprintf "requests, jobs and every must all be >= 1@.";
       exit 1
     end;
-    let batch = Engine_bench.build_batch requests in
+    let batch = Workload.mixed requests in
     let reference = Engine.handle_all (Engine.create ()) batch in
     let pool =
       Pool.create ~domains:jobs
@@ -1040,12 +1040,8 @@ let cmd_crash_test =
             | _ ->
                 violation "request %d should have died with worker_crash"
                   r.id)
-          else
-            let s r =
-              Json.to_string (Request.response_to_json ~stats:false r)
-            in
-            if not (String.equal (s r) (s ref_r)) then
-              violation "request %d differs from the sequential run" r.id)
+          else if Bench_util.bytes r <> Bench_util.bytes ref_r then
+            violation "request %d differs from the sequential run" r.id)
         responses reference;
     let crashed =
       List.length
@@ -1225,12 +1221,13 @@ let check_exposition body =
 
 let cmd_obs_smoke =
   let doc =
-    "CI smoke for the observability subsystem: start a server with tracing \
-     sampled and a metrics listener on an ephemeral port, drive it with the \
-     load generator, then scrape /metrics (asserting the exposition is \
-     well-formed: required families present, histogram buckets monotone) \
-     and /traces (asserting every line parses as JSON and carries a span \
-     tree).  Exits 1 on any failure."
+    "CI smoke for the observability subsystem: fork a real recdb serve \
+     child with tracing sampled (--trace-sample 4) and a metrics listener \
+     on an ephemeral port, drive it with the load generator, then scrape \
+     /metrics (asserting the exposition is well-formed: required families \
+     present, histogram buckets monotone) and /traces (asserting every line \
+     parses as JSON and carries a span tree), and require a clean SIGTERM \
+     drain.  Exits 1 on any failure."
   in
   let requests =
     Arg.(
@@ -1238,76 +1235,59 @@ let cmd_obs_smoke =
       & info [ "requests" ] ~docv:"N" ~doc:"Total requests.")
   in
   let run requests =
-    let server =
-      Server.start ~window:256 ~per_conn_window:64
-        ~tracing:(Obs.Trace.Every 4) ~metrics_port:0 ()
+    let dir = smoke_dir "_obs_smoke" in
+    let failures = ref [] in
+    let fail fmt = Format.kasprintf (fun s -> failures := s :: !failures) fmt in
+    let check_traces body =
+      match
+        List.filter
+          (fun l -> String.trim l <> "")
+          (String.split_on_char '\n' body)
+      with
+      | [] -> fail "/traces: no sampled traces collected"
+      | lines ->
+          List.iter
+            (fun l ->
+              match Json.parse l with
+              | Ok (Json.Obj kvs)
+                when List.mem_assoc "root" kvs
+                     && List.mem_assoc "questions" kvs ->
+                  ()
+              | Ok _ -> fail "/traces: not a span tree: %s" l
+              | Error e -> fail "/traces: unparseable line (%s)" e)
+            lines
     in
-    let mport =
-      match Server.metrics_port server with
-      | Some p -> p
-      | None ->
-          Format.eprintf "obs-smoke: no metrics listener came up@.";
-          exit 1
-    in
-    let report =
-      Loadgen.run ~port:(Server.port server) ~connections:4 ~requests
-        ~pipeline:4 ()
-    in
-    let metrics_body = Expo_server.get ~port:mport ~path:"/metrics" () in
-    let traces_body = Expo_server.get ~port:mport ~path:"/traces" () in
-    let missing_route = Expo_server.get ~port:mport ~path:"/nonsense" () in
-    let outcome = Server.drain ~timeout_s:30.0 server in
-    let failures =
-      (if report.Loadgen.answered <> report.Loadgen.sent then
+    ignore
+    @@ with_serve ~dir ~fail:(fail "%s")
          [
-           Printf.sprintf "%d answered of %d sent" report.Loadgen.answered
-             report.Loadgen.sent;
+           "--trace-sample"; "4"; "--metrics-port"; "0"; "--window"; "256";
+           "--per-conn-window"; "64";
          ]
-       else [])
-      @ (if report.Loadgen.errors > 0 then
-           [ Printf.sprintf "%d error responses" report.Loadgen.errors ]
-         else [])
-      @ (match metrics_body with
-        | Error reason -> [ Printf.sprintf "/metrics scrape failed: %s" reason ]
-        | Ok body ->
-            List.map (Printf.sprintf "/metrics: %s") (check_exposition body))
-      @ (match traces_body with
-        | Error reason -> [ Printf.sprintf "/traces scrape failed: %s" reason ]
-        | Ok body ->
-            let lines =
-              List.filter
-                (fun l -> String.trim l <> "")
-                (String.split_on_char '\n' body)
-            in
-            (if lines = [] then [ "/traces: no sampled traces collected" ]
-             else [])
-            @ List.concat_map
-                (fun l ->
-                  match Json.parse l with
-                  | Ok (Json.Obj kvs)
-                    when List.mem_assoc "root" kvs
-                         && List.mem_assoc "questions" kvs -> []
-                  | Ok _ -> [ Printf.sprintf "/traces: not a span tree: %s" l ]
-                  | Error e ->
-                      [ Printf.sprintf "/traces: unparseable line (%s)" e ])
-                lines)
-      @ (match missing_route with
-        | Error _ -> []
-        | Ok _ -> [ "/nonsense answered 200; expected 404" ])
-      @
-      match outcome with
-      | `Clean -> []
-      | `Forced n -> [ Printf.sprintf "drain aborted %d connection(s)" n ]
-    in
-    match failures with
-    | [] ->
-        Format.printf
-          "obs-smoke: %d requests, exposition well-formed, traces parse, \
-           clean drain@."
-          report.Loadgen.answered
-    | fs ->
-        List.iter (Format.eprintf "obs-smoke failure: %s@.") fs;
-        exit 1
+         (fun ~port ~metrics_port ->
+           let r = Loadgen.run ~port ~connections:4 ~requests ~pipeline:4 () in
+           if r.Loadgen.answered <> r.Loadgen.sent then
+             fail "%d answered of %d sent" r.Loadgen.answered r.Loadgen.sent;
+           if r.Loadgen.errors > 0 then
+             fail "%d error responses" r.Loadgen.errors;
+           match metrics_port with
+           | None -> fail "no metrics listener came up"
+           | Some port -> (
+               let get path = Expo_server.get ~port ~path () in
+               (match get "/metrics" with
+               | Error reason -> fail "/metrics scrape failed: %s" reason
+               | Ok body ->
+                   List.iter (fail "/metrics: %s") (check_exposition body));
+               (match get "/traces" with
+               | Error reason -> fail "/traces scrape failed: %s" reason
+               | Ok body -> check_traces body);
+               match get "/nonsense" with
+               | Error _ -> ()
+               | Ok _ -> fail "/nonsense answered 200; expected 404"));
+    smoke_verdict "obs-smoke" ~dir (List.rev !failures);
+    Format.printf
+      "obs-smoke: %d requests, exposition well-formed, traces parse, clean \
+       drain@."
+      requests
   in
   Cmd.v (Cmd.info "obs-smoke" ~doc) Term.(const run $ requests)
 
@@ -1593,18 +1573,9 @@ let cmd_store_smoke =
   in
   let run requests dir =
     let dir = smoke_dir dir in
-    let batch =
-      Engine_bench.build_batch (max 1 (requests * 3 / 4))
-      @ Engine_bench.build_rql_batch ~planner:Request.Plan_cost
-          (max 1 (requests / 4))
-    in
+    let batch = Workload.mixed_with_rql requests in
     let lines = List.map (fun r -> Json.to_string (Request.to_json r)) batch in
-    let reference =
-      Proc.sort_by_id
-        (List.map
-           (fun r -> Json.to_string (Request.response_to_json ~stats:false r))
-           (Engine.handle_all (Engine.create ()) batch))
-    in
+    let reference = Proc.sort_by_id (Bench_util.sequential batch) in
     let failures = ref [] in
     let fail fmt = Format.kasprintf (fun s -> failures := s :: !failures) fmt in
     (* Both phases fork a real durable [recdb serve] on the same store,
@@ -1944,34 +1915,21 @@ let cmd_router =
 
 let cmd_incomplete_smoke =
   let doc =
-    "CI smoke for incompleteness-aware answering over the wire: start a \
-     server with the demo open-world declarations, send mode-carrying \
+    "CI smoke for incompleteness-aware answering over the wire: fork a \
+     real recdb serve --open-world child, send mode-carrying \
      requests (wire field and RQL text prefix), and check the \
      certain/exact/possible containment, the typed certificates, that an \
      exact response carries no cert field, that a closed-world instance \
      answers identically in every mode, that an unknown top-level field \
      (a \"mod\" typo) is warn-and-count (scraped from /metrics), and \
-     that --default-mode applies to modeless requests.  Exits 1 on any \
+     that a second child's --default-mode certain applies to modeless \
+     requests; both children must drain clean on SIGTERM.  Exits 1 on any \
      failure."
   in
   let run () =
+    let dir = smoke_dir "_incomplete_smoke" in
     let failures = ref [] in
     let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-    let decls = decls_of_flags ~open_world:true ~decls:[] in
-    (* Server 1: demo declarations, default mode exact. *)
-    let server =
-      Server.start ~window:64 ~per_conn_window:16 ~metrics_port:0
-        ~engine_config:{ Engine.default_config with decls }
-        ()
-    in
-    let port = Server.port server in
-    let mport =
-      match Server.metrics_port server with
-      | Some p -> p
-      | None ->
-          Format.eprintf "incomplete-smoke: no metrics listener came up@.";
-          exit 1
-    in
     let rado_sentence mode_fields id =
       Printf.sprintf
         {|{"id":%d,"op":"sentence","instance":"rado","sentence":"exists x. exists y. R1(x, y)"%s}|}
@@ -2018,113 +1976,112 @@ let cmd_incomplete_smoke =
           | _ -> None)
       | None -> None
     in
-    (match Proc.send_and_collect ~port lines with
-    | Error e -> fail "exchange failed: %s" e
-    | Ok raw -> (
-        match parse_responses raw with
-        | [ r1; r2; r3; r4; r5; r6; r7; r8 ] ->
-            (* open world: certain false ⊆ exact true ⊆ possible true *)
-            if ok_bool r1 <> Some false then
-              fail "rado certain: expected false (unknown served as lower)";
-            if ok_bool r2 <> Some true then fail "rado exact: expected true";
-            if ok_bool r3 <> Some true then
-              fail "rado possible: expected true (unknown served as upper)";
-            (match cert_kind r1 with
-            | Some ("certain_lower_bound", _) -> ()
-            | _ -> fail "rado certain: expected a certain_lower_bound cert");
-            if cert_kind r2 <> None then
-              fail "rado exact: response must carry no cert field";
-            (match cert_kind r3 with
-            | Some ("possible_upper_bound", _) -> ()
-            | _ -> fail "rado possible: expected a possible_upper_bound cert");
-            (match cert_kind r4 with
-            | Some ("approximate", c) -> (
-                match Json.member "budget_spent" c with
-                | Some (Json.Int n) when n <= 1 -> ()
-                | _ -> fail "rado approximate: budget_spent exceeds budget 1")
-            | _ -> fail "rado approximate at budget 1: expected to trip");
-            (* closed world: every mode = exact bytes, no certs *)
-            List.iter
-              (fun (name, r) ->
-                if ok_bool r <> ok_bool r6 then
-                  fail "triangles %s: differs from exact" name;
-                if cert_kind r <> None then
-                  fail "triangles %s: unexpected cert on a total instance"
-                    name)
-              [ ("certain", r5); ("typo'd-mode", r7) ];
-            if cert_kind r6 <> None then
-              fail "triangles exact: unexpected cert field";
-            (* RQL text prefix: mode travels in the query text *)
-            (match cert_kind r8 with
-            | Some ("possible_upper_bound", _) -> ()
-            | _ ->
-                fail
-                  "rql 'mode possible' prefix: expected a \
-                   possible_upper_bound cert")
-        | rs -> fail "expected 8 responses, got %d" (List.length rs)));
-    (* the typo'd field must be scrapeable *)
-    (match Expo_server.get ~port:mport ~path:"/metrics" () with
-    | Error reason -> fail "/metrics scrape failed: %s" reason
-    | Ok body ->
-        let counter_at_least name n =
-          List.exists
-            (fun l ->
-              match String.index_opt l ' ' with
-              | Some i when String.sub l 0 i = name ->
-                  (match
-                     int_of_string_opt
-                       (String.trim
-                          (String.sub l (i + 1) (String.length l - i - 1)))
-                   with
-                  | Some v -> v >= n
-                  | None -> false)
-              | _ -> false)
-            (String.split_on_char '\n' body)
-        in
-        if not (counter_at_least "server_frames_unknown_field_total" 1) then
-          fail "metrics: server_frames_unknown_field_total did not count";
-        if not (counter_at_least "engine_mode_certain_total" 1) then
-          fail "metrics: engine_mode_certain_total did not count");
-    (match Server.drain ~timeout_s:30.0 server with
-    | `Clean -> ()
-    | `Forced n -> fail "drain aborted %d connection(s)" n);
-    (* Server 2: --default-mode certain applies to modeless requests. *)
-    let server2 =
-      Server.start ~window:64 ~per_conn_window:16
-        ~engine_config:
-          {
-            Engine.default_config with
-            decls;
-            default_mode = Request.M_certain;
-          }
-        ()
+    let check_modes raw =
+      match parse_responses raw with
+      | [ r1; r2; r3; r4; r5; r6; r7; r8 ] ->
+          (* open world: certain false ⊆ exact true ⊆ possible true *)
+          if ok_bool r1 <> Some false then
+            fail "rado certain: expected false (unknown served as lower)";
+          if ok_bool r2 <> Some true then fail "rado exact: expected true";
+          if ok_bool r3 <> Some true then
+            fail "rado possible: expected true (unknown served as upper)";
+          (match cert_kind r1 with
+          | Some ("certain_lower_bound", _) -> ()
+          | _ -> fail "rado certain: expected a certain_lower_bound cert");
+          if cert_kind r2 <> None then
+            fail "rado exact: response must carry no cert field";
+          (match cert_kind r3 with
+          | Some ("possible_upper_bound", _) -> ()
+          | _ -> fail "rado possible: expected a possible_upper_bound cert");
+          (match cert_kind r4 with
+          | Some ("approximate", c) -> (
+              match Json.member "budget_spent" c with
+              | Some (Json.Int n) when n <= 1 -> ()
+              | _ -> fail "rado approximate: budget_spent exceeds budget 1")
+          | _ -> fail "rado approximate at budget 1: expected to trip");
+          (* closed world: every mode = exact bytes, no certs *)
+          List.iter
+            (fun (name, r) ->
+              if ok_bool r <> ok_bool r6 then
+                fail "triangles %s: differs from exact" name;
+              if cert_kind r <> None then
+                fail "triangles %s: unexpected cert on a total instance" name)
+            [ ("certain", r5); ("typo'd-mode", r7) ];
+          if cert_kind r6 <> None then
+            fail "triangles exact: unexpected cert field";
+          (* RQL text prefix: mode travels in the query text *)
+          (match cert_kind r8 with
+          | Some ("possible_upper_bound", _) -> ()
+          | _ ->
+              fail
+                "rql 'mode possible' prefix: expected a possible_upper_bound \
+                 cert")
+      | rs -> fail "expected 8 responses, got %d" (List.length rs)
     in
-    (match
-       Proc.send_and_collect ~port:(Server.port server2) [ rado_sentence "" 1 ]
-     with
-    | Error e -> fail "default-mode exchange failed: %s" e
-    | Ok raw -> (
-        match parse_responses raw with
-        | [ r ] -> (
-            if ok_bool r <> Some false then
-              fail "default-mode certain: expected false";
-            match cert_kind r with
-            | Some ("certain_lower_bound", _) -> ()
-            | _ ->
-                fail "default-mode certain: expected a certain_lower_bound \
-                      cert")
-        | rs -> fail "default-mode: expected 1 response, got %d" (List.length rs)));
-    (match Server.drain ~timeout_s:30.0 server2 with
-    | `Clean -> ()
-    | `Forced n -> fail "drain (server 2) aborted %d connection(s)" n);
-    match List.rev !failures with
-    | [] ->
-        Format.printf
-          "incomplete-smoke: modes, certificates, closed-world identity, \
-           unknown-field counter and --default-mode all check out@."
-    | fs ->
-        List.iter (Format.eprintf "incomplete-smoke failure: %s@.") fs;
-        exit 1
+    (* the typo'd field must be scrapeable *)
+    let check_counters body =
+      let counter_at_least name n =
+        List.exists
+          (fun l ->
+            match String.index_opt l ' ' with
+            | Some i when String.sub l 0 i = name -> (
+                match
+                  int_of_string_opt
+                    (String.trim
+                       (String.sub l (i + 1) (String.length l - i - 1)))
+                with
+                | Some v -> v >= n
+                | None -> false)
+            | _ -> false)
+          (String.split_on_char '\n' body)
+      in
+      if not (counter_at_least "server_frames_unknown_field_total" 1) then
+        fail "metrics: server_frames_unknown_field_total did not count";
+      if not (counter_at_least "engine_mode_certain_total" 1) then
+        fail "metrics: engine_mode_certain_total did not count"
+    in
+    (* Server 1: the demo declarations, default mode exact. *)
+    ignore
+    @@ with_serve ~dir ~fail:(fail "%s")
+         [
+           "--open-world"; "--metrics-port"; "0"; "--window"; "64";
+           "--per-conn-window"; "16";
+         ]
+         (fun ~port ~metrics_port ->
+           (match Proc.send_and_collect ~port lines with
+           | Error e -> fail "exchange failed: %s" e
+           | Ok raw -> check_modes raw);
+           match metrics_port with
+           | None -> fail "no metrics listener came up"
+           | Some port -> (
+               match Expo_server.get ~port ~path:"/metrics" () with
+               | Error reason -> fail "/metrics scrape failed: %s" reason
+               | Ok body -> check_counters body));
+    (* Server 2: --default-mode certain applies to modeless requests. *)
+    ignore
+    @@ with_serve ~dir ~fail:(fail "%s")
+         [ "--open-world"; "--default-mode"; "certain" ]
+         (fun ~port ~metrics_port:_ ->
+           match Proc.send_and_collect ~port [ rado_sentence "" 1 ] with
+           | Error e -> fail "default-mode exchange failed: %s" e
+           | Ok raw -> (
+               match parse_responses raw with
+               | [ r ] -> (
+                   if ok_bool r <> Some false then
+                     fail "default-mode certain: expected false";
+                   match cert_kind r with
+                   | Some ("certain_lower_bound", _) -> ()
+                   | _ ->
+                       fail
+                         "default-mode certain: expected a \
+                          certain_lower_bound cert")
+               | rs ->
+                   fail "default-mode: expected 1 response, got %d"
+                     (List.length rs)));
+    smoke_verdict "incomplete-smoke" ~dir (List.rev !failures);
+    Format.printf
+      "incomplete-smoke: modes, certificates, closed-world identity, \
+       unknown-field counter and --default-mode all check out@."
   in
   Cmd.v (Cmd.info "incomplete-smoke" ~doc) Term.(const run $ const ())
 
@@ -2137,11 +2094,12 @@ let cmd_bench =
     (* name, summary, flags read beyond -o, run *)
     [
       ( "engine",
-        "E24: LRU oracle savings and 1/2/4-domain pool batches (exit 1 if a \
-         pool run is not byte-identical to sequential).",
-        [ "--requests" ],
-        fun ~out ~requests ~trials:_ ~fault_requests:_ ->
-          Engine_bench.run ?out ?requests () );
+        "E24: LRU oracle savings on the E17 sentences (exit 1 if a cached \
+         answer differs from uncached evaluation or the cache saves no raw \
+         oracle call).",
+        [],
+        fun ~out ~requests:_ ~trials:_ ~fault_requests:_ ->
+          Engine_bench.run ?out () );
       ( "resilience",
         "E25: guard overhead (reported), deadline and budget trips on \
          tree(paths3, 6), retry determinism under injected faults (exit 1 \
@@ -2245,12 +2203,14 @@ let cmd_bench =
   in
   let run name out requests trials fault_requests =
     let _, _, reads, bench = List.find (fun (n, _, _, _) -> n = name) benches in
-    let unread =
+    let flag_error =
       List.find_map
         (fun (flag, v) ->
-          if Option.is_some v && not (List.mem flag reads) then
-            Some (Printf.sprintf "bench %s does not take %s" name flag)
-          else None)
+          match v with
+          | Some _ when not (List.mem flag reads) ->
+              Some (Printf.sprintf "bench %s does not take %s" name flag)
+          | Some n when n < 1 -> Some (Printf.sprintf "%s must be >= 1" flag)
+          | _ -> None)
         [
           ("--requests", requests);
           ("--trials", trials);
@@ -2264,7 +2224,7 @@ let cmd_bench =
             (Printf.sprintf
                "bench compile takes --requests <= %d (the frozen e31 batch)"
                Engine_bench.golden_e31_requests)
-      | _ -> unread
+      | _ -> flag_error
     in
     match usage with
     | Some msg -> `Error (true, msg)

@@ -127,7 +127,7 @@ let run ?(host = "127.0.0.1") ~port ?endpoints ?(connections = 4)
     match build with
     | Some f -> f
     | None ->
-        let batch = Array.of_list (Engine_bench.build_batch requests) in
+        let batch = Array.of_list (Workload.mixed requests) in
         fun i -> batch.(i mod Array.length batch)
   in
   (* A private per-run histogram (shared by this run's receiver threads),
@@ -210,23 +210,6 @@ let run ?(host = "127.0.0.1") ~port ?endpoints ?(connections = 4)
     p95_s = Obs.Histogram.quantile hist 0.95;
     p99_s = Obs.Histogram.quantile hist 0.99;
   }
-
-let report_to_json r =
-  Json.Obj
-    [
-      ("connections", Json.Int r.connections);
-      ("sent", Json.Int r.sent);
-      ("answered", Json.Int r.answered);
-      ("ok", Json.Int r.ok);
-      ("errors", Json.Int r.errors);
-      ("shed", Json.Int r.shed);
-      ("lost", Json.Int r.lost);
-      ("wall_s", Json.Float r.wall_s);
-      ("throughput_rps", Json.Float r.throughput);
-      ("p50_s", Json.Float r.p50_s);
-      ("p95_s", Json.Float r.p95_s);
-      ("p99_s", Json.Float r.p99_s);
-    ]
 
 let pp_report ppf r =
   Format.fprintf ppf

@@ -51,8 +51,8 @@ val run :
     connection count to open loop at [rate] requests/second {e per
     connection}.  [build i] supplies the i-th request (0-based,
     globally); its [id] is overwritten with a per-connection unique id
-    for correlation.  The default workload is the E17 mixed batch
-    ({!Engine_bench.build_batch}).  Blocks until every connection has
+    for correlation.  The default workload is the mixed batch
+    ({!Workload.mixed}).  Blocks until every connection has
     drained or lost its socket.
 
     [endpoints] (multi-endpoint mode) spreads the connections
@@ -61,5 +61,4 @@ val run :
     (shards directly, or several router front doors); when given and
     non-empty it supersedes [host]/[port]. *)
 
-val report_to_json : report -> Json.t
 val pp_report : Format.formatter -> report -> unit

@@ -226,6 +226,16 @@ let test_router_passthrough () =
           ^ {|"sentence":"forall x. exists y. R1(x, y)"}|};
         ]
       in
+      (* the router dials its upstream asynchronously after start; a
+         request routed before that connect lands is a typed
+         oracle_unavailable, so wait for the shard to be up *)
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      while
+        (Router.counters router).Router.shards_up < 1
+        && Unix.gettimeofday () < deadline
+      do
+        Unix.sleepf 0.01
+      done;
       (* warm the shard directly, then route the same requests: the
          router must forward the shard's bytes untouched *)
       let direct =
@@ -386,6 +396,27 @@ let test_with_server_nonzero_exit_fails () =
   check Alcotest.bool "exit 3 on SIGTERM is a failure" true (Result.is_error r);
   List.iter Sys.remove [ port_file; log ]
 
+(* Proc.send_and_collect writes every request before reading a
+   response, so a batch whose responses overflow the socket buffers must
+   still come back whole — and, sorted by id, equal to the sequential
+   reference.  E27's byte-identity gate rests on this. *)
+let test_send_and_collect_large_batch () =
+  let batch = Workload.mixed 5000 in
+  let server = Server.start ~stats:false ~window:256 ~per_conn_window:64 () in
+  let served =
+    Fun.protect
+      ~finally:(fun () -> ignore (Server.drain ~timeout_s:30.0 server))
+      (fun () ->
+        Proc.send_and_collect ~port:(Server.port server)
+          (List.map (fun r -> Json.to_string (Request.to_json r)) batch))
+  in
+  match served with
+  | Error e -> Alcotest.fail e
+  | Ok lines ->
+      check Alcotest.int "one response per request" 5000 (List.length lines);
+      check Alcotest.bool "sorted by id = sequential reference" true
+        (Proc.sort_by_id lines = Bench_util.sequential batch)
+
 let () =
   Alcotest.run "cluster"
     [
@@ -418,5 +449,7 @@ let () =
             `Quick test_with_server_ignores_stale_port_file;
           Alcotest.test_case "with_server fails a nonzero exit on SIGTERM"
             `Quick test_with_server_nonzero_exit_fails;
+          Alcotest.test_case "send_and_collect returns a 5000-request batch"
+            `Quick test_send_and_collect_large_batch;
         ] );
     ]

@@ -579,6 +579,25 @@ let test_metrics_quantile () =
     (Metrics.quantile h 1.0 >= 5.0)
 
 (* ------------------------------------------------------------------ *)
+(* Workload: the shared request streams                                *)
+
+(* The committed BENCH_*.json baselines and the frozen golden file were
+   measured on these exact requests: a changed stream invalidates them,
+   so each is pinned by the md5 of its newline-joined wire lines. *)
+let test_workload_streams_pinned () =
+  let digest batch =
+    Digest.to_hex
+      (Digest.string
+         (String.concat "\n"
+            (List.map (fun r -> Json.to_string (Request.to_json r)) batch)))
+  in
+  check Alcotest.string "mixed 1000" "c82e63a43a71cf7ce1ffffdf81224c9e"
+    (digest (Workload.mixed 1000));
+  check Alcotest.string "rql ~planner:Plan_cost 200"
+    "eaa4a549ad1a5415e4f24aa83ae0cc4a"
+    (digest (Workload.rql ~planner:Request.Plan_cost 200))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "engine"
@@ -626,6 +645,11 @@ let () =
             `Quick test_pool_shared_memo_accounting;
           Alcotest.test_case "graceful, idempotent shutdown" `Quick
             test_pool_shutdown;
+        ] );
+      ( "workload",
+        [
+          Alcotest.test_case "mixed and rql streams pinned by digest" `Quick
+            test_workload_streams_pinned;
         ] );
       ( "metrics",
         [

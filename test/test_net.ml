@@ -237,6 +237,12 @@ let test_server_survives_disconnect () =
          ledger keeps the question count even though the response was
          dropped on the dead socket. *)
       let adm = Server.admission server in
+      (* B's answers can all arrive before A's reader thread has even
+         read A's line, so wait for the admission rather than race it *)
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      while Admission.admitted adm < 6 && Unix.gettimeofday () < deadline do
+        Thread.yield ()
+      done;
       check Alcotest.int "A's request admitted" 6 (Admission.admitted adm))
 
 (* ------------------------------------------------------------------ *)
@@ -283,7 +289,7 @@ let test_server_drain_answers_admitted () =
 (* Server: the wire changes nothing — byte identity with the engine    *)
 
 let test_server_byte_identity () =
-  let batch = Engine_bench.build_batch 60 in
+  let batch = Workload.mixed 60 in
   let reference =
     List.map
       (fun r -> Json.to_string (Request.response_to_json ~stats:false r))

@@ -144,7 +144,7 @@ let test_handle_is_total () =
 (* ------------------------------------------------------------------ *)
 (* Fault injection: the chaos test                                     *)
 
-let chaos_batch = Engine_bench.build_batch 40
+let chaos_batch = Workload.mixed 40
 
 let chaos_reference =
   lazy (List.map fingerprint (Engine.handle_all (Engine.create ()) chaos_batch))
@@ -260,7 +260,7 @@ let test_last_worker_death_drains_queue () =
   (* A 1-domain pool with respawns disabled: the first crash strands
      the queue unless the dying worker fails it — every request must
      still get a response. *)
-  let batch = Engine_bench.build_batch 21 in
+  let batch = Workload.mixed 21 in
   let pool =
     Pool.create ~domains:1 ~max_respawns:0
       ~crash_on:(fun r -> r.Request.id = 7)

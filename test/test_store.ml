@@ -348,10 +348,7 @@ let nondet_errors_filtered_at_save () =
 
 let engine_roundtrip_zero_questions () =
   with_tmpdir (fun dir ->
-      let batch =
-        Engine_bench.build_batch 30
-        @ Engine_bench.build_rql_batch ~planner:Request.Plan_cost 10
-      in
+      let batch = Workload.mixed_with_rql 40 in
       let render rs =
         List.map
           (fun r -> Json.to_string (Request.response_to_json ~stats:false r))
@@ -383,7 +380,7 @@ let engine_roundtrip_zero_questions () =
 let build_store_with_data dir =
   let memo = Shared_memo.create () in
   let eng = Engine.create ~shared:memo () in
-  let batch = Engine_bench.build_batch 20 in
+  let batch = Workload.mixed 20 in
   let reference =
     List.map
       (fun r -> Json.to_string (Request.response_to_json ~stats:false r))
