@@ -33,10 +33,12 @@ parallel-smoke:
 	dune exec bin/recdb.exe -- bench parallel --requests 120
 
 # The E27 smoke: serve a few hundred requests over a loopback socket
-# (ephemeral port) with the load generator — exits 1 unless everything
-# sent is answered with zero errors, zero sheds and a clean drain —
-# then a small bench server run: socket == sequential bytes, nothing
-# lost at 1/2/4/8 connections, typed sheds at 2x the admission window.
+# (ephemeral port) with the load generator, then the same load through
+# a forked recdb router over that serve child — exits 1 unless, at both
+# doors, everything sent is answered with zero errors and zero sheds and
+# both children drain clean — then a small bench server run: socket ==
+# sequential bytes, nothing lost at 1/2/4/8 connections, typed sheds at
+# 2x the admission window.
 server-smoke:
 	dune exec bin/recdb.exe -- server-smoke
 	dune exec bin/recdb.exe -- bench server --requests 100

@@ -939,18 +939,43 @@ let with_serve ~dir ~fail args body =
   | Error e -> fail e);
   !v
 
+(* The router publishes its port before its upstream connections are
+   up; a request routed before then is a typed oracle_unavailable.
+   Probe until one comes back answered. *)
+let wait_routed port =
+  let probe = {|{"id":0,"op":"classes","type":[2,1],"rank":2}|} in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec go () =
+    let answered =
+      match Proc.send_and_collect ~timeout_s:5.0 ~port [ probe ] with
+      | Ok [ line ] -> (
+          match Json.parse line with
+          | Ok j -> Json.member "error" j = None
+          | Error _ -> false)
+      | Ok _ | Error _ -> false
+    in
+    if answered then true
+    else if Unix.gettimeofday () > deadline then false
+    else begin
+      Unix.sleepf 0.05;
+      go ()
+    end
+  in
+  go ()
+
 let cmd_server_smoke =
   let doc =
     "CI smoke: fork a real recdb serve child on an ephemeral loopback port \
      (--port 0, discovered through --port-file), run the load generator \
-     against it, and verify every request is answered with zero errors, \
-     zero sheds, a clean SIGTERM drain, and exit status 0.  Exits 1 \
-     otherwise."
+     against it, then fork a recdb router child over that serve child and \
+     run the same load through it.  Verifies, for each door, that every \
+     request is answered with zero errors and zero sheds, and that both \
+     children drain clean and exit 0 on SIGTERM.  Exits 1 otherwise."
   in
   let requests =
     Arg.(
       value & opt int 300
-      & info [ "requests" ] ~docv:"N" ~doc:"Total requests.")
+      & info [ "requests" ] ~docv:"N" ~doc:"Total requests per door.")
   in
   let connections =
     Arg.(
@@ -961,22 +986,41 @@ let cmd_server_smoke =
     let dir = smoke_dir "_server_smoke" in
     let failures = ref [] in
     let fail fmt = Format.kasprintf (fun s -> failures := s :: !failures) fmt in
-    (match
-       with_serve ~dir ~fail:(fail "%s")
+    let load door port =
+      let r = Loadgen.run ~port ~connections ~requests ~pipeline:4 () in
+      Format.printf "server-smoke (%s): %a@." door Loadgen.pp_report r;
+      if r.Loadgen.answered <> r.Loadgen.sent then
+        fail "%s: %d answered of %d sent" door r.Loadgen.answered
+          r.Loadgen.sent;
+      if r.Loadgen.errors > 0 then
+        fail "%s: %d error responses" door r.Loadgen.errors;
+      if r.Loadgen.shed > 0 then
+        fail "%s: %d sheds under nominal load" door r.Loadgen.shed;
+      if r.Loadgen.lost > 0 then fail "%s: %d requests lost" door r.Loadgen.lost
+    in
+    ignore
+      (with_serve ~dir ~fail:(fail "serve: %s")
          [ "--window"; "256"; "--per-conn-window"; "64" ]
          (fun ~port ~metrics_port:_ ->
-           Loadgen.run ~port ~connections ~requests ~pipeline:4 ())
-     with
-    | None -> ()
-    | Some report ->
-        Format.printf "server-smoke: %a@." Loadgen.pp_report report;
-        let r = report in
-        if r.Loadgen.answered <> r.Loadgen.sent then
-          fail "%d answered of %d sent" r.Loadgen.answered r.Loadgen.sent;
-        if r.Loadgen.errors > 0 then fail "%d error responses" r.Loadgen.errors;
-        if r.Loadgen.shed > 0 then
-          fail "%d sheds under nominal load" r.Loadgen.shed;
-        if r.Loadgen.lost > 0 then fail "%d requests lost" r.Loadgen.lost);
+           load "serve" port;
+           match
+             Proc.with_server
+               ~log:(Filename.concat dir "router.log")
+               ~port_file:(Filename.concat dir "router.port")
+               [|
+                 Sys.executable_name;
+                 "router";
+                 "--port";
+                 "0";
+                 "--shard";
+                 Printf.sprintf "127.0.0.1:%d" port;
+               |]
+               (fun ~port ~metrics_port:_ ->
+                 if wait_routed port then load "router" port
+                 else fail "router: never reached its shard")
+           with
+           | Ok () -> ()
+           | Error e -> fail "router: %s" e));
     smoke_verdict "server-smoke" ~dir (List.rev !failures);
     Format.printf "server-smoke: clean shutdown, zero errors@."
   in

@@ -42,20 +42,8 @@ type upstream = {
   mutable u_thread : Thread.t option;
 }
 
-type client = {
-  c_fd : Unix.file_descr;
-  c_lock : Mutex.t;
-  c_cond : Condition.t;
-  c_queue : string Queue.t;  (* raw response lines, ready to write *)
-  mutable c_outstanding : int;  (* flights not yet answered *)
-  mutable c_eof : bool;
-  mutable c_dead : bool;  (* writer hit EPIPE: drop, don't block *)
-  mutable c_writer : Thread.t option;
-  mutable c_reader : Thread.t option;
-}
-
 type flight = {
-  f_client : client;
+  f_reply : string -> unit;  (* the client connection's answer slot *)
   f_orig_id : int;
   f_payload : Request.payload;
   f_mode : Request.mode option;
@@ -74,14 +62,11 @@ type flight = {
 type pending = { p_flight : flight; p_up : upstream; p_gen : int }
 
 type t = {
-  listen_fd : Unix.file_descr;
-  bound_port : int;
+  listener : Listener.t;
   host : string;
   ring : Ring.t;
   upstreams : (string * upstream) list;  (* name -> upstream *)
   cfg_stats : bool;
-  max_line : int;
-  hedge_after_s : float option;
   queue_timeout_s : float;
   lock : Mutex.t;  (* guards pending, uid, counters, flight state *)
   pending : (int, pending) Hashtbl.t;
@@ -91,10 +76,8 @@ type t = {
   mutable hedge_wins : int;
   mutable sheds : int;
   mutable failovers : int;
-  mutable clients : client list;
-  mutable accepted : int;
-  mutable drained : bool;
-  mutable accept_thread : Thread.t option;
+  conns : Conn.group;
+  drained : bool Atomic.t;
   mutable hedge_thread : Thread.t option;
   mutable expo : Expo_server.t option;
   mutable expo_source : Obs.Expo.source option;
@@ -151,72 +134,23 @@ let uid_of_line line =
   end
   else None
 
-(* ------------------------------------------------------------------ *)
-(* Client writer: one thread per connection draining a queue of raw
-   lines.  Every response — forwarded or router-generated — goes
-   through here, so shard reader threads never block on a slow
-   client's socket. *)
+(* A flight is answered exactly once — Conn owes its client one line
+   per request.  Forwarded answers claim [f_done] in [handle_response];
+   local answers (ring exhausted, shed) claim it here, under the same
+   lock, so a late shard answer can never follow a local one. *)
+let answer_local t fl result =
+  Mutex.lock t.lock;
+  let first = not fl.f_done in
+  fl.f_done <- true;
+  Mutex.unlock t.lock;
+  if first then
+    fl.f_reply (Conn.answer ~stats:t.cfg_stats ~id:fl.f_orig_id result)
 
-let enqueue client line =
-  Mutex.lock client.c_lock;
-  if not client.c_dead then begin
-    Queue.push line client.c_queue;
-    Condition.broadcast client.c_cond
-  end;
-  Mutex.unlock client.c_lock
-
-let client_writer client =
-  let rec loop () =
-    Mutex.lock client.c_lock;
-    while
-      Queue.is_empty client.c_queue
-      && (not client.c_dead)
-      && not (client.c_eof && client.c_outstanding = 0)
-    do
-      Condition.wait client.c_cond client.c_lock
-    done;
-    let next =
-      if Queue.is_empty client.c_queue then None
-      else Some (Queue.pop client.c_queue)
-    in
-    let dead = client.c_dead in
-    Mutex.unlock client.c_lock;
-    match next with
-    | Some line ->
-        if not dead then begin
-          try Frame.write_line client.c_fd line
-          with Unix.Unix_error _ | Sys_error _ ->
-            Mutex.lock client.c_lock;
-            client.c_dead <- true;
-            Condition.broadcast client.c_cond;
-            Mutex.unlock client.c_lock
-        end;
-        loop ()
-    | None -> if not (dead || client.c_eof) then loop ()
-  in
-  loop ();
-  try Unix.close client.c_fd with Unix.Unix_error _ -> ()
-
-(* A flight's answer has been produced (forwarded line or local typed
-   error): hand it to the writer exactly once — callers guarantee
-   exactly-once via [f_done] under the router lock. *)
-let finish_flight fl line =
-  let client = fl.f_client in
-  enqueue client line;
-  Mutex.lock client.c_lock;
-  client.c_outstanding <- client.c_outstanding - 1;
-  Condition.broadcast client.c_cond;
-  Mutex.unlock client.c_lock
-
-let local_response t ~id result =
-  Json.to_string
-    (Request.response_to_json ~stats:t.cfg_stats
-       {
-         Request.id;
-         result;
-         cert = Request.Cert_exact;
-         stats = Request.zero_stats;
-       })
+(* Under [t.lock]: unanswered, and no send of it is still live on any
+   upstream — so nobody else will answer it. *)
+let orphaned t fl =
+  (not fl.f_done)
+  && not (Hashtbl.fold (fun _ p acc -> acc || p.p_flight == fl) t.pending false)
 
 (* ------------------------------------------------------------------ *)
 (* Sending: register a pending uid, serialize with the uid as id,
@@ -296,21 +230,18 @@ let rec dispatch t fl =
       let oracle =
         match fl.f_tried with name :: _ -> "shard-" ^ name | [] -> "shard"
       in
-      finish_flight fl
-        (local_response t ~id:fl.f_orig_id
-           (Error
-              (Request.Oracle_unavailable
-                 { oracle; attempts = max 1 fl.f_attempts })))
+      answer_local t fl
+        (Error
+           (Request.Oracle_unavailable
+              { oracle; attempts = max 1 fl.f_attempts }))
   | name :: _ -> (
       let u = List.assoc name t.upstreams in
       if not (admit_within u ~timeout_s:t.queue_timeout_s) then begin
         Mutex.lock t.lock;
         t.sheds <- t.sheds + 1;
         Mutex.unlock t.lock;
-        finish_flight fl
-          (local_response t ~id:fl.f_orig_id
-             (Error
-                (Request.Overloaded { limit = Admission.window u.u_admission })))
+        answer_local t fl
+          (Error (Request.Overloaded { limit = Admission.window u.u_admission }))
       end
       else
         match try_send_on t fl u with
@@ -329,27 +260,25 @@ let rec dispatch t fl =
    retry while the supervisor respawns it), read responses, and on any
    failure fail the outstanding uids over to siblings. *)
 
+(* The upstream died: drop its sends of generation [gen] and re-route
+   each flight nobody else will answer.  A flight whose other copy (a
+   hedge, or the primary of a hedge) is still live on another upstream
+   waits for that answer instead — re-routing it would find every ring
+   member tried and answer a typed error next to the real one. *)
 let fail_outstanding t (u : upstream) ~gen =
-  let failed = ref [] in
   Mutex.lock t.lock;
-  Hashtbl.iter
-    (fun uid p ->
-      if p.p_up == u && p.p_gen = gen then failed := (uid, p) :: !failed)
-    t.pending;
-  List.iter (fun (uid, _) -> Hashtbl.remove t.pending uid) !failed;
+  let failed =
+    Hashtbl.fold
+      (fun uid p acc ->
+        if p.p_up == u && p.p_gen = gen then (uid, p.p_flight) :: acc
+        else acc)
+      t.pending []
+  in
+  List.iter (fun (uid, _) -> Hashtbl.remove t.pending uid) failed;
+  let reroute = List.filter (fun (_, fl) -> orphaned t fl) failed in
   Mutex.unlock t.lock;
-  List.iter
-    (fun (_, p) ->
-      Admission.release u.u_admission;
-      let fl = p.p_flight in
-      let live =
-        Mutex.lock t.lock;
-        let live = not fl.f_done in
-        Mutex.unlock t.lock;
-        live
-      in
-      if live then dispatch t fl)
-    !failed
+  List.iter (fun _ -> Admission.release u.u_admission) failed;
+  List.iter (fun (_, fl) -> dispatch t fl) reroute
 
 let handle_response t line =
   match uid_of_line line with
@@ -374,17 +303,11 @@ let handle_response t line =
       Mutex.unlock t.lock;
       match deliver with
       | None -> ()
-      | Some fl -> finish_flight fl (rewrite_id line ~id:fl.f_orig_id))
+      | Some fl -> fl.f_reply (rewrite_id line ~id:fl.f_orig_id))
 
 let upstream_manager t (u : upstream) =
-  let draining () =
-    Mutex.lock t.lock;
-    let d = t.drained in
-    Mutex.unlock t.lock;
-    d
-  in
   let rec loop () =
-    if draining () then ()
+    if Atomic.get t.drained then ()
     else
       match Proc.connect ~host:u.u_host ~port:u.u_port () with
       | Error _ ->
@@ -399,14 +322,16 @@ let upstream_manager t (u : upstream) =
             Mutex.unlock t.lock;
             g
           in
-          let reader = Frame.reader ~max_line:t.max_line fd in
+          (* Response lines are not bounded here: the shard is the
+             router's trusted peer, and Request.Bounds already bounds
+             what it can answer; max_line bounds client frames only. *)
+          let reader = Frame.reader ~max_line:max_int fd in
           let rec read_loop () =
             match Frame.read reader with
             | Frame.Line line ->
                 handle_response t line;
                 read_loop ()
-            | Frame.Oversized _ -> read_loop ()
-            | Frame.Truncated _ | Frame.Eof -> ()
+            | Frame.Oversized _ | Frame.Truncated _ | Frame.Eof -> ()
           in
           read_loop ();
           (* the shard is gone (crash, kill -9, drain): detach the fd,
@@ -467,16 +392,20 @@ let hedge_scan t ~hedge_after_s =
                 fl.f_hedge_uid <- uid;
                 t.hedges_fired <- t.hedges_fired + 1;
                 Mutex.unlock t.lock
-            | `Down -> Admission.release u.u_admission
+            | `Down ->
+                Admission.release u.u_admission;
+                (* the primary may have failed while this hedge was
+                   its only live send *)
+                Mutex.lock t.lock;
+                let orphan = orphaned t fl in
+                Mutex.unlock t.lock;
+                if orphan then dispatch t fl
           end)
     !stale
 
 let hedge_loop t ~hedge_after_s =
   let rec loop () =
-    Mutex.lock t.lock;
-    let d = t.drained in
-    Mutex.unlock t.lock;
-    if not d then begin
+    if not (Atomic.get t.drained) then begin
       hedge_scan t ~hedge_after_s;
       Unix.sleepf (Float.max 0.002 (hedge_after_s /. 4.));
       loop ()
@@ -493,7 +422,7 @@ let router_ledger t =
   Mutex.lock t.lock;
   let l =
     Request.ledger
-      ~node:(Printf.sprintf "router:%s:%d" t.host t.bound_port)
+      ~node:(Printf.sprintf "router:%s:%d" t.host (Listener.port t.listener))
       ~raw:0 ~tb:0 ~equiv:0 ~cache_hits:0 ~served:t.routed
       ~hedges_fired:t.hedges_fired ~hedge_wins:t.hedge_wins ~sheds:t.sheds ()
   in
@@ -518,118 +447,36 @@ let merged_ledger t =
   let shards = shard_ledgers t in
   (Ledger_merge.sum ~node:"cluster" (router_ledger t :: shards), shards)
 
-let serve_stats t client ~id =
-  let cluster, shards = merged_ledger t in
-  enqueue client
-    (local_response t ~id (Ok (Request.Ledger_report { cluster; shards })))
-
 (* ------------------------------------------------------------------ *)
-(* Client side *)
+(* Client side: Conn serves every client connection; this is its
+   submit.  [stats] is answered here with the merged ledger; every
+   other request becomes a flight whose answer is Conn's reply. *)
 
-let handle_request t client line ~line_no =
-  match Request.decode_line ~default_id:line_no line with
-  | `Empty -> ()
-  | `Error resp ->
-      (* malformed lines are answered here — a broken client costs the
-         shards nothing *)
-      enqueue client
-        (Json.to_string (Request.response_to_json ~stats:t.cfg_stats resp))
-  | `Request req -> (
-      match req.Request.payload with
-      | Request.Stats -> serve_stats t client ~id:req.Request.id
-      | payload ->
-          let fl =
-            {
-              f_client = client;
-              f_orig_id = req.Request.id;
-              f_payload = payload;
-              f_mode = req.Request.mode;
-              f_key = key_of payload;
-              f_sent_at = Unix.gettimeofday ();
-              f_done = false;
-              f_hedged = false;
-              f_attempts = 0;
-              f_tried = [];
-              f_hedge_uid = -1;
-            }
-          in
-          Mutex.lock client.c_lock;
-          client.c_outstanding <- client.c_outstanding + 1;
-          Mutex.unlock client.c_lock;
-          Mutex.lock t.lock;
-          t.routed <- t.routed + 1;
-          Mutex.unlock t.lock;
-          dispatch t fl)
-
-let client_reader t client =
-  let reader = Frame.reader ~max_line:t.max_line client.c_fd in
-  let line_no = ref 0 in
-  let rec loop () =
-    match Frame.read reader with
-    | Frame.Line line ->
-        incr line_no;
-        handle_request t client line ~line_no:!line_no;
-        loop ()
-    | Frame.Oversized n ->
-        incr line_no;
-        enqueue client
-          (local_response t ~id:!line_no
-             (Error
-                (Request.Parse_error
-                   (Printf.sprintf "line of %d bytes exceeds max-line %d" n
-                      t.max_line))));
-        loop ()
-    | Frame.Truncated _ | Frame.Eof ->
-        Mutex.lock client.c_lock;
-        client.c_eof <- true;
-        Condition.broadcast client.c_cond;
-        Mutex.unlock client.c_lock
-  in
-  loop ()
-
-let accept_loop t =
-  let stopping () =
-    Mutex.lock t.lock;
-    let s = t.drained in
-    Mutex.unlock t.lock;
-    s
-  in
-  let rec loop () =
-    if stopping () then ()
-    else
-      match Unix.select [ t.listen_fd ] [] [] 0.05 with
-      | [], _, _ -> loop ()
-      | _ -> (
-          match Unix.accept t.listen_fd with
-          | fd, _addr ->
-              (try Unix.setsockopt fd Unix.TCP_NODELAY true
-               with Unix.Unix_error _ -> ());
-              let client =
-                {
-                  c_fd = fd;
-                  c_lock = Mutex.create ();
-                  c_cond = Condition.create ();
-                  c_queue = Queue.create ();
-                  c_outstanding = 0;
-                  c_eof = false;
-                  c_dead = false;
-                  c_writer = None;
-                  c_reader = None;
-                }
-              in
-              client.c_writer <- Some (Thread.create client_writer client);
-              client.c_reader <-
-                Some (Thread.create (fun () -> client_reader t client) ());
-              Mutex.lock t.lock;
-              t.accepted <- t.accepted + 1;
-              t.clients <- client :: t.clients;
-              Mutex.unlock t.lock;
-              loop ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | exception Unix.Unix_error (_, _, _) -> ()
-  in
-  loop ()
+let submit t (req : Request.t) reply =
+  match req.Request.payload with
+  | Request.Stats ->
+      let cluster, shards = merged_ledger t in
+      reply
+        (Conn.answer ~stats:t.cfg_stats ~id:req.Request.id
+           (Ok (Request.Ledger_report { cluster; shards })))
+  | payload ->
+      Mutex.lock t.lock;
+      t.routed <- t.routed + 1;
+      Mutex.unlock t.lock;
+      dispatch t
+        {
+          f_reply = reply;
+          f_orig_id = req.Request.id;
+          f_payload = payload;
+          f_mode = req.Request.mode;
+          f_key = key_of payload;
+          f_sent_at = Unix.gettimeofday ();
+          f_done = false;
+          f_hedged = false;
+          f_attempts = 0;
+          f_tried = [];
+          f_hedge_uid = -1;
+        }
 
 let register_expo t =
   Obs.Expo.register "cluster_router" (fun () ->
@@ -724,29 +571,13 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(window = 64) ?hedge_after_s
       shards
   in
   let ring = Ring.create (List.map fst upstreams) in
-  let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-     Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-     Unix.listen listen_fd 128
-   with e ->
-     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-     raise e);
-  let bound_port =
-    match Unix.getsockname listen_fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> assert false
-  in
   let t =
     {
-      listen_fd;
-      bound_port;
+      listener = Listener.bind ~host ~port;
       host;
       ring;
       upstreams;
       cfg_stats = stats;
-      max_line;
-      hedge_after_s;
       queue_timeout_s;
       lock = Mutex.create ();
       pending = Hashtbl.create 256;
@@ -756,10 +587,8 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(window = 64) ?hedge_after_s
       hedge_wins = 0;
       sheds = 0;
       failovers = 0;
-      clients = [];
-      accepted = 0;
-      drained = false;
-      accept_thread = None;
+      conns = Conn.group ();
+      drained = Atomic.make false;
       hedge_thread = None;
       expo = None;
       expo_source = None;
@@ -784,10 +613,16 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(window = 64) ?hedge_after_s
       t.hedge_thread <-
         Some (Thread.create (fun () -> hedge_loop t ~hedge_after_s:h) ())
   | _ -> ());
-  t.accept_thread <- Some (Thread.create accept_loop t);
+  (* One client holds at most [window] admitted flights per shard, so
+     its connection is owed at most [window × shards] answers. *)
+  let per_conn_window = window * List.length shards in
+  Listener.run t.listener
+    (Conn.serve
+       { Conn.submit = submit t; stats; max_line; per_conn_window }
+       t.conns);
   t
 
-let port t = t.bound_port
+let port t = Listener.port t.listener
 let metrics_port t = Option.map Expo_server.port t.expo
 
 type counters = {
@@ -818,74 +653,16 @@ let counters t =
   c
 
 let drain ?(timeout_s = 30.0) t =
-  Mutex.lock t.lock;
-  let already = t.drained in
-  t.drained <- true;
-  Mutex.unlock t.lock;
-  if already then `Clean
+  if Atomic.exchange t.drained true then `Clean
   else begin
-    (match t.expo with Some e -> Expo_server.stop e | None -> ());
-    (match t.expo_source with
-    | Some s ->
-        Obs.Expo.unregister s;
-        t.expo_source <- None
-    | None -> ());
-    (match t.accept_thread with
-    | Some th ->
-        Thread.join th;
-        t.accept_thread <- None
-    | None -> ());
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    (match t.hedge_thread with
-    | Some th ->
-        Thread.join th;
-        t.hedge_thread <- None
-    | None -> ());
-    Mutex.lock t.lock;
-    let clients = t.clients in
-    t.clients <- [];
-    Mutex.unlock t.lock;
-    (* half-close every client: its reader sees EOF, its writer drains
-       the owed responses as the shards answer them *)
-    List.iter
-      (fun c ->
-        try Unix.shutdown c.c_fd Unix.SHUTDOWN_RECEIVE
-        with Unix.Unix_error _ -> ())
-      clients;
-    let finished c =
-      Mutex.lock c.c_lock;
-      let f =
-        c.c_dead
-        || (c.c_eof && c.c_outstanding = 0 && Queue.is_empty c.c_queue)
-      in
-      Mutex.unlock c.c_lock;
-      f
-    in
-    let deadline = Unix.gettimeofday () +. timeout_s in
-    let rec wait () =
-      if List.for_all finished clients then `Clean
-      else if Unix.gettimeofday () > deadline then begin
-        let stuck = List.filter (fun c -> not (finished c)) clients in
-        List.iter
-          (fun c ->
-            Mutex.lock c.c_lock;
-            c.c_dead <- true;
-            Condition.broadcast c.c_cond;
-            Mutex.unlock c.c_lock)
-          stuck;
-        `Forced (List.length stuck)
-      end
-      else begin
-        Unix.sleepf 0.002;
-        wait ()
-      end
-    in
-    let outcome = wait () in
-    List.iter
-      (fun c ->
-        (match c.c_reader with Some th -> Thread.join th | None -> ());
-        match c.c_writer with Some th -> Thread.join th | None -> ())
-      clients;
+    Option.iter Expo_server.stop t.expo;
+    Option.iter Obs.Expo.unregister t.expo_source;
+    t.expo_source <- None;
+    Listener.stop t.listener;
+    Option.iter Thread.join t.hedge_thread;
+    t.hedge_thread <- None;
+    (* clients drain while the upstreams still answer their flights *)
+    let outcome = Conn.drain ~timeout_s t.conns in
     (* upstream managers exit at their next poll; unblock the ones
        parked in a read by shutting the sockets down *)
     List.iter
@@ -900,11 +677,8 @@ let drain ?(timeout_s = 30.0) t =
       t.upstreams;
     List.iter
       (fun (_, u) ->
-        match u.u_thread with
-        | Some th ->
-            Thread.join th;
-            u.u_thread <- None
-        | None -> ())
+        Option.iter Thread.join u.u_thread;
+        u.u_thread <- None)
       t.upstreams;
     outcome
   end

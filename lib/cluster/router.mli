@@ -9,7 +9,17 @@
     what the shards report, and shard responses are forwarded
     byte-identical except for the id prefix (rewritten back to the
     client's original id, never re-serialized) — the two facts E32
-    asserts. *)
+    asserts.
+
+    Clients are served by {!Conn}, the connection type [recdb serve]
+    uses, so everything before routing is serve's own code: frame
+    errors (malformed, oversized, truncated) are answered with the
+    bytes serve answers them with, and one client's connection is owed
+    at most [window × number of shards] answers — the most flights it
+    can have admitted across the shards — before Conn stops reading
+    its socket.  Every request is answered exactly once, even when a
+    hedged copy and its shard's death race.  Shard responses are
+    forwarded at any length: [max_line] bounds client frames only. *)
 
 type t
 
@@ -28,13 +38,14 @@ val start :
 (** Bind ([port] 0 picks an ephemeral port) and serve in background
     threads.  [window] (default 64) bounds in-flight requests {e per
     shard}; a flight that cannot admit within [queue_timeout_s]
-    (default 0.25s) is shed with a typed [Overloaded].
+    (default 0.25s) is shed with a typed [Overloaded].  [max_line]
+    (default {!Frame.default_max_line}) is the client frame bound.
     [hedge_after_s], when given, arms tail-latency hedging: a flight
     unanswered that long is duplicated to its ring sibling, first
     response wins, the loser's bytes are dropped on arrival — but its
     questions were genuinely asked and stay in the loser shard's
     ledger.  [stats] (default true) controls the stats field of
-    {e locally generated} responses only (sheds, parse errors, the
+    {e locally generated} responses only (sheds, frame errors, the
     ledger report); forwarded shard responses pass through untouched.
     [metrics_port] additionally serves the process-wide Prometheus
     exposition ([cluster_shards_up], [cluster_hedges_fired],
@@ -66,7 +77,7 @@ val merged_ledger : t -> Request.ledger * Request.ledger list
 
 val drain : ?timeout_s:float -> t -> [ `Clean | `Forced of int ]
 (** Stop accepting, half-close every client, wait for owed responses
-    to flush (up to [timeout_s], default 30s), then tear down shard
-    connections and join every thread.  [`Forced n] means [n] clients
+    to flush (up to [timeout_s], default 30s; {!Conn.drain}), then tear
+    down shard connections and join every thread.  [`Forced n] means [n] clients
     were still owed responses at the deadline and were cut.
     Idempotent (second call returns [`Clean] immediately). *)

@@ -1,6 +1,5 @@
 type config = {
-  admission : Admission.t;
-  submit : Request.t -> (Request.response -> unit) -> unit;
+  submit : Request.t -> (string -> unit) -> unit;
   stats : bool;
   max_line : int;
   per_conn_window : int;
@@ -12,19 +11,24 @@ type t = {
   lock : Mutex.t;
   can_read : Condition.t;  (* pending dropped below the window *)
   can_write : Condition.t;  (* queue non-empty, input done, or abort *)
-  queue : Request.response Queue.t;
-  mutable pending : int;  (* responses owed: queued + still in the pool *)
+  queue : string Queue.t;  (* encoded response lines *)
+  mutable pending : int;  (* responses owed: queued + not yet answered *)
   mutable input_done : bool;
   mutable dead : bool;  (* write side failed: compute, account, drop *)
   mutable aborted : bool;
-  mutable closed : bool;
   mutable live_threads : int;  (* reader + writer still running *)
-  mutable reader_thread : Thread.t option;
-  mutable writer_thread : Thread.t option;
+  mutable threads : Thread.t list;
+}
+
+type group = {
+  g_lock : Mutex.t;
+  mutable conns : t list;
+  mutable accepted : int;
+  m_connections : Metrics.counter;
   m_bad_frames : Metrics.counter;
-  (* [bad_frames] totals every answered-with-an-error line (sheds
-     included); these two break out the frame-level drop causes so a
-     scrape can tell an oversized flood from garbage JSON. *)
+  (* [bad_frames] totals every answered-with-an-error line (the doors'
+     sheds included); these two break out the frame-level drop causes
+     so a scrape can tell an oversized flood from garbage JSON. *)
   m_frames_oversized : Metrics.counter;
   m_frames_parse : Metrics.counter;
   (* Unknown top-level request fields are warn-and-count, never reject:
@@ -33,24 +37,38 @@ type t = {
   m_frames_unknown_field : Metrics.counter;
 }
 
-let parse_error_response id msg =
+let group () =
   {
-    Request.id;
-    result = Error (Request.Parse_error msg);
-    cert = Request.Cert_exact;
-    stats = Request.zero_stats;
+    g_lock = Mutex.create ();
+    conns = [];
+    accepted = 0;
+    m_connections = Metrics.counter "server.connections";
+    m_bad_frames = Metrics.counter "server.bad_frames";
+    m_frames_oversized = Metrics.counter "server.frames_dropped_oversized";
+    m_frames_parse = Metrics.counter "server.frames_parse_error";
+    m_frames_unknown_field = Metrics.counter "server.frames_unknown_field";
   }
 
+let answer ~stats ~id result =
+  Json.to_string
+    (Request.response_to_json ~stats
+       {
+         Request.id;
+         result;
+         cert = Request.Cert_exact;
+         stats = Request.zero_stats;
+       })
+
 (* Called with one owed-response slot already taken (see [owe]). *)
-let enqueue t resp =
+let enqueue t line =
   Mutex.lock t.lock;
-  Queue.add resp t.queue;
+  Queue.add line t.queue;
   Condition.signal t.can_write;
   Mutex.unlock t.lock
 
-(* Reader side: reserve an owed-response slot before a submit/enqueue,
-   so the writer queue's depth is bounded by [per_conn_window] and pool
-   callbacks always find room. *)
+(* Reader side: reserve an owed-response slot before a submit, so the
+   writer queue's depth is bounded by [per_conn_window] and [reply]
+   always finds room. *)
 let owe t =
   Mutex.lock t.lock;
   t.pending <- t.pending + 1;
@@ -61,12 +79,15 @@ let thread_exited t =
   t.live_threads <- t.live_threads - 1;
   Mutex.unlock t.lock
 
-let reader_loop t =
+let reader_loop (g, t) =
   let reader = Frame.reader ~max_line:t.cfg.max_line t.fd in
-  let bad t resp =
-    Metrics.incr t.m_bad_frames;
+  let bad line =
+    Metrics.incr g.m_bad_frames;
     owe t;
-    enqueue t resp
+    enqueue t line
+  in
+  let parse_error id msg =
+    bad (answer ~stats:t.cfg.stats ~id (Error (Request.Parse_error msg)))
   in
   let rec loop line_no =
     (* Per-connection backpressure: while a full window of responses is
@@ -88,50 +109,32 @@ let reader_loop t =
           (* EOF mid-frame; answer if there were actual bytes, then the
              next read's Eof ends the loop. *)
           if String.trim partial <> "" then begin
-            Metrics.incr t.m_frames_parse;
-            bad t
-              (parse_error_response line_no
-                 "truncated frame: connection closed before newline")
+            Metrics.incr g.m_frames_parse;
+            parse_error line_no
+              "truncated frame: connection closed before newline"
           end
       | Frame.Oversized n ->
-          Metrics.incr t.m_frames_oversized;
-          bad t
-            (parse_error_response line_no
-               (Printf.sprintf "frame of %d bytes exceeds the %d-byte limit"
-                  n t.cfg.max_line));
+          Metrics.incr g.m_frames_oversized;
+          parse_error line_no
+            (Printf.sprintf "frame of %d bytes exceeds the %d-byte limit" n
+               t.cfg.max_line);
           loop line_no
       | Frame.Line line ->
           (match
              Request.decode_line ~default_id:line_no
                ~on_unknown:(fun _field ->
-                 Metrics.incr t.m_frames_unknown_field)
+                 Metrics.incr g.m_frames_unknown_field)
                line
            with
           | `Empty -> ()
           | `Error resp ->
-              Metrics.incr t.m_frames_parse;
-              bad t resp
+              Metrics.incr g.m_frames_parse;
+              bad
+                (Json.to_string
+                   (Request.response_to_json ~stats:t.cfg.stats resp))
           | `Request req ->
-              if Admission.try_admit t.cfg.admission then begin
-                owe t;
-                t.cfg.submit req (fun resp ->
-                    (* runs on a pool worker: enqueue never blocks
-                       (the owed slot is reserved), then the in-flight
-                       window slot comes free *)
-                    enqueue t resp;
-                    Admission.release t.cfg.admission)
-              end
-              else
-                bad t
-                  {
-                    Request.id = req.Request.id;
-                    result =
-                      Error
-                        (Request.Overloaded
-                           { limit = Admission.window t.cfg.admission });
-                    cert = Request.Cert_exact;
-                    stats = Request.zero_stats;
-                  });
+              owe t;
+              t.cfg.submit req (enqueue t));
           loop line_no
   in
   loop 0;
@@ -155,16 +158,13 @@ let writer_loop t =
     else
       match Queue.take_opt t.queue with
       | None -> Mutex.unlock t.lock (* input done and nothing owed *)
-      | Some resp ->
+      | Some line ->
           let dead = t.dead in
           Mutex.unlock t.lock;
           (if not dead then
-             try
-               Frame.write_line t.fd
-                 (Json.to_string
-                    (Request.response_to_json ~stats:t.cfg.stats resp))
+             try Frame.write_line t.fd line
              with Unix.Unix_error _ | Sys_error _ ->
-               (* Peer gone mid-request: from here on results are
+               (* Peer gone mid-request: from here on answers are
                   still computed and accounted, just dropped. *)
                Mutex.lock t.lock;
                t.dead <- true;
@@ -184,7 +184,18 @@ let writer_loop t =
   (try Unix.shutdown t.fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
   thread_exited t
 
-let serve cfg fd =
+let finished t =
+  Mutex.lock t.lock;
+  let fin = t.live_threads = 0 in
+  Mutex.unlock t.lock;
+  fin
+
+let join t =
+  List.iter Thread.join t.threads;
+  t.threads <- [];
+  try Unix.close t.fd with Unix.Unix_error _ -> ()
+
+let serve cfg g fd =
   if cfg.per_conn_window < 1 then
     invalid_arg "Conn.serve: per_conn_window < 1";
   let t =
@@ -199,23 +210,25 @@ let serve cfg fd =
       input_done = false;
       dead = false;
       aborted = false;
-      closed = false;
       live_threads = 2;
-      reader_thread = None;
-      writer_thread = None;
-      m_bad_frames = Metrics.counter "server.bad_frames";
-      m_frames_oversized = Metrics.counter "server.frames_dropped_oversized";
-      m_frames_parse = Metrics.counter "server.frames_parse_error";
-      m_frames_unknown_field = Metrics.counter "server.frames_unknown_field";
+      threads = [];
     }
   in
-  t.reader_thread <- Some (Thread.create reader_loop t);
-  t.writer_thread <- Some (Thread.create writer_loop t);
-  t
+  t.threads <-
+    [ Thread.create reader_loop (g, t); Thread.create writer_loop t ];
+  Mutex.lock g.g_lock;
+  g.accepted <- g.accepted + 1;
+  let finished, live = List.partition finished g.conns in
+  g.conns <- t :: live;
+  Mutex.unlock g.g_lock;
+  List.iter join finished;
+  Metrics.incr g.m_connections
 
-let stop_reading t =
-  try Unix.shutdown t.fd Unix.SHUTDOWN_RECEIVE
-  with Unix.Unix_error _ -> ()
+let accepted g =
+  Mutex.lock g.g_lock;
+  let n = g.accepted in
+  Mutex.unlock g.g_lock;
+  n
 
 let abort t =
   Mutex.lock t.lock;
@@ -226,24 +239,27 @@ let abort t =
   Mutex.unlock t.lock;
   try Unix.shutdown t.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
 
-let finished t =
-  Mutex.lock t.lock;
-  let fin = t.live_threads = 0 in
-  Mutex.unlock t.lock;
-  fin
-
-let join t =
-  (match t.reader_thread with
-  | Some th ->
-      Thread.join th;
-      t.reader_thread <- None
-  | None -> ());
-  (match t.writer_thread with
-  | Some th ->
-      Thread.join th;
-      t.writer_thread <- None
-  | None -> ());
-  if not t.closed then begin
-    t.closed <- true;
-    try Unix.close t.fd with Unix.Unix_error _ -> ()
-  end
+let drain ~timeout_s g =
+  Mutex.lock g.g_lock;
+  let conns = g.conns in
+  g.conns <- [];
+  Mutex.unlock g.g_lock;
+  List.iter
+    (fun t ->
+      try Unix.shutdown t.fd Unix.SHUTDOWN_RECEIVE
+      with Unix.Unix_error _ -> ())
+    conns;
+  let deadline = Unix.gettimeofday () +. timeout_s in
+  let rec wait () =
+    match List.filter (fun t -> not (finished t)) conns with
+    | [] -> `Clean
+    | stuck when Unix.gettimeofday () > deadline ->
+        List.iter abort stuck;
+        `Forced (List.length stuck)
+    | _ ->
+        Unix.sleepf 0.002;
+        wait ()
+  in
+  let outcome = wait () in
+  List.iter join conns;
+  outcome

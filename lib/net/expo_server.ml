@@ -3,24 +3,10 @@
    cheap (render a few kB of text), so requests are served inline on
    the accept thread — no per-connection threads, no keep-alive, no
    chunking.  A stuck client cannot wedge the loop: sockets get short
-   send/receive timeouts, and anything that errors is just closed.
-
-   Like {!Server}, the accept loop polls with a short select timeout
-   instead of blocking in accept(2): closing the listening socket from
-   another thread does not wake a blocked accept on Linux, so [stop]
-   could never join the thread. *)
+   send/receive timeouts, and anything that errors is just closed. *)
 
 type route = string * (unit -> string * string)
-
-type t = {
-  listen_fd : Unix.file_descr;
-  bound_port : int;
-  routes : route list;
-  lock : Mutex.t;
-  mutable stopped : bool;
-  mutable accept_thread : Thread.t option;
-  m_scrapes : Metrics.counter;
-}
+type t = Listener.t
 
 let http_status = function
   | 200 -> "200 OK"
@@ -88,7 +74,7 @@ let parse_request_line s =
           Some (meth, path)
       | _ -> None)
 
-let handle_conn t fd =
+let handle_conn ~routes m_scrapes fd =
   (try
      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.0;
      Unix.setsockopt_float fd Unix.SO_SNDTIMEO 2.0
@@ -96,10 +82,10 @@ let handle_conn t fd =
   (try
      match Option.bind (read_request fd) parse_request_line with
      | Some ("GET", path) -> (
-         match List.assoc_opt path t.routes with
+         match List.assoc_opt path routes with
          | Some render ->
              let content_type, body = render () in
-             Metrics.incr t.m_scrapes;
+             Metrics.incr m_scrapes;
              respond fd ~code:200 ~content_type body
          | None -> respond fd ~code:404 ~content_type:"text/plain" "not found\n"
          )
@@ -109,72 +95,14 @@ let handle_conn t fd =
    with Unix.Unix_error _ | Sys_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-let accept_loop t =
-  let stopping () =
-    Mutex.lock t.lock;
-    let s = t.stopped in
-    Mutex.unlock t.lock;
-    s
-  in
-  let rec loop () =
-    if stopping () then ()
-    else
-      match Unix.select [ t.listen_fd ] [] [] 0.05 with
-      | [], _, _ -> loop ()
-      | _ -> (
-          match Unix.accept t.listen_fd with
-          | fd, _addr ->
-              handle_conn t fd;
-              loop ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | exception Unix.Unix_error (_, _, _) -> ()
-  in
-  loop ()
-
 let start ?(host = "127.0.0.1") ?(port = 0) ~routes () =
-  let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-     Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-     Unix.listen listen_fd 16
-   with e ->
-     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-     raise e);
-  let bound_port =
-    match Unix.getsockname listen_fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> assert false
-  in
-  let t =
-    {
-      listen_fd;
-      bound_port;
-      routes;
-      lock = Mutex.create ();
-      stopped = false;
-      accept_thread = None;
-      m_scrapes = Metrics.counter "server.scrapes";
-    }
-  in
-  t.accept_thread <- Some (Thread.create accept_loop t);
-  t
+  let listener = Listener.bind ~host ~port in
+  Listener.run listener
+    (handle_conn ~routes (Metrics.counter "server.scrapes"));
+  listener
 
-let port t = t.bound_port
-
-let stop t =
-  Mutex.lock t.lock;
-  let already = t.stopped in
-  t.stopped <- true;
-  Mutex.unlock t.lock;
-  if not already then begin
-    (match t.accept_thread with
-    | Some th ->
-        Thread.join th;
-        t.accept_thread <- None
-    | None -> ());
-    try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
-  end
+let port = Listener.port
+let stop = Listener.stop
 
 (* ------------------------------------------------------------------ *)
 (* The matching one-shot client, used by [recdb stats] and the

@@ -1,65 +1,17 @@
 type t = {
-  listen_fd : Unix.file_descr;
-  bound_port : int;
+  listener : Listener.t;
   pool : Pool.t;
   store : Store.t option;
       (* owned: loaded before the pool existed, closed (final snapshot)
          on drain after the pool has quiesced *)
   admission : Admission.t;
-  conn_cfg : Conn.config;
-  lock : Mutex.t;
-  mutable conns : Conn.t list;
-  mutable accepted : int;
-  mutable drained : bool;
-  mutable accept_thread : Thread.t option;
-  m_connections : Metrics.counter;
+  conns : Conn.group;
+  drained : bool Atomic.t;
   expo : Expo_server.t option;  (* the /metrics side-channel listener *)
   expo_source : Obs.Expo.source;
       (* this server's gauges in the process-wide exposition registry;
          unregistered on drain (tests start many servers per process) *)
 }
-
-(* The loop polls with a short select timeout rather than blocking in
-   accept(2): on Linux, closing the listening socket from another
-   thread does not wake a blocked accept, so drain could never join
-   this thread.  The [drained] flag is checked between polls. *)
-let accept_loop t =
-  let stopping () =
-    Mutex.lock t.lock;
-    let s = t.drained in
-    Mutex.unlock t.lock;
-    s
-  in
-  let rec loop () =
-    if stopping () then ()
-    else
-      match Unix.select [ t.listen_fd ] [] [] 0.05 with
-      | [], _, _ -> loop ()
-      | _ -> (
-          match Unix.accept t.listen_fd with
-          | fd, _addr ->
-              (try Unix.setsockopt fd Unix.TCP_NODELAY true
-               with Unix.Unix_error _ -> ());
-              let conn = Conn.serve t.conn_cfg fd in
-              Mutex.lock t.lock;
-              t.accepted <- t.accepted + 1;
-              (* Reap finished connections in passing so a long-lived
-                 server does not accumulate one record per client ever
-                 served. *)
-              let finished, live = List.partition Conn.finished t.conns in
-              t.conns <- conn :: live;
-              Mutex.unlock t.lock;
-              List.iter Conn.join finished;
-              Metrics.incr t.m_connections;
-              loop ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | exception Unix.Unix_error (_, _, _) ->
-          (* the listening socket was closed or is broken beyond
-             accepting: either way the loop is over *)
-          ()
-  in
-  loop ()
 
 let start ?(host = "127.0.0.1") ?(port = 0) ?domains ?(window = 64)
     ?(per_conn_window = 16) ?(max_line = Frame.default_max_line)
@@ -114,20 +66,11 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?domains ?(window = 64)
         Some store
   in
   let admission = Admission.create ~window in
-  let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-     Unix.bind listen_fd
-       (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-     Unix.listen listen_fd 128
-   with e ->
-     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-     Pool.shutdown ~timeout_s:5.0 pool;
-     raise e);
-  let bound_port =
-    match Unix.getsockname listen_fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> assert false
+  let listener =
+    try Listener.bind ~host ~port
+    with e ->
+      Pool.shutdown ~timeout_s:5.0 pool;
+      raise e
   in
   (* This server's live gauges, contributed to the process-wide
      exposition registry alongside the Metrics counters/histograms the
@@ -205,27 +148,36 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?domains ?(window = 64)
         try Some (Expo_server.start ~host ~port:mp ~routes ())
         with e ->
           Obs.Expo.unregister expo_source;
-          (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+          Listener.stop listener;
           Pool.shutdown ~timeout_s:5.0 pool;
           raise e)
   in
-  (* [Conn] only calls submit for requests that passed admission, so
-     wrapping it journals exactly the admitted requests — a shed
-     touches neither the ledger nor the journal. *)
-  let submit =
-    let base =
-      match store with
-      | None -> Pool.submit pool
-      | Some store ->
-          fun req k ->
-            let line = Json.to_string (Request.to_json req) in
-            let seq = Store.journal_admit store ~line in
-            Pool.submit pool req (fun resp ->
-                Store.journal_complete store seq;
-                k resp)
-    in
-    let node = Printf.sprintf "%s:%d" host bound_port in
-    fun (req : Request.t) k ->
+  (* Admission happens here, at the door: a shed is answered at once,
+     asks zero questions and touches neither the pool nor the journal,
+     so wrapping only the admitted path journals exactly the admitted
+     requests. *)
+  let evaluate =
+    match store with
+    | None -> Pool.submit pool
+    | Some store ->
+        fun req k ->
+          let line = Json.to_string (Request.to_json req) in
+          let seq = Store.journal_admit store ~line in
+          Pool.submit pool req (fun resp ->
+              Store.journal_complete store seq;
+              k resp)
+  in
+  let node = Printf.sprintf "%s:%d" host (Listener.port listener) in
+  let m_bad_frames = Metrics.counter "server.bad_frames" in
+  let answer (req : Request.t) = Conn.answer ~stats ~id:req.Request.id in
+  let submit (req : Request.t) reply =
+    if not (Admission.try_admit admission) then begin
+      Metrics.incr m_bad_frames;
+      reply
+        (answer req
+           (Error (Request.Overloaded { limit = Admission.window admission })))
+    end
+    else
       match req.Request.payload with
       | Request.Stats ->
           (* Answered at the serving door, not evaluated: the pool-wide
@@ -238,98 +190,54 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?domains ?(window = 64)
               ~served:(Admission.admitted admission)
               ~sheds:(Admission.shed admission) ()
           in
-          k
-            {
-              Request.id = req.Request.id;
-              result = Ok (Request.Ledger_report { cluster; shards = [] });
-              cert = Request.Cert_exact;
-              stats = Request.zero_stats;
-            }
-      | _ -> base req k
+          reply
+            (answer req (Ok (Request.Ledger_report { cluster; shards = [] })));
+          Admission.release admission
+      | _ ->
+          evaluate req (fun resp ->
+              (* runs on a pool worker: [reply] never blocks, then the
+                 in-flight slot comes free *)
+              reply (Json.to_string (Request.response_to_json ~stats resp));
+              Admission.release admission)
   in
-  let t =
-    {
-      listen_fd;
-      bound_port;
-      pool;
-      store;
-      admission;
-      conn_cfg =
-        { Conn.admission; submit; stats; max_line; per_conn_window };
-      lock = Mutex.create ();
-      conns = [];
-      accepted = 0;
-      drained = false;
-      accept_thread = None;
-      m_connections = Metrics.counter "server.connections";
-      expo;
-      expo_source;
-    }
-  in
-  t.accept_thread <- Some (Thread.create accept_loop t);
-  t
+  let conns = Conn.group () in
+  Listener.run listener
+    (Conn.serve { Conn.submit; stats; max_line; per_conn_window } conns);
+  {
+    listener;
+    pool;
+    store;
+    admission;
+    conns;
+    drained = Atomic.make false;
+    expo;
+    expo_source;
+  }
 
-let port t = t.bound_port
+let port t = Listener.port t.listener
 let metrics_port t = Option.map Expo_server.port t.expo
 let admission t = t.admission
 let pool t = t.pool
 let store t = t.store
-
-let connections t =
-  Mutex.lock t.lock;
-  let n = t.accepted in
-  Mutex.unlock t.lock;
-  n
+let connections t = Conn.accepted t.conns
 
 let drain ?(timeout_s = 30.0) t =
-  Mutex.lock t.lock;
-  let already = t.drained in
-  t.drained <- true;
-  Mutex.unlock t.lock;
-  if already then `Clean
+  if Atomic.exchange t.drained true then `Clean
   else begin
     (* 0. Retire the observability side-channel: stop the /metrics
        listener and pull this server's gauges out of the process-wide
        registry (the next server to start registers its own). *)
-    (match t.expo with Some e -> Expo_server.stop e | None -> ());
+    Option.iter Expo_server.stop t.expo;
     Obs.Expo.unregister t.expo_source;
-    (* 1. Stop accepting: the accept loop notices [drained] at its next
-       poll; only then is the listening socket closed. *)
-    (match t.accept_thread with
-    | Some th ->
-        Thread.join th;
-        t.accept_thread <- None
-    | None -> ());
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    Mutex.lock t.lock;
-    let conns = t.conns in
-    t.conns <- [];
-    Mutex.unlock t.lock;
-    (* 2. Half-close every connection: readers see EOF once the frames
-       already sent are consumed; admitted requests keep running and
-       their responses are still written. *)
-    List.iter Conn.stop_reading conns;
-    let deadline = Unix.gettimeofday () +. timeout_s in
-    let rec wait () =
-      if List.for_all Conn.finished conns then `Clean
-      else if Unix.gettimeofday () > deadline then begin
-        (* 3. Timeout: abort the stragglers — both their threads exit
-           promptly and any remaining owed responses are dropped. *)
-        let stuck = List.filter (fun c -> not (Conn.finished c)) conns in
-        List.iter Conn.abort stuck;
-        `Forced (List.length stuck)
-      end
-      else begin
-        Unix.sleepf 0.002;
-        wait ()
-      end
-    in
-    let outcome = wait () in
-    List.iter Conn.join conns;
+    (* 1. Stop accepting, then 2. half-close every connection: admitted
+       requests keep running and their responses are still written;
+       stragglers at the deadline are aborted. *)
+    Listener.stop t.listener;
+    let outcome = Conn.drain ~timeout_s t.conns in
     Pool.shutdown ~timeout_s:5.0 t.pool;
-    (* 4. Final durability flush, after the pool has quiesced so the
+    (* 3. Final durability flush, after the pool has quiesced so the
        snapshot sees every completed answer.  [Store.close] bounds the
        flush so drain still terminates on a hung disk. *)
-    (match t.store with Some s -> Store.close s | None -> ());
+    Option.iter Store.close t.store;
     outcome
   end

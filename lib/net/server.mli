@@ -1,6 +1,13 @@
-(** The TCP serving front-end: a listener speaking the JSON-lines ABI,
-    per-connection {!Conn} reader/writer threads feeding a shared
+(** The TCP serving front-end: a {!Listener} speaking the JSON-lines
+    ABI, per-connection {!Conn} reader/writer threads feeding a shared
     {!Pool}, and an {!Admission} window in front of it all.
+
+    Admission happens in the server's [submit], the function every
+    {!Conn} hands its decoded requests to: it takes a slot or answers
+    a typed [Overloaded] shed at once (zero questions, counted in
+    [server.bad_frames]), answers [stats] at the door, journals only
+    admitted requests, and releases the slot once the encoded response
+    has been handed back to the connection.
 
     The serving semantics are {e exactly} batch mode's: every admitted
     request is evaluated by the same engines, asks the same oracle

@@ -1,8 +1,9 @@
 (* lib/cluster: the consistent-hash ring (QCheck-tested spread and
    stability), the question-ledger merge, the stats wire op at the
-   serving door, and the router's survival of abruptly dying shards
+   serving door, the router's survival of abruptly dying shards
    (the SIGPIPE/kill -9 regression: a dead shard is a typed error,
-   never a dead router). *)
+   never a dead router), exactly one answer per routed request,
+   unbounded shard responses, and a bounded never-reading client. *)
 
 let check = Alcotest.check
 
@@ -206,6 +207,18 @@ let test_stats_op_at_server () =
 (* ------------------------------------------------------------------ *)
 (* Router: byte passthrough over a live shard                          *)
 
+(* The router dials its upstreams asynchronously after start; a request
+   routed before that connect lands is a typed oracle_unavailable, so
+   tests wait for the shards to be up (10 s at most). *)
+let wait_shards_up router n =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while
+    (Router.counters router).Router.shards_up < n
+    && Unix.gettimeofday () < deadline
+  do
+    Unix.sleepf 0.01
+  done
+
 let test_router_passthrough () =
   let shard = Server.start ~domains:1 ~stats:false () in
   let router =
@@ -226,16 +239,7 @@ let test_router_passthrough () =
           ^ {|"sentence":"forall x. exists y. R1(x, y)"}|};
         ]
       in
-      (* the router dials its upstream asynchronously after start; a
-         request routed before that connect lands is a typed
-         oracle_unavailable, so wait for the shard to be up *)
-      let deadline = Unix.gettimeofday () +. 10.0 in
-      while
-        (Router.counters router).Router.shards_up < 1
-        && Unix.gettimeofday () < deadline
-      do
-        Unix.sleepf 0.01
-      done;
+      wait_shards_up router 1;
       (* warm the shard directly, then route the same requests: the
          router must forward the shard's bytes untouched *)
       let direct =
@@ -354,6 +358,201 @@ let test_dead_shard_is_typed_never_fatal () =
                     (Printf.sprintf "expected oracle_unavailable, got %s"
                        (Option.value ~default:"<none>" k)))))
 
+(* A scripted shard: it accepts the router's one upstream connection
+   (then closes its listener, so a reconnect after its death is
+   refused), records the uid of every request line it reads, and
+   answers only when the test writes to [fk_conn]. *)
+type fake = {
+  fk_port : int;
+  fk_lock : Mutex.t;
+  mutable fk_conn : Unix.file_descr option;
+  mutable fk_uids : int list;  (* newest first *)
+  mutable fk_thread : Thread.t option;
+}
+
+let fake_shard () =
+  let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", 0));
+  Unix.listen lfd 1;
+  let port =
+    match Unix.getsockname lfd with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> assert false
+  in
+  let fk =
+    {
+      fk_port = port;
+      fk_lock = Mutex.create ();
+      fk_conn = None;
+      fk_uids = [];
+      fk_thread = None;
+    }
+  in
+  let serve_fake () =
+    let fd, _ = Unix.accept lfd in
+    Unix.close lfd;
+    Mutex.protect fk.fk_lock (fun () -> fk.fk_conn <- Some fd);
+    let reader = Frame.reader fd in
+    let rec loop () =
+      match Frame.read reader with
+      | Frame.Line l ->
+          Mutex.protect fk.fk_lock (fun () ->
+              fk.fk_uids <- Proc.id_of l :: fk.fk_uids);
+          loop ()
+      | _ -> ()
+    in
+    loop ()
+  in
+  fk.fk_thread <- Some (Thread.create serve_fake ());
+  fk
+
+let fake_uids fk = Mutex.protect fk.fk_lock (fun () -> fk.fk_uids)
+
+let fake_conn fk =
+  match Mutex.protect fk.fk_lock (fun () -> fk.fk_conn) with
+  | Some fd -> fd
+  | None -> Alcotest.fail "fake shard never connected"
+
+(* Regression: a hedged request whose shard dies while its other copy
+   is still in flight used to be re-routed, find every ring member
+   tried, and answer oracle_unavailable — then the live shard's real
+   answer was forwarded as a second line for the same id. *)
+let test_hedged_request_answered_once () =
+  let a = fake_shard () and b = fake_shard () in
+  let router =
+    Router.start ~stats:false ~hedge_after_s:0.05 ~queue_timeout_s:2.0
+      ~shards:[ ("127.0.0.1", a.fk_port); ("127.0.0.1", b.fk_port) ]
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Router.drain ~timeout_s:10.0 router);
+      (* a fake that was never dialled stays parked in accept *)
+      List.iter
+        (fun fk ->
+          Option.iter
+            (fun fd ->
+              (try Unix.close fd with Unix.Unix_error _ -> ());
+              Option.iter Thread.join fk.fk_thread)
+            fk.fk_conn)
+        [ a; b ])
+    (fun () ->
+      wait_shards_up router 2;
+      check Alcotest.int "both fake shards connected" 2
+        (Router.counters router).Router.shards_up;
+      let script_error = ref None in
+      let script =
+        Thread.create
+          (fun () ->
+            let until what cond =
+              let deadline = Unix.gettimeofday () +. 10.0 in
+              while (not (cond ())) && Unix.gettimeofday () < deadline do
+                Unix.sleepf 0.005
+              done;
+              if not (cond ()) then failwith what
+            in
+            try
+              (* both copies in flight: the primary and its hedge *)
+              until "no hedge fired" (fun () ->
+                  fake_uids a <> [] && fake_uids b <> []);
+              (* shard a dies; wait until the router has noticed and
+                 failed its sends over *)
+              Unix.shutdown (fake_conn a) Unix.SHUTDOWN_ALL;
+              until "router never saw shard a die" (fun () ->
+                  (Router.counters router).Router.shards_up = 1);
+              Unix.sleepf 0.1;
+              Frame.write_line (fake_conn b)
+                (Printf.sprintf {|{"id":%d,"ok":"live shard"}|}
+                   (List.hd (fake_uids b)))
+            with e -> script_error := Some (Printexc.to_string e))
+          ()
+      in
+      let got =
+        Proc.send_and_collect ~timeout_s:10.0 ~port:(Router.port router)
+          [ {|{"id":42,"op":"classes","type":[2,1],"rank":2}|} ]
+      in
+      Thread.join script;
+      Option.iter Alcotest.fail !script_error;
+      check
+        Alcotest.(result (list string) string)
+        "exactly one line, the live shard's answer"
+        (Ok [ {|{"id":42,"ok":"live shard"}|} ])
+        got)
+
+(* The router bounds client frames, never shard responses: a routed
+   answer longer than --max-line is forwarded whole. *)
+let test_router_forwards_long_responses () =
+  let shard = Server.start ~domains:1 ~stats:false () in
+  let router =
+    Router.start ~stats:false ~max_line:4096
+      ~shards:[ ("127.0.0.1", Server.port shard) ]
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Router.drain ~timeout_s:30.0 router);
+      ignore (Server.drain ~timeout_s:30.0 shard))
+    (fun () ->
+      wait_shards_up router 1;
+      let ask port =
+        match
+          Proc.send_and_collect ~timeout_s:5.0 ~port
+            [
+              {|{"id":1,"op":"query","instance":"clique",|}
+              ^ {|"query":"{ (x, y) | x = x }","cutoff":32}|};
+            ]
+        with
+        | Ok lines -> lines
+        | Error e -> Alcotest.fail e
+      in
+      let direct = ask (Server.port shard) in
+      check Alcotest.bool "the answer exceeds the router's frame bound" true
+        (List.for_all (fun l -> String.length l > 4096) direct);
+      check Alcotest.(list string) "routed = direct" direct
+        (ask (Router.port router)))
+
+(* A client that floods malformed lines and never reads its answers:
+   Conn stops reading once a window of answers is owed, so TCP pushes
+   back on the client instead of the router queueing every answer. *)
+let test_router_flood_is_bounded () =
+  let shard = Server.start ~domains:1 () in
+  let router = Router.start ~shards:[ ("127.0.0.1", Server.port shard) ] () in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Router.drain ~timeout_s:30.0 router);
+      ignore (Server.drain ~timeout_s:30.0 shard))
+    (fun () ->
+      let fd =
+        match Proc.connect ~port:(Router.port router) () with
+        | Ok fd -> fd
+        | Error e -> Alcotest.fail e
+      in
+      Unix.setsockopt_float fd Unix.SO_SNDTIMEO 0.5;
+      let junk = String.concat "" (List.init 4096 (fun _ -> "{not json}\n")) in
+      let heap_bytes () =
+        Gc.full_major ();
+        (Gc.quick_stat ()).Gc.heap_words * (Sys.word_size / 8)
+      in
+      let before = heap_bytes () in
+      (* up to 8 MB of garbage in at most 3 s, or until TCP pushes back *)
+      let deadline = Unix.gettimeofday () +. 3.0 in
+      let rec flood sent =
+        if sent >= 8 lsl 20 || Unix.gettimeofday () > deadline then sent
+        else
+          match Unix.write_substring fd junk 0 (String.length junk) with
+          | k -> flood (sent + k)
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+            ->
+              sent
+      in
+      let sent = flood 0 in
+      let grown = heap_bytes () - before in
+      Unix.close fd;
+      check Alcotest.bool
+        (Printf.sprintf "heap grew %d bytes under a %d-byte flood" grown sent)
+        true
+        (grown < 16 lsl 20))
+
 (* ------------------------------------------------------------------ *)
 (* Proc.with_server: the smokes' process harness, driven by a /bin/sh
    child that speaks the --port-file protocol, so no recdb binary is
@@ -442,6 +641,12 @@ let () =
           Alcotest.test_case
             "dead shards are typed errors, never router death" `Quick
             test_dead_shard_is_typed_never_fatal;
+          Alcotest.test_case "a hedged request is answered exactly once"
+            `Quick test_hedged_request_answered_once;
+          Alcotest.test_case "responses of any length are forwarded" `Quick
+            test_router_forwards_long_responses;
+          Alcotest.test_case "a never-reading flood does not grow the heap"
+            `Quick test_router_flood_is_bounded;
         ] );
       ( "proc",
         [

@@ -135,43 +135,84 @@ let test_decode_line () =
 (* ------------------------------------------------------------------ *)
 (* Server: bad frames never kill the connection                        *)
 
+(* One exchange of broken frames against a front door on [port],
+   checked line by line; returns the raw response lines so two doors
+   can be compared byte for byte. *)
+let survives_bad_frames port =
+  let fd = connect port in
+  let reader = Frame.reader fd in
+  let next () =
+    let line = read_line_exn reader in
+    (line, parse_exn line)
+  in
+  (* malformed JSON *)
+  send_line fd "{definitely not json";
+  let l1, r1 = next () in
+  check Alcotest.(option string) "malformed -> parse_error"
+    (Some "parse_error") (error_kind r1);
+  check Alcotest.int "line number as id" 1 (response_id r1);
+  (* oversized frame *)
+  send_line fd (String.make 300 'z');
+  let l2, r2 = next () in
+  check Alcotest.(option string) "oversized -> parse_error"
+    (Some "parse_error") (error_kind r2);
+  (* valid JSON, bad request *)
+  send_line fd "{\"id\":5,\"op\":\"nonsense\"}";
+  let l3, r3 = next () in
+  check Alcotest.(option string) "unknown op -> bad_request"
+    (Some "bad_request") (error_kind r3);
+  (* decode errors carry the line number, exactly as in serve-batch *)
+  check Alcotest.int "line number as id on decode error" 3 (response_id r3);
+  (* ...and the connection still serves real work *)
+  send_line fd (classes_line 6);
+  let l4, r4 = next () in
+  check Alcotest.int "served after three bad frames" 6 (response_id r4);
+  check Alcotest.(option string) "no error" None (error_kind r4);
+  (* truncated frame: bytes but no newline, then half-close *)
+  send_raw fd "{\"id\":7";
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  let l5, r5 = next () in
+  check Alcotest.(option string) "truncated -> parse_error"
+    (Some "parse_error") (error_kind r5);
+  (match Frame.read reader with
+  | Frame.Eof -> ()
+  | _ -> Alcotest.fail "expected EOF after half-close");
+  Unix.close fd;
+  [ l1; l2; l3; l4; l5 ]
+
 let test_server_survives_bad_frames () =
-  with_server ~max_line:128 (fun server ->
-      let fd = connect (Server.port server) in
-      let reader = Frame.reader fd in
-      (* malformed JSON *)
-      send_line fd "{definitely not json";
-      let r1 = parse_exn (read_line_exn reader) in
-      check Alcotest.(option string) "malformed -> parse_error"
-        (Some "parse_error") (error_kind r1);
-      check Alcotest.int "line number as id" 1 (response_id r1);
-      (* oversized frame *)
-      send_line fd (String.make 300 'z');
-      let r2 = parse_exn (read_line_exn reader) in
-      check Alcotest.(option string) "oversized -> parse_error"
-        (Some "parse_error") (error_kind r2);
-      (* valid JSON, bad request *)
-      send_line fd "{\"id\":5,\"op\":\"nonsense\"}";
-      let r3 = parse_exn (read_line_exn reader) in
-      check Alcotest.(option string) "unknown op -> bad_request"
-        (Some "bad_request") (error_kind r3);
-      (* decode errors carry the line number, exactly as in serve-batch *)
-      check Alcotest.int "line number as id on decode error" 3 (response_id r3);
-      (* ...and the connection still serves real work *)
-      send_line fd (classes_line 6);
-      let r4 = parse_exn (read_line_exn reader) in
-      check Alcotest.int "served after three bad frames" 6 (response_id r4);
-      check Alcotest.(option string) "no error" None (error_kind r4);
-      (* truncated frame: bytes but no newline, then half-close *)
-      send_raw fd "{\"id\":7";
-      Unix.shutdown fd Unix.SHUTDOWN_SEND;
-      let r5 = parse_exn (read_line_exn reader) in
-      check Alcotest.(option string) "truncated -> parse_error"
-        (Some "parse_error") (error_kind r5);
-      (match Frame.read reader with
-      | Frame.Eof -> ()
-      | _ -> Alcotest.fail "expected EOF after half-close");
-      Unix.close fd)
+  with_server ~max_line:128 ~stats:false (fun server ->
+      ignore (survives_bad_frames (Server.port server)))
+
+(* The router serves its clients through the same Conn as serve, so
+   the same broken frames get the same bytes back — the served line
+   forwarded from a shard included. *)
+let test_router_answers_bad_frames_as_serve () =
+  let direct =
+    with_server ~max_line:128 ~stats:false (fun server ->
+        survives_bad_frames (Server.port server))
+  in
+  with_server ~stats:false (fun shard ->
+      let router =
+        Router.start ~max_line:128 ~stats:false
+          ~shards:[ ("127.0.0.1", Server.port shard) ]
+          ()
+      in
+      Fun.protect
+        ~finally:(fun () -> ignore (Router.drain ~timeout_s:30.0 router))
+        (fun () ->
+          (* the upstream connects asynchronously after start *)
+          let deadline = Unix.gettimeofday () +. 10.0 in
+          while
+            (Router.counters router).Router.shards_up < 1
+            && Unix.gettimeofday () < deadline
+          do
+            Unix.sleepf 0.01
+          done;
+          check
+            Alcotest.(list string)
+            "router lines = serve bytes" direct
+            (survives_bad_frames (Router.port router))))
 
 (* ------------------------------------------------------------------ *)
 (* Server: overload sheds are typed and ask zero oracle questions      *)
@@ -344,6 +385,8 @@ let () =
         [
           Alcotest.test_case "bad frames never kill the connection" `Quick
             test_server_survives_bad_frames;
+          Alcotest.test_case "router answers bad frames as serve does" `Quick
+            test_router_answers_bad_frames_as_serve;
           Alcotest.test_case "sheds are typed and question-free" `Quick
             test_server_sheds_typed_and_question_free;
           Alcotest.test_case "disconnect mid-request harms nobody" `Quick
