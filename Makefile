@@ -19,11 +19,14 @@ engine-smoke:
 	dune exec bin/recdb.exe -- bench engine
 
 # The E25 smoke: kill workers mid-batch and verify containment (exit 1
-# on any violation), then a scaled-down resilience benchmark — exits 1
-# unless the deadline and budget probes trip with their typed errors,
-# the budget never overspends, and retries change no non-faulted byte.
+# on any violation) — once sparsely, once with every other request
+# killing its worker so the respawn path churns on the shared job
+# queue — then a scaled-down resilience benchmark — exits 1 unless the
+# deadline and budget probes trip with their typed errors, the budget
+# never overspends, and retries change no non-faulted byte.
 resilience-smoke:
 	dune exec bin/recdb.exe -- crash-test --requests 100 -j 3 --every 20
+	dune exec bin/recdb.exe -- crash-test --requests 100 -j 2 --every 2
 	dune exec bin/recdb.exe -- bench resilience --trials 2 --requests 500 --fault-requests 100
 
 # The E26 smoke: a tiny bench parallel run — exits 1 unless every

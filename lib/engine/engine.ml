@@ -112,6 +112,9 @@ type t = {
   m_cert_approx : Metrics.counter;
 }
 
+(* Per-relation LRU bound of every engine's oracle cache. *)
+let cache_capacity = 4096
+
 (* The oracle chain, innermost first: the raw instance (whose
    instrumented counters are this worker's Def. 3.9 ledger), the
    per-question guard (budget tick + fault hook, present only when
@@ -120,7 +123,7 @@ type t = {
    a question that will actually be asked), and the per-worker striped
    LRU on top.  Without [shared] and without a guard this is PR 1's
    hot path, byte for byte. *)
-let make_entry ~cache_capacity ~guarded ~res ~faults ~shared ~decl name build
+let make_entry ~guarded ~res ~faults ~shared ~decl name build
     () =
   let base = build () in
   let raw_db = Hs.Hsdb.db base in
@@ -261,8 +264,7 @@ let make_entry ~cache_capacity ~guarded ~res ~faults ~shared ~decl name build
   in
   { hs; base; raw_db; caches; ledger; compiled; decl }
 
-let create ?(cache_capacity = 4096) ?(config = default_config) ?shared ?trace
-    () =
+let create ?(config = default_config) ?shared ?trace () =
   let res = Resilience.create () in
   let faults = Option.map Faulty_oracle.make config.faults in
   (* Pay the per-question guard only when resilience is configured; a
@@ -277,7 +279,7 @@ let create ?(cache_capacity = 4096) ?(config = default_config) ?shared ?trace
         (fun (name, build) ->
           ( name,
             Lazy.from_fun
-              (make_entry ~cache_capacity ~guarded ~res ~faults ~shared
+              (make_entry ~guarded ~res ~faults ~shared
                  ~decl:(List.assoc_opt name config.decls)
                  name build) ))
         builders;

@@ -71,13 +71,12 @@ type config = {
 val default_config : config
 
 val create :
-  ?cache_capacity:int ->
   ?config:config ->
   ?shared:Shared_memo.t ->
   ?trace:Obs.Trace.t ->
   unit ->
   t
-(** [cache_capacity] is the per-relation LRU bound (default 4096).
+(** Each relation's oracle sits behind a 4096-entry LRU.
     [shared] plugs this engine into a cross-worker memo layer; omit it
     (the default) for the fully private sequential engine.
 

@@ -1,75 +1,48 @@
-(* Chunked, work-stealing dispatch.
+(* One FIFO job queue under [pool.lock].
 
-   run_batch splits a batch into at most [n] contiguous chunks and
-   deposits them round-robin into per-worker deques; each enqueued
-   chunk costs one Condition.signal (not a broadcast), and a worker
-   whose own deque runs dry steals the upper half of a victim's front
-   chunk.  The shared state a worker touches per job is one deque
-   mutex (almost always uncontended — its own) and one atomic
-   decrement; the global lock is only taken to sleep when the whole
-   pool is out of work.
-
-   Each job carries its batch's completion cell so run_batch can block
-   on its own condition variable.
+   [submit] pushes one job; [run_batch] pushes its jobs behind one
+   per-batch countdown latch.  Workers pop jobs until [stopping] is set
+   and the queue is empty, sleeping on [nonempty] while the queue is
+   empty — the emptiness check and the push happen under the same lock,
+   so a wakeup cannot be lost.
 
    Crash containment: Engine.handle is total, but the pool does not
    trust that — a per-job catch turns any escaping exception into a
    per-request error response, and a worker whose domain nonetheless
    dies (e.g. the crash-injection hook, or an exception from outside
-   the per-job region) fails only its in-flight request, respawns a
-   replacement into the same slot (the slot's deque, queued chunks
-   included, survives the death), and leaves the rest of the batch
-   untouched.  A batch therefore always yields exactly one response
-   per request. *)
+   the per-job region) fails only its in-flight request and respawns a
+   replacement into the same slot, which serves the same queue.  A
+   batch therefore always yields exactly one response per request. *)
 
 exception Injected_crash
 
-type batch = {
-  results : Request.response option array;
-  mutable remaining : int;
-  b_lock : Mutex.t;
-  b_done : Condition.t;
-  on_done : (Request.response option array -> unit) option;
-      (* async completion (Pool.submit): runs on the delivering worker,
-         after the batch lock is released *)
-}
-
 type job = {
   request : Request.t;
-  index : int;
-  owner : batch;
+  reply : Request.response -> unit;
+      (* called exactly once: by the serving worker, by the dying
+         worker for its in-flight job, or by the last dead worker's
+         drain *)
   enqueued_at : float;
       (* wall clock at enqueue when tracing is on (the trace's queue-wait
          span), 0. otherwise — no gettimeofday on the untraced path *)
 }
 
-(* A chunk is a live slice of a batch's job array: jobs.(next..limit-1)
-   are unclaimed.  Chunks are mutated only under the lock of the deque
-   currently holding them. *)
-type chunk = { jobs : job array; mutable next : int; mutable limit : int }
-
-type deque = { d_lock : Mutex.t; chunks : chunk Queue.t }
-
-type slot = {
-  mutable inflight : job option;
-  mutable engine : Engine.t option;
-  deque : deque;
-}
+type slot = { mutable inflight : job option; mutable engine : Engine.t option }
 
 type t = {
-  lock : Mutex.t;  (* sleep/wake protocol + spawn/stopping state *)
+  lock : Mutex.t;  (* guards queue, stopping, domains, respawns_left *)
   nonempty : Condition.t;
+  queue : job Queue.t;
   mutable stopping : bool;
   mutable domains : unit Domain.t list;
       (* every domain ever spawned, replacements included; joined at
          shutdown (dead domains join instantly) *)
-  mutable rr : int;  (* round-robin cursor for chunk placement *)
-  slots : slot array;
-  n : int;
-  pending : int Atomic.t;  (* jobs enqueued and not yet claimed *)
+  mutable respawns_left : int;
   alive : int Atomic.t;
+      (* workers not yet gone for good; written only under [lock], read
+         without it by [shutdown_result]'s poll *)
+  slots : slot array;
   deaths : int Atomic.t;
-  respawns_left : int Atomic.t;
   retired_raw : int Atomic.t;
       (* Def. 3.9 breakdown of questions asked by engines of dead
          workers: raw Rᵢ / T_B / ≅_B questions and cache hits, folded
@@ -78,8 +51,7 @@ type t = {
   retired_tb : int Atomic.t;
   retired_equiv : int Atomic.t;
   retired_hits : int Atomic.t;
-  shared : Shared_memo.t option;
-  cache_capacity : int option;
+  shared : Shared_memo.t;
   engine_config : Engine.config option;
   crash_on : (Request.t -> bool) option;
   tracing : Obs.Trace.sampling;
@@ -88,28 +60,7 @@ type t = {
          slot (a replacement inherits its predecessor's ring) *)
   m_deaths : Metrics.counter;
   m_respawns : Metrics.counter;
-  m_steals : Metrics.counter;
 }
-
-let deliver owner index response =
-  Mutex.lock owner.b_lock;
-  let completed =
-    if owner.results.(index) = None then begin
-      owner.results.(index) <- Some response;
-      owner.remaining <- owner.remaining - 1;
-      if owner.remaining = 0 then begin
-        Condition.broadcast owner.b_done;
-        true
-      end
-      else false
-    end
-    else false
-  in
-  Mutex.unlock owner.b_lock;
-  if completed then
-    match owner.on_done with
-    | Some f -> f owner.results
-    | None -> ()
 
 let crash_response (request : Request.t) msg =
   {
@@ -119,192 +70,109 @@ let crash_response (request : Request.t) msg =
     stats = Request.zero_stats;
   }
 
-(* Claim the next job from the deque's front chunk, dropping exhausted
-   chunks.  The pending decrement happens after the claim, so [pending]
-   may transiently overcount (never undercount a sleeping worker out of
-   existing work — the wake check reads it under [pool.lock], and
-   enqueuers increment before signalling). *)
-let take_from pool deque =
-  Mutex.lock deque.d_lock;
-  let rec go () =
-    match Queue.peek_opt deque.chunks with
-    | None -> None
-    | Some c ->
-        if c.next >= c.limit then begin
-          ignore (Queue.pop deque.chunks);
-          go ()
-        end
-        else begin
-          let job = c.jobs.(c.next) in
-          c.next <- c.next + 1;
-          if c.next >= c.limit then ignore (Queue.pop deque.chunks);
-          Some job
-        end
-  in
-  let job = go () in
-  Mutex.unlock deque.d_lock;
-  if Option.is_some job then Atomic.decr pool.pending;
-  job
-
-(* Steal the upper half of the victim's front non-empty chunk — the
-   whole remainder when only one job is left.  At most one deque lock
-   is ever held at a time (the thief deposits into its own deque after
-   releasing the victim's), so thieves cannot deadlock. *)
-let steal_from victim =
-  Mutex.lock victim.d_lock;
-  let rec go () =
-    match Queue.peek_opt victim.chunks with
-    | None -> None
-    | Some c ->
-        let len = c.limit - c.next in
-        if len <= 0 then begin
-          ignore (Queue.pop victim.chunks);
-          go ()
-        end
-        else begin
-          let mid = c.next + (len / 2) in
-          let stolen = { jobs = c.jobs; next = mid; limit = c.limit } in
-          c.limit <- mid;
-          if c.next >= c.limit then ignore (Queue.pop victim.chunks);
-          Some stolen
-        end
-  in
-  let r = go () in
-  Mutex.unlock victim.d_lock;
-  r
-
-let try_steal pool self =
-  let n = pool.n in
-  let rec scan k =
-    if k >= n - 1 then false
-    else
-      let v = (self + 1 + k) mod n in
-      match steal_from pool.slots.(v).deque with
-      | Some chunk ->
-          let d = pool.slots.(self).deque in
-          Mutex.lock d.d_lock;
-          Queue.add chunk d.chunks;
-          Mutex.unlock d.d_lock;
-          Metrics.incr pool.m_steals;
-          true
-      | None -> scan (k + 1)
-  in
-  n > 1 && scan 0
-
-(* Fail every queued job in every deque; called when a dying worker is
-   (or may be) the last one standing, so blocked run_batch callers are
-   released instead of hanging forever on work nobody will serve. *)
-let drain_deques_with_errors pool msg =
-  Array.iter
-    (fun slot ->
-      let rec go () =
-        match take_from pool slot.deque with
-        | Some { request; index; owner; _ } ->
-            deliver owner index (crash_response request msg);
-            go ()
-        | None -> ()
-      in
-      go ())
-    pool.slots
+(* The next job, sleeping while the queue is empty; [None] once the
+   pool is stopping and nothing is left.  Called under [pool.lock]. *)
+let rec next_job pool =
+  match Queue.take_opt pool.queue with
+  | Some _ as job -> job
+  | None when pool.stopping -> None
+  | None ->
+      Condition.wait pool.nonempty pool.lock;
+      next_job pool
 
 let rec worker_main pool slot_idx () =
   let slot = pool.slots.(slot_idx) in
-  (try
-     let engine =
-       Engine.create ?cache_capacity:pool.cache_capacity
-         ?config:pool.engine_config ?shared:pool.shared
-         ?trace:pool.trace_ctxs.(slot_idx) ()
-     in
-     slot.engine <- Some engine;
-     let serve ({ request; index; owner; enqueued_at } as job) =
-       slot.inflight <- Some job;
-       (match pool.crash_on with
-       | Some p when p request -> raise Injected_crash
-       | _ -> ());
-       let queued_s =
-         if enqueued_at > 0.0 then
-           Some (Float.max 0.0 (Unix.gettimeofday () -. enqueued_at))
-         else None
-       in
-       let response =
-         (* Engine.handle is total; this catch is the containment
-            backstop for bugs and asynchronous exceptions. *)
-         match Engine.handle ?queued_s engine request with
-         | r -> r
-         | exception e ->
-             crash_response request ("request raised " ^ Printexc.to_string e)
-       in
-       slot.inflight <- None;
-       deliver owner index response
-     in
-     let rec loop () =
-       match take_from pool slot.deque with
-       | Some job ->
-           serve job;
-           loop ()
-       | None ->
-           if try_steal pool slot_idx then loop ()
-           else begin
-             Mutex.lock pool.lock;
-             if Atomic.get pool.pending > 0 then begin
-               (* unclaimed work exists (or is being claimed right this
-                  instant): rescan instead of sleeping *)
-               Mutex.unlock pool.lock;
-               loop ()
-             end
-             else if pool.stopping then Mutex.unlock pool.lock
-             else begin
-               (* pending was 0 under the lock, and enqueuers increment
-                  pending and signal under the same lock — the wakeup
-                  cannot be lost *)
-               Condition.wait pool.nonempty pool.lock;
-               Mutex.unlock pool.lock;
-               loop ()
-             end
-           end
-     in
-     loop ()
-   with e ->
-     (* The worker is dying.  Contain the damage: fail only the
-        in-flight request, then hand the slot (deque included — its
-        queued chunks survive) to a replacement. *)
-     let msg = Printexc.to_string e in
-     Atomic.incr pool.deaths;
-     Metrics.incr pool.m_deaths;
-     (match slot.engine with
-     | Some engine ->
-         let raw, tb, eq, hits = Engine.ledger_counts engine in
-         ignore (Atomic.fetch_and_add pool.retired_raw raw);
-         ignore (Atomic.fetch_and_add pool.retired_tb tb);
-         ignore (Atomic.fetch_and_add pool.retired_equiv eq);
-         ignore (Atomic.fetch_and_add pool.retired_hits hits);
-         slot.engine <- None
-     | None -> ());
-     (match slot.inflight with
-     | Some { request; index; owner; _ } ->
-         deliver owner index (crash_response request msg)
-     | None -> ());
-     slot.inflight <- None;
-     Mutex.lock pool.lock;
-     let respawn =
-       (not pool.stopping) && Atomic.fetch_and_add pool.respawns_left (-1) > 0
-     in
-     if respawn then begin
-       Metrics.incr pool.m_respawns;
-       Atomic.incr pool.alive;
-       pool.domains <- Domain.spawn (worker_main pool slot_idx) :: pool.domains
-     end;
-     Mutex.unlock pool.lock;
-     if (not respawn) && Atomic.get pool.alive <= 1 then
-       (* we are the last worker and not coming back: nobody will serve
-          the deques, so fail them rather than strand the batch *)
-       drain_deques_with_errors pool
-         ("worker died without replacement: " ^ msg));
-  Atomic.decr pool.alive
+  match
+    let engine =
+      Engine.create ?config:pool.engine_config ~shared:pool.shared
+        ?trace:pool.trace_ctxs.(slot_idx) ()
+    in
+    slot.engine <- Some engine;
+    let serve ({ request; reply; enqueued_at } as job) =
+      slot.inflight <- Some job;
+      (match pool.crash_on with
+      | Some p when p request -> raise Injected_crash
+      | _ -> ());
+      let queued_s =
+        if enqueued_at > 0.0 then
+          Some (Float.max 0.0 (Unix.gettimeofday () -. enqueued_at))
+        else None
+      in
+      let response =
+        (* Engine.handle is total; this catch is the containment
+           backstop for bugs and asynchronous exceptions. *)
+        match Engine.handle ?queued_s engine request with
+        | r -> r
+        | exception e ->
+            crash_response request ("request raised " ^ Printexc.to_string e)
+      in
+      slot.inflight <- None;
+      reply response
+    in
+    let rec loop () =
+      Mutex.lock pool.lock;
+      let job = next_job pool in
+      Mutex.unlock pool.lock;
+      match job with
+      | Some job ->
+          serve job;
+          loop ()
+      | None -> ()
+    in
+    loop ()
+  with
+  | () ->
+      Mutex.lock pool.lock;
+      Atomic.decr pool.alive;
+      Mutex.unlock pool.lock
+  | exception e ->
+      (* The worker is dying.  Contain the damage: fail only the
+         in-flight request, then hand the slot to a replacement. *)
+      let msg = Printexc.to_string e in
+      Atomic.incr pool.deaths;
+      Metrics.incr pool.m_deaths;
+      (match slot.engine with
+      | Some engine ->
+          let raw, tb, eq, hits = Engine.ledger_counts engine in
+          ignore (Atomic.fetch_and_add pool.retired_raw raw);
+          ignore (Atomic.fetch_and_add pool.retired_tb tb);
+          ignore (Atomic.fetch_and_add pool.retired_equiv eq);
+          ignore (Atomic.fetch_and_add pool.retired_hits hits);
+          slot.engine <- None
+      | None -> ());
+      let inflight = slot.inflight in
+      slot.inflight <- None;
+      Option.iter
+        (fun job -> job.reply (crash_response job.request msg))
+        inflight;
+      (* Respawn, or leave for good — and if we were the last worker,
+         take the queue with us — in one critical section, so two
+         workers dying at once cannot both see the other alive. *)
+      Mutex.lock pool.lock;
+      let stranded =
+        if (not pool.stopping) && pool.respawns_left > 0 then begin
+          pool.respawns_left <- pool.respawns_left - 1;
+          Metrics.incr pool.m_respawns;
+          pool.domains <-
+            Domain.spawn (worker_main pool slot_idx) :: pool.domains;
+          []
+        end
+        else begin
+          Atomic.decr pool.alive;
+          if Atomic.get pool.alive > 0 then []
+          else begin
+            let jobs = List.of_seq (Queue.to_seq pool.queue) in
+            Queue.clear pool.queue;
+            jobs
+          end
+        end
+      in
+      Mutex.unlock pool.lock;
+      let msg = "worker died without replacement: " ^ msg in
+      List.iter (fun job -> job.reply (crash_response job.request msg)) stranded
 
-let create ?domains ?cache_capacity ?engine_config ?crash_on
-    ?(max_respawns = 1000) ?(share = true) ?shared
-    ?(tracing = Obs.Trace.Off) ?(trace_capacity = 256) () =
+let create ?domains ?engine_config ?crash_on ?(max_respawns = 1000) ?shared
+    ?(tracing = Obs.Trace.Off) () =
   let n =
     match domains with
     | Some n ->
@@ -316,52 +184,40 @@ let create ?domains ?cache_capacity ?engine_config ?crash_on
     {
       lock = Mutex.create ();
       nonempty = Condition.create ();
+      queue = Queue.create ();
       stopping = false;
       domains = [];
-      rr = 0;
-      slots =
-        Array.init n (fun _ ->
-            {
-              inflight = None;
-              engine = None;
-              deque = { d_lock = Mutex.create (); chunks = Queue.create () };
-            });
-      n;
-      pending = Atomic.make 0;
-      alive = Atomic.make 0;
+      respawns_left = max_respawns;
+      alive = Atomic.make n;
+      slots = Array.init n (fun _ -> { inflight = None; engine = None });
       deaths = Atomic.make 0;
-      respawns_left = Atomic.make max_respawns;
       retired_raw = Atomic.make 0;
       retired_tb = Atomic.make 0;
       retired_equiv = Atomic.make 0;
       retired_hits = Atomic.make 0;
       shared =
         (match shared with
-        | Some _ -> shared (* caller-owned, e.g. pre-seeded from a store *)
-        | None -> if share then Some (Shared_memo.create ()) else None);
-      cache_capacity;
+        | Some memo -> memo (* caller-owned, e.g. pre-seeded from a store *)
+        | None -> Shared_memo.create ());
       engine_config;
       crash_on;
       tracing;
       trace_ctxs =
         Array.init n (fun _ ->
             if tracing = Obs.Trace.Off then None
-            else
-              Some (Obs.Trace.make ~capacity:trace_capacity ~sampling:tracing ()));
+            else Some (Obs.Trace.make ~sampling:tracing ()));
       m_deaths = Metrics.counter "pool.worker_deaths";
       m_respawns = Metrics.counter "pool.respawns";
-      m_steals = Metrics.counter "pool.steals";
     }
   in
   Mutex.lock pool.lock;
   for slot_idx = 0 to n - 1 do
-    Atomic.incr pool.alive;
     pool.domains <- Domain.spawn (worker_main pool slot_idx) :: pool.domains
   done;
   Mutex.unlock pool.lock;
   pool
 
-let size pool = pool.n
+let size pool = Array.length pool.slots
 let worker_deaths pool = Atomic.get pool.deaths
 let tracing pool = pool.tracing
 
@@ -376,91 +232,59 @@ let traces pool =
   |> List.sort (fun a b ->
          compare a.Obs.Trace.at_s b.Obs.Trace.at_s)
 
-(* Near-equal contiguous chunks, at most one per worker, placed
-   round-robin; stealing rebalances whatever this static split gets
-   wrong.  Raises [Invalid_argument caller] on a stopped pool. *)
-let dispatch pool ~caller jobs =
-  let m = Array.length jobs in
-  let n_chunks = min pool.n m in
-  let chunks =
-    Array.init n_chunks (fun i ->
-        { jobs; next = i * m / n_chunks; limit = (i + 1) * m / n_chunks })
-  in
+(* Push [jobs] and wake up to one idle worker per job.  Raises
+   [Invalid_argument caller] on a stopped pool.  With every worker gone
+   for good (respawns exhausted), nobody would ever serve the jobs, so
+   they are failed at once instead. *)
+let enqueue pool ~caller jobs =
   Mutex.lock pool.lock;
   if pool.stopping then begin
     Mutex.unlock pool.lock;
     invalid_arg (caller ^ ": pool is shut down")
   end;
-  (* Rotate the placement cursor so successive small batches spread
-     over different workers instead of always loading slot 0. *)
-  let start = pool.rr in
-  pool.rr <- (pool.rr + n_chunks) mod pool.n;
-  Array.iteri
-    (fun i chunk ->
-      let d = pool.slots.((start + i) mod pool.n).deque in
-      Mutex.lock d.d_lock;
-      Queue.add chunk d.chunks;
-      Mutex.unlock d.d_lock)
-    chunks;
-  ignore (Atomic.fetch_and_add pool.pending m);
-  (* One wakeup per chunk — an idle worker per unit of parallelism —
-     instead of a broadcast storm.  Signals that land while every
-     worker is busy are no-ops, which is fine: a busy worker rescans
-     the deques (own, then steal) before it ever sleeps. *)
-  for _ = 1 to n_chunks do
-    Condition.signal pool.nonempty
-  done;
-  Mutex.unlock pool.lock
+  let orphaned = Atomic.get pool.alive = 0 in
+  if not orphaned then begin
+    List.iter (fun job -> Queue.push job pool.queue) jobs;
+    for _ = 1 to min (List.length jobs) (size pool) do
+      Condition.signal pool.nonempty
+    done
+  end;
+  Mutex.unlock pool.lock;
+  if orphaned then
+    List.iter
+      (fun job -> job.reply (crash_response job.request "no worker left"))
+      jobs
 
 let run_batch pool requests =
-  let reqs = Array.of_list requests in
-  let m = Array.length reqs in
+  let m = List.length requests in
   if m = 0 then []
   else begin
-    let owner =
-      {
-        results = Array.make m None;
-        remaining = m;
-        b_lock = Mutex.create ();
-        b_done = Condition.create ();
-        on_done = None;
-      }
-    in
+    let results = Array.make m None in
+    let remaining = ref m in
+    let latch = Mutex.create () and finished = Condition.create () in
     let enqueued_at = stamp pool in
-    let jobs =
-      Array.mapi (fun index request -> { request; index; owner; enqueued_at }) reqs
+    let job index request =
+      let reply response =
+        Mutex.lock latch;
+        results.(index) <- Some response;
+        decr remaining;
+        if !remaining = 0 then Condition.signal finished;
+        Mutex.unlock latch
+      in
+      { request; reply; enqueued_at }
     in
-    dispatch pool ~caller:"Pool.run_batch" jobs;
-    Mutex.lock owner.b_lock;
-    while owner.remaining > 0 do
-      Condition.wait owner.b_done owner.b_lock
+    enqueue pool ~caller:"Pool.run_batch" (List.mapi job requests);
+    Mutex.lock latch;
+    while !remaining > 0 do
+      Condition.wait finished latch
     done;
-    Mutex.unlock owner.b_lock;
-    Array.to_list
-      (Array.map
-         (function
-           | Some r -> r
-           | None -> assert false (* remaining = 0 implies all filled *))
-         owner.results)
+    Mutex.unlock latch;
+    Array.to_list (Array.map Option.get results)
   end
 
-let submit pool request on_response =
-  let owner =
-    {
-      results = Array.make 1 None;
-      remaining = 1;
-      b_lock = Mutex.create ();
-      b_done = Condition.create ();
-      on_done =
-        Some
-          (fun results ->
-            match results.(0) with
-            | Some r -> on_response r
-            | None -> assert false (* on_done fires only when filled *));
-    }
-  in
-  dispatch pool ~caller:"Pool.submit"
-    [| { request; index = 0; owner; enqueued_at = stamp pool } |]
+let submit pool request reply =
+  enqueue pool ~caller:"Pool.submit"
+    [ { request; reply; enqueued_at = stamp pool } ]
 
 let ledger_counts pool =
   Array.fold_left
@@ -480,7 +304,7 @@ let oracle_questions pool =
   let raw, tb, eq, _ = ledger_counts pool in
   raw + tb + eq
 
-let shared_stats pool = Option.map Shared_memo.stats pool.shared
+let shared_stats pool = Shared_memo.stats pool.shared
 let shared_memo pool = pool.shared
 
 (* Aggregate LRU stats over the live workers' engines.  [slot.engine]

@@ -1,28 +1,22 @@
-(** A crash-contained, Domain-based worker pool serving request batches
-    in parallel, with chunked work-stealing dispatch and a shared
-    read-mostly memo layer.
+(** A crash-contained, Domain-based worker pool serving requests in
+    parallel from one job queue, over a shared read-mostly memo layer.
 
     [create ~domains ()] spawns [domains] worker domains, each owning a
     private {!Engine.t} (engines are not thread-safe; private engines
-    make locking unnecessary on the hot path).  By default every worker
-    engine is plugged into one {!Shared_memo.t}, so expensive
-    cross-request answers computed by one worker are memo hits for the
-    others — see {!Shared_memo} for why this preserves both
-    byte-identity and the paper's Def. 3.9 question accounting.
+    make locking unnecessary on the hot path).  Every worker engine is
+    plugged into one {!Shared_memo.t}, so expensive cross-request
+    answers computed by one worker are memo hits for the others — see
+    {!Shared_memo} for why this preserves both byte-identity and the
+    paper's Def. 3.9 question accounting.
 
-    {b Dispatch.}  {!run_batch} splits a batch into at most [domains]
-    contiguous chunks and deposits them round-robin into per-worker
-    deques, waking one idle worker per chunk (a {e signal}, not a
-    broadcast — no thundering herd on small batches).  A worker whose
-    own deque runs dry steals the upper half of another worker's front
-    chunk, so a static split that turns out unbalanced (requests have
-    wildly different costs) still finishes at the pace of the pool, not
-    of the unluckiest worker.  Per job the shared state touched is one
-    deque mutex and one atomic counter; the global lock is only taken
-    to go to sleep, and the sleep check re-reads the pending-job count
-    under the same lock the enqueuer signals under, so wakeups cannot
-    be lost.  {!run_batch} blocks until every request of the batch has
-    been answered and returns the responses {e in request order}.
+    {b Dispatch.}  One FIFO queue of jobs under one lock.  {!submit}
+    pushes one job; {!run_batch} pushes its jobs behind one per-batch
+    countdown latch, blocks until every request of the batch has been
+    answered and returns the responses {e in request order}.  Each push
+    signals at most one idle worker per job (no broadcast), and a worker
+    sleeps only after finding the queue empty under the same lock the
+    pusher signals under, so wakeups cannot be lost.  Workers pop jobs
+    until the pool is stopping and the queue is empty.
 
     {b Containment.}  A batch always yields exactly one response per
     request.  {!Engine.handle} is total, and the pool adds two further
@@ -31,11 +25,12 @@
     outright (see [crash_on]) fails only its in-flight request — the
     pool detects the death, spawns a replacement into the same slot
     (counted by [pool.worker_deaths] / [pool.respawns] metrics and
-    {!worker_deaths}), and the rest of the batch completes normally:
-    the slot's deque, queued chunks included, survives the death.  If
-    the last worker dies with respawns exhausted, every queued job in
-    every deque is failed with [Worker_crash] rather than stranding the
-    caller.
+    {!worker_deaths}), and the replacement serves the same queue, so
+    the rest of the batch completes normally.  A dying worker decides
+    under the pool lock whether it is the last one with no respawn
+    left; if it is, it fails every queued job with [Worker_crash]
+    rather than stranding the caller, and jobs pushed after that fail
+    at once the same way.
 
     Correctness guarantee: with no fault injection and no evaluation
     limits configured, every response's [result] is byte-identical (as
@@ -53,9 +48,9 @@
     warmth and so may differ from a sequential run; they are typed
     partial answers, not nondeterministic values.
 
-    Batches may be submitted from several client threads concurrently;
-    their chunks interleave across the deques.  {!shutdown} drains
-    nothing: it waits for in-flight jobs, stops the workers and joins
+    Batches and single jobs may be submitted from several client
+    threads concurrently; their jobs interleave in the queue.
+    {!shutdown} lets the workers finish every queued job, then joins
     their domains, giving up after [timeout_s] if a worker is stuck.
     Submitting to a pool after {!shutdown} raises. *)
 
@@ -68,37 +63,32 @@ exception Injected_crash
 
 val create :
   ?domains:int ->
-  ?cache_capacity:int ->
   ?engine_config:Engine.config ->
   ?crash_on:(Request.t -> bool) ->
   ?max_respawns:int ->
-  ?share:bool ->
   ?shared:Shared_memo.t ->
   ?tracing:Obs.Trace.sampling ->
-  ?trace_capacity:int ->
   unit ->
   t
 (** [domains] defaults to [Domain.recommended_domain_count () - 1],
     clamped to at least 1.  Raises [Invalid_argument] on [domains < 1].
-    [cache_capacity] and [engine_config] are passed to each worker's
-    engine (fault-injection seeds are shared; schedules still differ
-    per worker because call sequences do).  [crash_on] is the
-    chaos-testing hook: a worker about to serve a matching request dies
-    instead (see {!Injected_crash}).  [max_respawns] (default 1000)
-    bounds replacement spawns so a deterministic crash-on-everything
-    configuration cannot fork-bomb.  [share] (default [true]) gives all
-    workers one {!Shared_memo.t}; pass [false] to measure or test fully
-    independent workers.  [shared] plugs in a caller-owned memo layer
-    instead (e.g. one pre-seeded from a [lib/store] snapshot) and takes
-    precedence over [share].
+    [engine_config] is passed to each worker's engine (fault-injection
+    seeds are shared; schedules still differ per worker because call
+    sequences do).  [crash_on] is the chaos-testing hook: a worker about
+    to serve a matching request dies instead (see {!Injected_crash}).
+    [max_respawns] (default 1000) bounds replacement spawns so a
+    deterministic crash-on-everything configuration cannot fork-bomb.
+    [shared] is the memo layer all workers share; by default the pool
+    creates a fresh one, and a caller may plug in its own (e.g. one
+    pre-seeded from a [lib/store] snapshot).
 
     [tracing] (default [Off]) gives every worker engine a private
     {!Obs.Trace} ctx with the given sampling; sampled requests produce
     span trees (queue wait, parse, retry attempts) with exact Def. 3.9
-    ledger slices, collected by {!traces}.  [trace_capacity] (default
-    256) bounds each worker's completed-trace ring.  With tracing on,
-    jobs carry their enqueue timestamp so traces show the queue wait;
-    nothing else changes — responses stay byte-identical (E28). *)
+    ledger slices, collected by {!traces}.  Each worker keeps its 256
+    most recent traces.  With tracing on, jobs carry their enqueue
+    timestamp so traces show the queue wait; nothing else changes —
+    responses stay byte-identical (E28). *)
 
 val size : t -> int
 (** Number of worker slots. *)
@@ -122,11 +112,11 @@ val run_batch : t -> Request.t list -> Request.response list
 val submit : t -> Request.t -> (Request.response -> unit) -> unit
 (** [submit pool request k] enqueues one request and returns
     immediately; [k] is called exactly once with the response, on the
-    worker domain that served it (or on the drain path after a fatal
-    worker death — either way, exactly once).  This is the socket
-    front-end's entry point ([lib/net]): one connection can keep many
-    requests in flight without one blocked {!run_batch} thread per
-    request.  [k] must be quick and must not raise — it runs inside the
+    worker domain that served it (or with [Worker_crash] by a dying
+    worker, or at once on the caller's thread when no worker is left —
+    either way, exactly once).  This is the socket front-end's entry
+    point ([lib/net]): one connection can keep many requests in flight
+    without one blocked {!run_batch} thread per request.  [k] must be quick and must not raise — it runs inside the
     worker's serving loop (the server's [k] pushes onto a per-connection
     writer queue whose capacity the admission window already bounds, so
     it never blocks).  Raises [Invalid_argument] if the pool has been
@@ -136,21 +126,19 @@ val oracle_questions : t -> int
 (** Total genuine oracle questions (Def. 3.9: raw Rᵢ + T_B + ≅_B)
     asked so far across all worker engines, dead ones included.  Exact
     when the pool is quiescent (no batch in flight); a snapshot
-    otherwise.  With sharing on, this is the number the E26 bench
-    compares against the sequential engine's {!Engine.question_count}. *)
+    otherwise.  This is the number the E26 bench compares against the
+    sequential engine's {!Engine.question_count}. *)
 
 val ledger_counts : t -> int * int * int * int
 (** The {!oracle_questions} breakdown [(raw, tb, equiv, cache_hits)]
     summed over live and retired worker engines — what a [stats]
     request served by this pool reports. *)
 
-val shared_stats : t -> Shared_memo.stats option
-(** Hit/miss statistics of the pool's shared memo layer ([None] when
-    created with [~share:false]). *)
+val shared_stats : t -> Shared_memo.stats
+(** Hit/miss statistics of the pool's shared memo layer. *)
 
-val shared_memo : t -> Shared_memo.t option
-(** The pool's shared memo layer itself ([None] when created with
-    [~share:false]) — what [lib/store] snapshots. *)
+val shared_memo : t -> Shared_memo.t
+(** The pool's shared memo layer itself — what [lib/store] snapshots. *)
 
 val cache_stats : t -> Oracle_cache.stats
 (** Aggregate per-worker LRU statistics across the live worker engines

@@ -1,54 +1,8 @@
 open Prelude
 
 (* ------------------------------------------------------------------ *)
-(* A small read-preferring rw-lock.  Critical sections here are single
-   hashtable probes/inserts, so the point is not reader throughput on
-   long sections — it is that a stripe's readers never serialize behind
-   each other, and that writers (rare once the table is warm: the
-   tables are read-mostly by design) drain quickly. *)
-
-module Rw = struct
-  type t = {
-    m : Mutex.t;
-    c : Condition.t;
-    mutable readers : int;
-    mutable writer : bool;
-  }
-
-  let create () =
-    { m = Mutex.create (); c = Condition.create (); readers = 0; writer = false }
-
-  let read_lock t =
-    Mutex.lock t.m;
-    while t.writer do
-      Condition.wait t.c t.m
-    done;
-    t.readers <- t.readers + 1;
-    Mutex.unlock t.m
-
-  let read_unlock t =
-    Mutex.lock t.m;
-    t.readers <- t.readers - 1;
-    if t.readers = 0 then Condition.broadcast t.c;
-    Mutex.unlock t.m
-
-  let write_lock t =
-    Mutex.lock t.m;
-    while t.writer || t.readers > 0 do
-      Condition.wait t.c t.m
-    done;
-    t.writer <- true;
-    Mutex.unlock t.m
-
-  let write_unlock t =
-    Mutex.lock t.m;
-    t.writer <- false;
-    Condition.broadcast t.c;
-    Mutex.unlock t.m
-end
-
-(* ------------------------------------------------------------------ *)
-(* A lock-striped, rw-locked memo table.  The compute closure runs with
+(* A lock-striped memo table, one mutex per stripe; critical sections
+   are single hashtable probes/inserts.  The compute closure runs with
    NO lock held: a slow oracle question never blocks other keys, at
    the price that two workers racing on the same cold key may both
    compute (each worker's own instrumentation counts its own genuine
@@ -61,23 +15,23 @@ module Make_table (K : Hashtbl.HashedType) = struct
   module H = Hashtbl.Make (K)
 
   type 'v t = {
-    stripes : (Rw.t * 'v H.t) array;
+    stripes : (Mutex.t * 'v H.t) array;
     hits : int Atomic.t;
     misses : int Atomic.t;
   }
 
   let create ?(stripes = 8) () =
     {
-      stripes = Array.init stripes (fun _ -> (Rw.create (), H.create 64));
+      stripes = Array.init stripes (fun _ -> (Mutex.create (), H.create 64));
       hits = Atomic.make 0;
       misses = Atomic.make 0;
     }
 
   let find_or_compute t k compute =
     let lock, tbl = t.stripes.(K.hash k mod Array.length t.stripes) in
-    Rw.read_lock lock;
+    Mutex.lock lock;
     let found = H.find_opt tbl k in
-    Rw.read_unlock lock;
+    Mutex.unlock lock;
     match found with
     | Some v ->
         Atomic.incr t.hits;
@@ -85,7 +39,7 @@ module Make_table (K : Hashtbl.HashedType) = struct
     | None ->
         let v = compute () in
         Atomic.incr t.misses;
-        Rw.write_lock lock;
+        Mutex.lock lock;
         let v =
           match H.find_opt tbl k with
           | Some v0 -> v0 (* lost the race: the first insertion wins *)
@@ -93,7 +47,7 @@ module Make_table (K : Hashtbl.HashedType) = struct
               H.add tbl k v;
               v
         in
-        Rw.write_unlock lock;
+        Mutex.unlock lock;
         v
 
   (* Insert-if-absent without touching the hit/miss ledger: loading a
@@ -102,7 +56,7 @@ module Make_table (K : Hashtbl.HashedType) = struct
      first-insertion-wins rule as [find_or_compute]. *)
   let seed t k v =
     let lock, tbl = t.stripes.(K.hash k mod Array.length t.stripes) in
-    Rw.write_lock lock;
+    Mutex.lock lock;
     let inserted =
       match H.find_opt tbl k with
       | Some _ -> false
@@ -110,18 +64,18 @@ module Make_table (K : Hashtbl.HashedType) = struct
           H.add tbl k v;
           true
     in
-    Rw.write_unlock lock;
+    Mutex.unlock lock;
     inserted
 
-  (* Snapshot iteration, one stripe's read lock at a time.  [f] runs
-     under that read lock and must only accumulate (never touch any
-     memo table), which is all the exporter does. *)
+  (* Snapshot iteration, one stripe's lock at a time.  [f] runs under
+     that lock and must only accumulate (never touch any memo table),
+     which is all the exporter does. *)
   let fold t f init =
     Array.fold_left
       (fun acc (lock, tbl) ->
-        Rw.read_lock lock;
+        Mutex.lock lock;
         let acc = H.fold f tbl acc in
-        Rw.read_unlock lock;
+        Mutex.unlock lock;
         acc)
       init t.stripes
 

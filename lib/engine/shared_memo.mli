@@ -23,12 +23,13 @@
       request's canonical payload JSON [(instance, sentence, rank,
       cutoff, ...)].
 
-    {b Locking.}  Every table is lock-striped, each stripe under a
-    read-preferring rw-lock; lookups on a warm table are pure reads.
-    No lock is ever held across a [compute] closure, so one slow
-    oracle question cannot stall unrelated lookups.  Two workers
-    racing on the same cold key may both compute; the first insertion
-    wins and both return it.
+    {b Locking.}  Every table is lock-striped, each stripe under one
+    plain mutex held only for a single hashtable probe or insert, so
+    lookups on different stripes never contend and lookups on the same
+    stripe wait at most one probe.  No lock is ever held across a
+    [compute] closure, so one slow oracle question cannot stall
+    unrelated lookups.  Two workers racing on the same cold key may
+    both compute; the first insertion wins and both return it.
 
     {b Cost-model correctness (Def. 3.9).}  A memo hit is not an
     oracle question — exactly the E23/E24 argument, lifted across
@@ -157,7 +158,7 @@ type dump_entry =
 
 val export : t -> dump_entry list
 (** A consistent-enough snapshot: each stripe is read under its own
-    read lock (concurrent inserts may or may not appear — every entry
+    lock (concurrent inserts may or may not appear — every entry
     that does appear was genuinely computed and committed).  Instance
     declarations precede the entries that reference them. *)
 

@@ -15,8 +15,8 @@ type t = {
 
 let start ?(host = "127.0.0.1") ?(port = 0) ?domains ?(window = 64)
     ?(per_conn_window = 16) ?(max_line = Frame.default_max_line)
-    ?(stats = true) ?cache_capacity ?engine_config ?tracing ?trace_capacity
-    ?metrics_port ?store_dir ?snapshot_interval_s () =
+    ?(stats = true) ?engine_config ?tracing ?metrics_port ?store_dir
+    ?snapshot_interval_s () =
   Frame.ignore_sigpipe ();
   (* Durability, when asked for: the snapshot is loaded into a memo
      layer *before* any worker exists, so the pool's first request
@@ -35,8 +35,7 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?domains ?(window = 64)
   in
   let pool =
     let shared = Option.map (fun (_, _, memo) -> memo) store_opened in
-    Pool.create ?domains ?cache_capacity ?engine_config ?tracing
-      ?trace_capacity ?shared ()
+    Pool.create ?domains ?engine_config ?tracing ?shared ()
   in
   let store =
     match store_opened with
@@ -111,22 +110,20 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?domains ?(window = 64)
         ]
         @
         (* Plan-cache and definition-memo gauges (the RQL front-end's
-           shared tables); absent when the pool was built unshared. *)
-        match Pool.shared_stats pool with
-        | None -> []
-        | Some ss ->
-            [
-              g "pool_plan_cache_hits"
-                "compiled-plan memo hits (raw text or normalized text)"
-                ss.Shared_memo.plans.Shared_memo.hits;
-              g "pool_plan_cache_misses" "compiled-plan memo misses"
-                ss.Shared_memo.plans.Shared_memo.misses;
-              g "pool_rql_def_hits"
-                "materialized RQL definitions reused across requests"
-                ss.Shared_memo.rql_defs.Shared_memo.hits;
-              g "pool_rql_def_misses" "RQL definitions materialized"
-                ss.Shared_memo.rql_defs.Shared_memo.misses;
-            ])
+           shared tables). *)
+        let ss = Pool.shared_stats pool in
+        [
+          g "pool_plan_cache_hits"
+            "compiled-plan memo hits (raw text or normalized text)"
+            ss.Shared_memo.plans.Shared_memo.hits;
+          g "pool_plan_cache_misses" "compiled-plan memo misses"
+            ss.Shared_memo.plans.Shared_memo.misses;
+          g "pool_rql_def_hits"
+            "materialized RQL definitions reused across requests"
+            ss.Shared_memo.rql_defs.Shared_memo.hits;
+          g "pool_rql_def_misses" "RQL definitions materialized"
+            ss.Shared_memo.rql_defs.Shared_memo.misses;
+        ])
   in
   let expo =
     match metrics_port with

@@ -34,10 +34,8 @@ val start :
   ?per_conn_window:int ->
   ?max_line:int ->
   ?stats:bool ->
-  ?cache_capacity:int ->
   ?engine_config:Engine.config ->
   ?tracing:Obs.Trace.sampling ->
-  ?trace_capacity:int ->
   ?metrics_port:int ->
   ?store_dir:string ->
   ?snapshot_interval_s:float ->
@@ -53,9 +51,9 @@ val start :
     [stats] field.  [engine_config] arms the same per-request
     budget/deadline/fault machinery as batch serving.
 
-    [tracing]/[trace_capacity] are passed to {!Pool.create}: sampled
-    requests produce span trees with exact Def. 3.9 ledger slices,
-    readable via [Pool.traces (pool t)] or the [/traces] route below.
+    [tracing] is passed to {!Pool.create}: sampled requests produce
+    span trees with exact Def. 3.9 ledger slices, readable via
+    [Pool.traces (pool t)] or the [/traces] route below.
 
     [metrics_port] starts a second listener ({!Expo_server}) on that
     port (0 = ephemeral; read back with {!metrics_port}) serving

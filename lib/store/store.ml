@@ -234,6 +234,19 @@ let snapshot_now t =
 (* ------------------------------------------------------------------ *)
 (* Load. *)
 
+(* The memo sizes its per-relation tables from the counts and indices
+   an instance declaration or relation entry carries, so a hostile or
+   stale frame (a CRC-valid [nrels = 2^40], say) could exhaust memory.
+   Only counts that fit the live instance of that name are seeded. *)
+let fits_live live (entry : Shared_memo.dump_entry) =
+  let count name =
+    match List.assoc_opt name live with Some n -> n | None -> -1
+  in
+  match entry with
+  | D_instance { name; nrels } -> 0 <= nrels && nrels <= count name
+  | D_rel { inst; index; _ } -> 0 <= index && index < count inst
+  | _ -> true
+
 let load_snapshot t =
   if not (Sys.file_exists t.snapshot_path) then
     (false, 0, 0, false, None, 0)
@@ -262,6 +275,14 @@ let load_snapshot t =
         | Store_codec.Header_ok ->
             let loaded = ref 0 and skipped = ref 0 and torn = ref false in
             let plans = ref 0 in
+            let live =
+              List.filter_map
+                (fun name ->
+                  Option.map
+                    (fun hs -> (name, Array.length (Hs.Hsdb.db_type hs)))
+                    (Engine.build_instance name))
+                (Engine.instance_names ())
+            in
             let continue = ref true in
             while !continue do
               match Store_codec.read_frame ic with
@@ -275,8 +296,9 @@ let load_snapshot t =
                   | exception Store_codec.Decode_error _ -> incr skipped
                   | entry ->
                       if
-                        Shared_memo.seed t.memo
-                          ~plan_of_key:Engine.plan_of_key entry
+                        fits_live live entry
+                        && Shared_memo.seed t.memo
+                             ~plan_of_key:Engine.plan_of_key entry
                       then begin
                         incr loaded;
                         match entry with
@@ -284,7 +306,8 @@ let load_snapshot t =
                         | _ -> ()
                       end
                       else
-                        (* already present or un-recompilable plan key:
+                        (* already present, un-recompilable plan key or
+                           a count that does not fit the live instance:
                            skipped, not an error *)
                         incr skipped)
             done;

@@ -19,9 +19,10 @@
     response byte.
 
     {b Paranoid recovery.}  Torn tails are truncated, CRC-failed
-    records skipped (and counted), files with an unknown magic or a
-    future format version refused in toto (a refused journal is moved
-    aside, never overwritten).  Recovery can lose warmth; it can never
+    records skipped (and counted), as are relation counts and indices
+    that do not fit the live instance they name; files with an unknown
+    magic or a future format version refused in toto (a refused
+    journal is moved aside, never overwritten).  Recovery can lose warmth; it can never
     load a wrong answer, and never persists a nondeterministic error
     (budget/deadline/outage/crash/shed) as if it were an answer.
 
@@ -38,7 +39,9 @@ type load_report = {
   entries_loaded : int;  (** entries seeded into the memo *)
   entries_skipped : int;
       (** CRC failures + undecodable records + already-present keys +
-          plan keys that no longer recompile *)
+          plan keys that no longer recompile + instance declarations and
+          relation entries whose count or index does not fit the live
+          instance of that name *)
   torn_tail : bool;  (** snapshot ended mid-frame (truncated) *)
   refused : string option;  (** whole-snapshot refusal reason *)
   plans_recompiled : int;

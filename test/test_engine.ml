@@ -447,11 +447,10 @@ let test_pool_matches_sequential () =
     (fingerprint parallel)
 
 let test_pool_many_small_batches () =
-  (* The wakeup discipline (one signal per chunk, pending counter
+  (* The wakeup discipline (one signal per job, queue emptiness
      re-checked under the enqueuer's lock) must not lose a single
-     wakeup: a lost one deadlocks this loop of tiny batches, which is
-     exactly the shape that used to broadcast-storm.  Batches are also
-     submitted from concurrent client domains. *)
+     wakeup: a lost one deadlocks this loop of tiny batches.  Batches
+     are also submitted from concurrent client domains. *)
   let pool = Pool.create ~domains:3 () in
   let reference = Engine.create () in
   for i = 1 to 40 do
@@ -499,24 +498,60 @@ let test_pool_shared_memo_accounting () =
        pool_questions seq_questions)
     true
     (pool_questions <= seq_questions);
-  (match shared with
-  | None -> Alcotest.fail "sharing should be on by default"
-  | Some s ->
-      Alcotest.(check bool)
-        "the duplicate-heavy batch hits the shared layer" true
-        (s.Shared_memo.results.Shared_memo.hits > 0
-        || s.Shared_memo.children.Shared_memo.hits > 0
-        || s.Shared_memo.rels.Shared_memo.hits > 0));
-  (* An unshared pool still serves identically — sharing is a pure
-     optimization. *)
-  let pool' = Pool.create ~domains:2 ~share:false () in
-  let parallel' = Pool.run_batch pool' batch in
-  Alcotest.(check bool) "unshared pool has no stats" true
-    (Pool.shared_stats pool' = None);
-  Pool.shutdown pool';
+  Alcotest.(check bool)
+    "the duplicate-heavy batch hits the shared layer" true
+    (shared.Shared_memo.results.Shared_memo.hits > 0
+    || shared.Shared_memo.children.Shared_memo.hits > 0
+    || shared.Shared_memo.rels.Shared_memo.hits > 0)
+
+let test_pool_submit_during_batch () =
+  (* The two entry points share one queue: single jobs submitted from
+     several threads interleave with another domain's batch, and every
+     callback still fires exactly once with the sequential bytes. *)
+  let batch = mixed_batch 60 and singles = Array.of_list (mixed_batch 30) in
+  let n = Array.length singles in
+  let expected_batch =
+    fingerprint (Engine.handle_all (Engine.create ()) batch)
+  in
+  let expected =
+    Array.of_list
+      (List.map
+         (fun r -> fingerprint [ r ])
+         (Engine.handle_all (Engine.create ()) (Array.to_list singles)))
+  in
+  let pool = Pool.create ~domains:2 () in
+  let calls = Array.init n (fun _ -> Atomic.make 0) in
+  let got = Array.make n "" in
+  let batch_domain = Domain.spawn (fun () -> Pool.run_batch pool batch) in
+  let submitters =
+    List.init 3 (fun k ->
+        Thread.create
+          (fun () ->
+            Array.iteri
+              (fun i r ->
+                if i mod 3 = k then
+                  Pool.submit pool r (fun resp ->
+                      got.(i) <- fingerprint [ resp ];
+                      Atomic.incr calls.(i)))
+              singles)
+          ())
+  in
+  List.iter Thread.join submitters;
+  let batch_responses = Domain.join batch_domain in
+  (* shutdown lets the workers finish every queued job first *)
+  Pool.shutdown pool;
   Alcotest.(check string)
-    "unshared pool byte-identical too" (fingerprint sequential)
-    (fingerprint parallel')
+    "batch byte-identical to sequential" expected_batch
+    (fingerprint batch_responses);
+  Array.iteri
+    (fun i c ->
+      check Alcotest.int
+        (Printf.sprintf "callback %d fired exactly once" i)
+        1 (Atomic.get c);
+      Alcotest.(check string)
+        (Printf.sprintf "submitted request %d byte-identical" i)
+        expected.(i) got.(i))
+    calls
 
 let test_pool_shutdown () =
   let pool = Pool.create ~domains:2 () in
@@ -643,6 +678,8 @@ let () =
             test_pool_many_small_batches;
           Alcotest.test_case "shared memo: fewer questions, same bytes"
             `Quick test_pool_shared_memo_accounting;
+          Alcotest.test_case "submits interleave with a batch" `Quick
+            test_pool_submit_during_batch;
           Alcotest.test_case "graceful, idempotent shutdown" `Quick
             test_pool_shutdown;
         ] );

@@ -166,9 +166,8 @@ let test_chaos_seeds () =
     let pool = Pool.create ~domains:3 ~engine_config:config () in
     let responses = Pool.run_batch pool chaos_batch in
     (* No lost wakeups: a storm of tiny follow-up batches — one signal
-       each under the chunked dispatch — must all complete (a lost
-       signal hangs right here), and shutdown must then reap every
-       worker cleanly. *)
+       each — must all complete (a lost signal hangs right here), and
+       shutdown must then reap every worker cleanly. *)
     for k = 1 to 5 do
       let tiny = [ List.nth chaos_batch (k mod List.length chaos_batch) ] in
       check Alcotest.int
@@ -257,29 +256,56 @@ let test_crash_containment () =
   check Alcotest.int "one worker death per crashed request" !crashed deaths
 
 let test_last_worker_death_drains_queue () =
-  (* A 1-domain pool with respawns disabled: the first crash strands
-     the queue unless the dying worker fails it — every request must
-     still get a response. *)
+  (* Respawns disabled: once the last worker dies the queue is stranded
+     unless the dying worker fails it — every request must still get a
+     response, and so must a batch submitted after every worker is
+     gone.  One domain dies on request 7; two domains die on every
+     request from 7 on, so both may die at once.  The batches run under
+     a 10 s deadline, so a stranded batch fails instead of hanging. *)
   let batch = Workload.mixed 21 in
-  let pool =
-    Pool.create ~domains:1 ~max_respawns:0
-      ~crash_on:(fun r -> r.Request.id = 7)
-      ()
+  let drains ~domains ~crash_on =
+    let pool = Pool.create ~domains ~max_respawns:0 ~crash_on () in
+    let result = Atomic.make None in
+    let client =
+      Domain.spawn (fun () ->
+          let responses = Pool.run_batch pool batch in
+          let late = Pool.run_batch pool [ List.hd batch ] in
+          Atomic.set result (Some (responses, late)))
+    in
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    let rec await () =
+      match Atomic.get result with
+      | Some answers ->
+          Domain.join client;
+          answers
+      | None when Unix.gettimeofday () > deadline ->
+          Alcotest.failf "%d domains: batch stranded after a worker death"
+            domains
+      | None ->
+          Unix.sleepf 0.005;
+          await ()
+    in
+    let responses, late = await () in
+    Pool.shutdown pool;
+    check Alcotest.int "every request answered" (List.length batch)
+      (List.length responses);
+    List.iter
+      (fun (r : Request.response) ->
+        if r.Request.id >= 7 then
+          match r.Request.result with
+          | Error (Request.Worker_crash _) -> ()
+          | _ ->
+              Alcotest.failf
+                "%d domains: request %d should carry worker_crash (no worker \
+                 left)"
+                domains r.Request.id)
+      responses;
+    match late with
+    | [ { Request.result = Error (Request.Worker_crash _); _ } ] -> ()
+    | _ -> Alcotest.failf "%d domains: a batch after the last death" domains
   in
-  let responses = Pool.run_batch pool batch in
-  Pool.shutdown pool;
-  check Alcotest.int "every request answered" (List.length batch)
-    (List.length responses);
-  List.iter
-    (fun (r : Request.response) ->
-      if r.Request.id >= 7 then
-        match r.Request.result with
-        | Error (Request.Worker_crash _) -> ()
-        | _ ->
-            Alcotest.failf
-              "request %d should carry worker_crash (no worker left)"
-              r.Request.id)
-    responses
+  drains ~domains:1 ~crash_on:(fun r -> r.Request.id = 7);
+  drains ~domains:2 ~crash_on:(fun r -> r.Request.id >= 7)
 
 let test_shutdown_timeout () =
   (* Park a worker on a ~100ms request, then shut down with a 5ms

@@ -454,6 +454,38 @@ let fault_bad_magic () =
       check Alcotest.bool "bad magic refused" true (report.Store.refused <> None);
       check (Alcotest.list Alcotest.string) "still correct" reference got)
 
+let fault_hostile_counts () =
+  (* CRC-valid frames whose relation count or index does not fit the
+     live instance must be skipped, not used to size tables: at 2^40
+     they would exhaust memory at startup. *)
+  with_tmpdir (fun dir ->
+      Unix.mkdir dir 0o755;
+      let frame e = Store_codec.frame (Store_codec.encode_entry e) in
+      write_file (snapshot_path dir)
+        (Bytes.of_string
+           (String.concat ""
+              [
+                Store_codec.header Store_codec.snapshot_magic;
+                frame
+                  (Shared_memo.D_instance { name = "rado"; nrels = 1 lsl 40 });
+                frame
+                  (Shared_memo.D_rel
+                     {
+                       inst = "rado";
+                       index = 1 lsl 40;
+                       key = t [ 0; 1 ];
+                       value = true;
+                     });
+                frame
+                  (Shared_memo.D_children
+                     { inst = "rado"; key = t [ 0 ]; value = [ 1 ] });
+              ]));
+      let memo = Shared_memo.create () in
+      let store, report = Store.open_store ~write_behind:false ~dir memo in
+      Store.close store;
+      check Alcotest.int "hostile frames skipped" 2 report.Store.entries_skipped;
+      check Alcotest.int "valid entry loaded" 1 report.Store.entries_loaded)
+
 (* ------------------------------------------------------------------ *)
 (* Journal                                                             *)
 
@@ -606,6 +638,8 @@ let () =
           Alcotest.test_case "bit-flipped record" `Quick fault_bit_flip;
           Alcotest.test_case "future format version" `Quick fault_future_version;
           Alcotest.test_case "bad magic" `Quick fault_bad_magic;
+          Alcotest.test_case "hostile relation counts" `Quick
+            fault_hostile_counts;
         ] );
       ( "journal",
         [
