@@ -1,4 +1,4 @@
-.PHONY: all build test bench engine-smoke resilience-smoke parallel-smoke server-smoke obs-smoke rql-smoke store-smoke compile-smoke cluster-smoke incomplete-smoke check clean
+.PHONY: all build test bench engine-smoke resilience-smoke parallel-smoke server-smoke obs-smoke rql-smoke store-smoke compile-smoke cluster-smoke incomplete-smoke baseline-keys check clean
 
 all: build
 
@@ -16,7 +16,7 @@ bench:
 # answer on the E17 sentences equals uncached evaluation and the LRU
 # asks fewer raw oracle questions than the uncached instance.
 engine-smoke:
-	dune exec bin/recdb.exe -- bench engine
+	dune exec bin/recdb.exe -- bench engine -o BENCH_engine_smoke.json
 
 # The E25 smoke: kill workers mid-batch and verify containment (exit 1
 # on any violation) — once sparsely, once with every other request
@@ -27,13 +27,13 @@ engine-smoke:
 resilience-smoke:
 	dune exec bin/recdb.exe -- crash-test --requests 100 -j 3 --every 20
 	dune exec bin/recdb.exe -- crash-test --requests 100 -j 2 --every 2
-	dune exec bin/recdb.exe -- bench resilience --trials 2 --requests 500 --fault-requests 100
+	dune exec bin/recdb.exe -- bench resilience --trials 2 --requests 500 --fault-requests 100 -o BENCH_resilience_smoke.json
 
 # The E26 smoke: a tiny bench parallel run — exits 1 unless every
 # measured pool run is byte-identical to sequential, asks no more
 # questions than the sequential engine, and loses no worker.
 parallel-smoke:
-	dune exec bin/recdb.exe -- bench parallel --requests 120
+	dune exec bin/recdb.exe -- bench parallel --requests 120 -o BENCH_parallel_smoke.json
 
 # The E27 smoke: serve a few hundred requests over a loopback socket
 # (ephemeral port) with the load generator, then the same load through
@@ -44,7 +44,7 @@ parallel-smoke:
 # 2x the admission window.
 server-smoke:
 	dune exec bin/recdb.exe -- server-smoke
-	dune exec bin/recdb.exe -- bench server --requests 100
+	dune exec bin/recdb.exe -- bench server --requests 100 -o BENCH_server_smoke.json
 
 # The E28 smoke: a small bench obs run (tracing overhead, byte-identity
 # with tracing on, exact ledger slices, a worked budget-trip trace),
@@ -104,7 +104,24 @@ incomplete-smoke:
 	dune exec bin/recdb.exe -- bench incomplete --requests 60 -o BENCH_incomplete_smoke.json
 	dune exec bin/recdb.exe -- incomplete-smoke
 
-check: build test bench engine-smoke resilience-smoke parallel-smoke server-smoke obs-smoke rql-smoke store-smoke compile-smoke cluster-smoke incomplete-smoke
+# The committed baselines cannot drift from what the benches write:
+# every key path of a smoke report BENCH_<name>_smoke.json (array
+# indices normalized to []) must exist in the committed full-size
+# BENCH_<name>.json.  A report field added or renamed without
+# regenerating its baseline fails here.  Run after the smokes.
+KEYS = [paths(scalars) | map(if type == "number" then "[]" else . end) | join(".")] | unique
+
+baseline-keys:
+	@status=0; for fresh in BENCH_*_smoke.json; do \
+	  committed=$${fresh%_smoke.json}.json; \
+	  missing=$$(jq -n -c --argjson f "$$(jq -c '$(KEYS)' $$fresh)" \
+	    --argjson c "$$(jq -c '$(KEYS)' $$committed)" '$$f - $$c'); \
+	  if [ "$$missing" != "[]" ]; then \
+	    echo "$$committed lacks key paths of $$fresh: $$missing"; status=1; \
+	  fi; \
+	done; exit $$status
+
+check: build test bench engine-smoke resilience-smoke parallel-smoke server-smoke obs-smoke rql-smoke store-smoke compile-smoke cluster-smoke incomplete-smoke baseline-keys
 
 clean:
 	dune clean

@@ -17,27 +17,22 @@ let bytes r = Json.to_string (Request.response_to_json ~stats:false r)
 let sequential batch =
   List.map bytes (Engine.handle_all (Engine.create ()) batch)
 
-type row = {
-  b_name : string;
-  b_requests : int;
-  b_wall_s : float;
-  b_detail : (string * Json.t) list;
-}
+let strings xs = Json.List (List.map (fun s -> Json.String s) xs)
 
-let row_to_json r =
-  Json.Obj
-    ([
-       ("name", Json.String r.b_name);
-       ("requests", Json.Int r.b_requests);
-       ("wall_s", Json.Float r.b_wall_s);
-     ]
-    @ r.b_detail)
+let gate ok fmt = Printf.ksprintf (fun s -> if ok then [] else [ s ]) fmt
 
-let write_opt out f =
-  Option.iter
-    (fun path ->
-      let oc = open_out path in
-      output_string oc (Json.to_string (f ()));
-      output_char oc '\n';
-      close_out oc)
-    out
+let pp_report ppf report =
+  let rec leaves path = function
+    | Json.Obj fields -> List.iter (fun (k, v) -> leaves (k :: path) v) fields
+    | Json.List items ->
+        List.iteri
+          (fun i v ->
+            match Json.member "name" v with
+            | Some (Json.String name) -> leaves (name :: path) v
+            | _ -> leaves (string_of_int i :: path) v)
+          items
+    | leaf ->
+        Format.fprintf ppf "%s %s@." (String.concat "." (List.rev path))
+          (Json.to_string leaf)
+  in
+  leaves [] report

@@ -1,5 +1,6 @@
 (** What every E-bench shares: wall-clock timing, the stats-stripped
-    response bytes that byte-identity gates compare, and [-o]. *)
+    response bytes that byte-identity gates compare, gate checks, and
+    the one renderer that prints every report. *)
 
 val time : (unit -> 'a) -> 'a * float
 (** [time f]: [f ()] and its wall-clock seconds. *)
@@ -16,17 +17,15 @@ val sequential : Request.t list -> string list
 (** {!bytes} of a fresh sequential engine's responses to a batch, in
     batch order: the reference the byte-identity gates compare with. *)
 
-(** One named row of a multi-row bench (E32, E33). *)
-type row = {
-  b_name : string;
-  b_requests : int;
-  b_wall_s : float;
-  b_detail : (string * Json.t) list;  (** row-specific fields *)
-}
+val strings : string list -> Json.t
+(** A JSON list of strings (a report's violations). *)
 
-val row_to_json : row -> Json.t
-(** [{"name", "requests", "wall_s"}] followed by the detail fields. *)
+val gate : bool -> ('a, unit, string, string list) format4 -> 'a
+(** [gate ok fmt ...]: no violation when [ok], else the one formatted
+    violation. *)
 
-val write_opt : string option -> (unit -> Json.t) -> unit
-(** [write_opt (Some path) f] writes [f ()] and a newline to [path];
-    [None] does nothing (how the benches honour [-o]). *)
+val pp_report : Format.formatter -> Json.t -> unit
+(** Print a report one line per scalar leaf, as [path value]: the path
+    joins object keys with [.] and names a list element by its ["name"]
+    field when it has one, else by its index; the value is its JSON
+    text. *)

@@ -34,29 +34,9 @@
    mix), so routing keys cover both instance-scoped and op-scoped
    payloads. *)
 
-type result = {
-  c_shards : int;
-  c_requests : int;
-  c_seq_questions : int;
-  c_rows : Bench_util.row list;
-  c_violations : string list;  (** empty = all acceptance checks pass *)
-}
-
 let total (l : Request.ledger) = l.Request.l_questions
 
-let to_json (r : result) =
-  Json.Obj
-    [
-      ("bench", Json.String "cluster");
-      ("shards", Json.Int r.c_shards);
-      ("requests", Json.Int r.c_requests);
-      ("seq_questions", Json.Int r.c_seq_questions);
-      ("rows", Json.List (List.map Bench_util.row_to_json r.c_rows));
-      ( "violations",
-        Json.List (List.map (fun v -> Json.String v) r.c_violations) );
-    ]
-
-let run ?out ?(requests = 240) ~exe () =
+let run ?(requests = 240) ~exe () =
   let shards = 3 in
   Frame.ignore_sigpipe ();
   let dir = "_cluster_bench" in
@@ -68,12 +48,13 @@ let run ?out ?(requests = 240) ~exe () =
   let rows = ref [] in
   let row name requests wall detail =
     rows :=
-      {
-        Bench_util.b_name = name;
-        b_requests = requests;
-        b_wall_s = wall;
-        b_detail = detail;
-      }
+      Json.Obj
+        ([
+           ("name", Json.String name);
+           ("requests", Json.Int requests);
+           ("wall_s", Json.Float wall);
+         ]
+        @ detail)
       :: !rows
   in
   (* --- sequential reference: bytes and the question baseline -------- *)
@@ -91,7 +72,7 @@ let run ?out ?(requests = 240) ~exe () =
     Shard_sup.start ~dir ~extra_args:[ "-j"; "1"; "--no-stats" ] ~exe
       ~n:shards ()
   with
-  | Error e -> [ "supervisor failed to start: " ^ e ]
+  | Error e -> (Json.Obj [], [ "supervisor failed to start: " ^ e ])
   | Ok sup ->
       let endpoints = Shard_sup.endpoints sup in
       (* plain router: rows routed/crash/stats *)
@@ -350,23 +331,16 @@ let run ?out ?(requests = 240) ~exe () =
       ignore (Router.drain ~timeout_s:10.0 router);
       ignore (Router.drain ~timeout_s:10.0 hedger);
       Shard_sup.stop sup;
-      let result =
-        {
-          c_shards = shards;
-          c_requests = List.length lines;
-          c_seq_questions = seq_questions;
-          c_rows = List.rev !rows;
-          c_violations = List.rev !violations;
-        }
-      in
-      Format.printf
-        "bench cluster: %d requests over %d shards; cluster %d questions, \
-         sequential %d; hedges %d (wins %d, %d duplicate questions); \
-         respawns %d@."
-        result.c_requests shards cluster_q seq_questions
-        hcounters.Router.hedges_fired hcounters.Router.hedge_wins duplicates
-        (Shard_sup.respawns sup);
-      if result.c_violations = [] then Proc.rm_rf dir
+      let violations = List.rev !violations in
+      if violations = [] then Proc.rm_rf dir
       else Format.eprintf "bench cluster: shard logs kept in %s@." dir;
-      Bench_util.write_opt out (fun () -> to_json result);
-      result.c_violations
+      ( Json.Obj
+          [
+            ("bench", Json.String "cluster");
+            ("shards", Json.Int shards);
+            ("requests", Json.Int (List.length lines));
+            ("seq_questions", Json.Int seq_questions);
+            ("rows", Json.List (List.rev !rows));
+            ("violations", Bench_util.strings violations);
+          ],
+        violations )

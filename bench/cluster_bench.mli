@@ -4,9 +4,8 @@
     Forks real [recdb serve] shard processes ([exe]), so every row
     exercises genuine process boundaries. *)
 
-val run : ?out:string -> ?requests:int -> exe:string -> unit -> string list
+val run : ?requests:int -> exe:string -> unit -> Json.t * string list
 (** Run E32: [requests] (default 240, the store-smoke mix of the E17
     batch plus RQL) through three child servers behind an in-process
-    router.  Prints a summary; when [out] is given also writes the JSON
-    there ([BENCH_cluster.json]).  Returns the violated acceptance
-    checks. *)
+    router.  Returns the report ([BENCH_cluster.json]) and the violated
+    acceptance checks; progress goes to stderr. *)

@@ -1,21 +1,20 @@
 (** The engine benchmarks E24–E26, E28, E29 and E31 behind
-    [recdb bench NAME].  Every [run*] prints its tables, writes the
-    JSON to [out] when given, and returns the violated acceptance
-    checks — empty when all hold. *)
+    [recdb bench NAME].  Every [run*] returns its report — the JSON
+    that [-o] writes — and the violated acceptance checks, empty when
+    all hold. *)
 
-val run : ?out:string -> unit -> string list
+val run : unit -> Json.t * string list
 (** E24: raw-oracle savings of the LRU on 25 repetitions of E17's four
     sentences on triangles.  Violations: a cached engine answer that
     differs from {!Hs.Fo_eval.eval_sentence} on the uncached instance,
     or no fewer raw oracle calls cached than uncached. *)
 
 val run_resilience :
-  ?out:string ->
   ?trials:int ->
   ?requests:int ->
   ?fault_requests:int ->
   unit ->
-  string list
+  Json.t * string list
 (** E25: budget-guard overhead on the mixed batch ([requests], default
     2000, best of [trials], default 3; reported, not gated), deadline
     and budget trips on the heaviest expressible request
@@ -25,7 +24,7 @@ val run_resilience :
     [budget_exceeded] or asks more than its quota; a non-faulted
     response of the fault run differs from the clean run. *)
 
-val run_parallel : ?out:string -> ?requests:int -> unit -> string list
+val run_parallel : ?requests:int -> unit -> Json.t * string list
 (** E26: the mixed batch ([requests], default 600) cold and warm on one
     sequential engine, then on shared-memo pools of 1/2/4/8 domains
     (counts above the recommendation skipped).  Violations, per
@@ -33,7 +32,7 @@ val run_parallel : ?out:string -> ?requests:int -> unit -> string list
     more genuine questions than the sequential engine, a worker
     death. *)
 
-val run_obs : ?out:string -> ?requests:int -> ?trials:int -> unit -> string list
+val run_obs : ?requests:int -> ?trials:int -> unit -> Json.t * string list
 (** E28: the mixed batch ([requests], default 2000) on a fresh
     sequential engine, [trials] (default 3) runs per tracing mode (off /
     1-in-64 / full).  Violations: off or sampled overhead >= 5% (with
@@ -42,7 +41,7 @@ val run_obs : ?out:string -> ?requests:int -> ?trials:int -> unit -> string list
     stats, or a budget-trip probe ([tree(paths3, 6)] under a
     200-question quota) that does not trip within its quota. *)
 
-val run_rql : ?out:string -> ?requests:int -> unit -> string list
+val run_rql : ?requests:int -> unit -> Json.t * string list
 (** E29: the RQL batch ([requests], default 120) cold under both
     planners on fresh shared-memo engines, then re-served warm with a
     one-smaller cutoff.  Violations: error responses, naive and planned
@@ -65,7 +64,7 @@ val golden_e31_requests : int
 (** The size of the e31 batch frozen in the golden file (200); the most
     [run_compile ~requests] can check. *)
 
-val run_compile : ?out:string -> golden:string -> ?requests:int -> unit -> string list
+val run_compile : golden:string -> ?requests:int -> unit -> Json.t * string list
 (** E31: interpreter-vs-compiled hot loops at library level — deep
     Eq-heavy FO quantification and bounded-domain Qf enumeration,
     gated at 5x, plus ungated RQL and QL rows — then every golden set,

@@ -17,22 +17,6 @@
      and identical bytes as a plain engine — certificates are computed
      structurally, never by asking oracles. *)
 
-type result = {
-  i_requests : int;
-  i_rows : Bench_util.row list;
-  i_violations : string list;
-}
-
-let to_json r =
-  Json.Obj
-    [
-      ("experiment", Json.String "E33 incomplete");
-      ("requests", Json.Int r.i_requests);
-      ("rows", Json.List (List.map Bench_util.row_to_json r.i_rows));
-      ( "violations",
-        Json.List (List.map (fun v -> Json.String v) r.i_violations) );
-    ]
-
 (* ------------------------------------------------------------------ *)
 (* Workloads                                                           *)
 
@@ -137,17 +121,15 @@ let subset_row ~requests ~violations =
     | _ -> violate "subset: request %d: a mode returned an error" i
   in
   let (), wall = Bench_util.time (fun () -> List.iteri check payloads) in
-  {
-    Bench_util.b_name = "subset";
-    b_requests = requests;
-    b_wall_s = wall;
-    b_detail =
-      [
-        ("certain_lower_certs", Json.Int !certain_lower);
-        ("exact_certs_in_certain_mode", Json.Int !exact_free);
-        ("possible_mode_certs", Json.Int !possible_upper);
-      ];
-  }
+  Json.Obj
+    [
+      ("name", Json.String "subset");
+      ("requests", Json.Int requests);
+      ("wall_s", Json.Float wall);
+      ("certain_lower_certs", Json.Int !certain_lower);
+      ("exact_certs_in_certain_mode", Json.Int !exact_free);
+      ("possible_mode_certs", Json.Int !possible_upper);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Row 2: closed world — all three modes byte-identical                *)
@@ -184,12 +166,13 @@ let closed_world_row ~requests ~violations =
       [ ("certain", rc); ("possible", rp); ("approximate", ra) ]
   in
   let (), wall = Bench_util.time (fun () -> List.iteri check payloads) in
-  {
-    Bench_util.b_name = "closed_world";
-    b_requests = requests;
-    b_wall_s = wall;
-    b_detail = [ ("modes_compared", Json.Int 4) ];
-  }
+  Json.Obj
+    [
+      ("name", Json.String "closed_world");
+      ("requests", Json.Int requests);
+      ("wall_s", Json.Float wall);
+      ("modes_compared", Json.Int 4);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Row 3: approximate converges to certain as the budget grows         *)
@@ -255,22 +238,20 @@ let approximate_row ~violations =
   if !matched < total then
     violate "approximate: %d/%d requests still differ from certain at budget %d"
       (total - !matched) total !budget;
-  {
-    Bench_util.b_name = "approximate";
-    b_requests = total;
-    b_wall_s = wall;
-    b_detail =
-      [
-        ("converged_at_budget", Json.Int !budget);
-        ( "sweep",
-          Json.List
-            (List.rev_map
-               (fun (b, n) ->
-                 Json.Obj
-                   [ ("budget", Json.Int b); ("matching_certain", Json.Int n) ])
-               !sweep) );
-      ];
-  }
+  Json.Obj
+    [
+      ("name", Json.String "approximate");
+      ("requests", Json.Int total);
+      ("wall_s", Json.Float wall);
+      ("converged_at_budget", Json.Int !budget);
+      ( "sweep",
+        Json.List
+          (List.rev_map
+             (fun (b, n) ->
+               Json.Obj
+                 [ ("budget", Json.Int b); ("matching_certain", Json.Int n) ])
+             !sweep) );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Row 4: the certificate machinery costs no oracle questions          *)
@@ -307,22 +288,20 @@ let overhead_row ~requests ~violations =
      claim *)
   if frac >= 0.05 && declared_s -. plain_s >= 0.05 then
     violate "overhead: wall overhead %.1f%% >= 5%%" (100. *. frac);
-  {
-    Bench_util.b_name = "overhead";
-    b_requests = requests;
-    b_wall_s = plain_s +. declared_s;
-    b_detail =
-      [
-        ("plain_s", Json.Float plain_s);
-        ("declared_s", Json.Float declared_s);
-        ("overhead_frac", Json.Float frac);
-        ("questions", Json.Int pq);
-      ];
-  }
+  Json.Obj
+    [
+      ("name", Json.String "overhead");
+      ("requests", Json.Int requests);
+      ("wall_s", Json.Float (plain_s +. declared_s));
+      ("plain_s", Json.Float plain_s);
+      ("declared_s", Json.Float declared_s);
+      ("overhead_frac", Json.Float frac);
+      ("questions", Json.Int pq);
+    ]
 
 (* ------------------------------------------------------------------ *)
 
-let run ?out ?(requests = 120) () =
+let run ?(requests = 120) () =
   let violations = ref [] in
   let rows =
     [
@@ -332,20 +311,12 @@ let run ?out ?(requests = 120) () =
       overhead_row ~requests ~violations;
     ]
   in
-  let result =
-    { i_requests = requests; i_rows = rows; i_violations = List.rev !violations }
-  in
-  List.iter
-    (fun (b : Bench_util.row) ->
-      Format.printf "%-14s %5d requests  %8.3fs  %s@." b.b_name b.b_requests
-        b.b_wall_s
-        (String.concat ", "
-           (List.filter_map
-              (function
-                | (k, Json.Int n) -> Some (Printf.sprintf "%s=%d" k n)
-                | (k, Json.Float f) -> Some (Printf.sprintf "%s=%.4f" k f)
-                | _ -> None)
-              b.b_detail)))
-    rows;
-  Bench_util.write_opt out (fun () -> to_json result);
-  result.i_violations
+  let violations = List.rev !violations in
+  ( Json.Obj
+      [
+        ("experiment", Json.String "E33 incomplete");
+        ("requests", Json.Int requests);
+        ("rows", Json.List rows);
+        ("violations", Bench_util.strings violations);
+      ],
+    violations )

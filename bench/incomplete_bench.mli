@@ -5,10 +5,8 @@
     consult budget, and zero question-ledger overhead for the
     certificate machinery ([recdb bench incomplete]). *)
 
-val run : ?out:string -> ?requests:int -> unit -> string list
+val run : ?requests:int -> unit -> Json.t * string list
 (** Run E33: [requests] (default 120) mode-triplicated requests over
     the {!Incomplete.Decl.demo} instances, the closed-world identity
-    batch, the budget sweep and the overhead pair.  Prints a summary;
-    when [out] is given also writes the JSON there
-    ([BENCH_incomplete.json]).  Returns the violated acceptance
-    checks. *)
+    batch, the budget sweep and the overhead pair.  Returns the report
+    ([BENCH_incomplete.json]) and the violated acceptance checks. *)

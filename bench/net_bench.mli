@@ -17,10 +17,9 @@
       and ask no more Def. 3.9 questions than a sequential run of the
       full batch (shed requests ask zero). *)
 
-val run : ?out:string -> ?requests:int -> unit -> string list
+val run : ?requests:int -> unit -> Json.t * string list
 (** Run E27 with [requests] per measurement (default 400) at 1, 2, 4
-    and 8 connections.  Prints the tables; when [out] is given, also
-    writes the JSON there ([BENCH_server.json]).  Returns the violated
-    gates: identity, everything answered, no unexpected errors, sheds
-    present under 2x overload, window respected, question bound
-    respected. *)
+    and 8 connections.  Returns the report ([BENCH_server.json]) and
+    the violated gates: identity, everything answered, no unexpected
+    errors, sheds present under 2x overload, window respected, question
+    bound respected. *)

@@ -11,39 +11,12 @@
    format version) that must each recover to a correct, possibly
    colder, state. *)
 
-type phase = {
-  p_questions : int;  (** Def. 3.9 ledger for the whole batch *)
-  p_wall_s : float;
-  p_first_response_s : float;  (** time to answer the batch's head *)
-  p_load_s : float;  (** snapshot load time (0 when cold) *)
-  p_entries_loaded : int;
-  p_identical : bool;  (** responses byte-identical to the cold run *)
-}
-
-type fault_row = {
-  f_name : string;
-  f_entries_loaded : int;
-  f_entries_skipped : int;
-  f_torn_tail : bool;
-  f_refused : bool;
-  f_questions : int;
-  f_identical : bool;  (** still byte-identical — never a wrong answer *)
-}
-
-type result = {
-  b_requests : int;
-  cold : phase;
-  warm : phase;
-  question_ratio : float;  (** warm / cold *)
-  snapshot_entries : int;
-  snapshot_bytes : int;
-  faults : fault_row list;
-  b_violations : string list;
-}
+let gate = Bench_util.gate
 
 (* Serve [batch] on a fresh single-domain pool over [memo], returning
-   the ledger and the response bytes.  One domain keeps the ledger
-   deterministic on any host (no cross-worker cold-key races). *)
+   the response bytes, the ledger, and the phase's timing fields.  One
+   domain keeps the ledger deterministic on any host (no cross-worker
+   cold-key races). *)
 let serve memo batch =
   let pool = Pool.create ~domains:1 ~shared:memo () in
   let head, rest = match batch with [] -> ([], []) | r :: rs -> ([ r ], rs) in
@@ -53,8 +26,11 @@ let serve memo batch =
   Pool.shutdown ~timeout_s:10. pool;
   ( List.map Bench_util.bytes (first @ rest),
     questions,
-    first_s +. rest_s,
-    first_s )
+    [
+      ("questions", Json.Int questions);
+      ("wall_s", Json.Float (first_s +. rest_s));
+      ("first_response_s", Json.Float first_s);
+    ] )
 
 let load_into_fresh_memo ~dir =
   let memo = Shared_memo.create () in
@@ -101,73 +77,63 @@ let copy_dir src dst =
       write_file (Filename.concat dst f) (read_file (Filename.concat src f)))
     (Sys.readdir src)
 
-let fault_run ~name ~golden ~pristine ~batch ~cold_bytes damage =
+(* Serve the batch from a damaged copy of the golden store: the
+   fault's report row and its violations — the responses must stay
+   byte-identical, and [detected] must hold of the load report. *)
+let fault_run ~name ~golden ~pristine ~batch ~cold_bytes damage detected =
   let dir = pristine ^ "." ^ name in
   copy_dir golden dir;
   damage ~dir;
   let memo, store, report, _ = load_into_fresh_memo ~dir in
-  let bytes, questions, _, _ = serve memo batch in
+  let bytes, questions, _ = serve memo batch in
   Store.close store;
-  let row =
-    {
-      f_name = name;
-      f_entries_loaded = report.Store.entries_loaded;
-      f_entries_skipped = report.Store.entries_skipped;
-      f_torn_tail = report.Store.torn_tail;
-      f_refused = report.Store.refused <> None;
-      f_questions = questions;
-      f_identical = bytes = cold_bytes;
-    }
-  in
   Proc.rm_rf dir;
-  row
+  let identical = bytes = cold_bytes in
+  let noticed, what = detected report in
+  ( Json.Obj
+      [
+        ("name", Json.String name);
+        ("entries_loaded", Json.Int report.Store.entries_loaded);
+        ("entries_skipped", Json.Int report.Store.entries_skipped);
+        ("torn_tail", Json.Bool report.Store.torn_tail);
+        ("refused", Json.Bool (report.Store.refused <> None));
+        ("questions", Json.Int questions);
+        ("identical", Json.Bool identical);
+      ],
+    gate identical "fault %s produced non-identical responses" name
+    @ gate noticed "%s" what )
 
-let workload ?(requests = 160) () =
+let run ?(requests = 160) () =
   let dir = "_store_bench" in
   let batch = Workload.mixed_with_rql requests in
   Proc.rm_rf dir;
   (* --- cold ------------------------------------------------------- *)
   let memo = Shared_memo.create () in
   let store, _ = Store.open_store ~write_behind:false ~dir memo in
-  let cold_bytes, cold_questions, cold_wall, cold_first = serve memo batch in
+  let cold_bytes, cold_questions, cold = serve memo batch in
   let snap = Store.snapshot_now store in
   Store.close store;
-  let cold =
-    {
-      p_questions = cold_questions;
-      p_wall_s = cold_wall;
-      p_first_response_s = cold_first;
-      p_load_s = 0.;
-      p_entries_loaded = 0;
-      p_identical = true;
-    }
-  in
   (* --- warm ------------------------------------------------------- *)
   let golden = dir ^ ".golden" in
   copy_dir dir golden;
   let memo2, store2, report2, load_s = load_into_fresh_memo ~dir in
-  let warm_bytes, warm_questions, warm_wall, warm_first = serve memo2 batch in
+  let warm_bytes, warm_questions, warm = serve memo2 batch in
   Store.close store2;
-  let warm =
-    {
-      p_questions = warm_questions;
-      p_wall_s = warm_wall;
-      p_first_response_s = warm_first;
-      p_load_s = load_s;
-      p_entries_loaded = report2.Store.entries_loaded;
-      p_identical = warm_bytes = cold_bytes;
-    }
-  in
+  let warm_identical = warm_bytes = cold_bytes in
   (* --- fault rows -------------------------------------------------- *)
-  let faults =
-    [
-      fault_run ~name:"truncated" ~golden ~pristine:dir ~batch ~cold_bytes
-        truncate_snapshot;
-      fault_run ~name:"bit_flip" ~golden ~pristine:dir ~batch ~cold_bytes
-        corrupt_snapshot;
-      fault_run ~name:"future_version" ~golden ~pristine:dir ~batch
-        ~cold_bytes future_version_snapshot;
-    ]
+  let fault = fault_run ~golden ~pristine:dir ~batch ~cold_bytes in
+  let faults, fault_violations =
+    List.split
+      [
+        fault ~name:"truncated" truncate_snapshot (fun r ->
+            (r.Store.torn_tail, "truncated snapshot not detected as torn"));
+        fault ~name:"bit_flip" corrupt_snapshot (fun r ->
+            ( r.Store.entries_skipped > 0,
+              "bit-flipped snapshot skipped no record" ));
+        fault ~name:"future_version" future_version_snapshot (fun r ->
+            ( r.Store.refused <> None,
+              "future-version snapshot was not refused" ));
+      ]
   in
   Proc.rm_rf golden;
   Proc.rm_rf dir;
@@ -176,118 +142,41 @@ let workload ?(requests = 160) () =
     else float_of_int warm_questions /. float_of_int cold_questions
   in
   let violations =
-    List.concat
-      [
-        (if warm.p_identical then []
-         else [ "warm responses not byte-identical to cold" ]);
-        (if ratio < 0.05 then []
-         else
-           [
-             Printf.sprintf
-               "warm questions %d not < 5%% of cold %d (ratio %.3f)"
-               warm_questions cold_questions ratio;
-           ]);
-        List.concat_map
-          (fun f ->
-            if f.f_identical then []
-            else [ Printf.sprintf "fault %s produced non-identical responses" f.f_name ])
-          faults;
-        (match List.find_opt (fun f -> f.f_name = "future_version") faults with
-        | Some f when not f.f_refused ->
-            [ "future-version snapshot was not refused" ]
-        | _ -> []);
-        (match List.find_opt (fun f -> f.f_name = "truncated") faults with
-        | Some f when not f.f_torn_tail ->
-            [ "truncated snapshot not detected as torn" ]
-        | _ -> []);
-        (match List.find_opt (fun f -> f.f_name = "bit_flip") faults with
-        | Some f when f.f_entries_skipped = 0 ->
-            [ "bit-flipped snapshot skipped no record" ]
-        | _ -> []);
-      ]
+    gate warm_identical "warm responses not byte-identical to cold"
+    @ gate (ratio < 0.05) "warm questions %d not < 5%% of cold %d (ratio %.3f)"
+        warm_questions cold_questions ratio
+    @ List.concat fault_violations
   in
-  {
-    b_requests = List.length batch;
-    cold;
-    warm;
-    question_ratio = ratio;
-    snapshot_entries = snap.Store.entries_written;
-    snapshot_bytes = snap.Store.bytes_written;
-    faults;
-    b_violations = violations;
-  }
-
-let phase_json p =
-  Json.Obj
-    [
-      ("questions", Json.Int p.p_questions);
-      ("wall_s", Json.Float p.p_wall_s);
-      ("first_response_s", Json.Float p.p_first_response_s);
-      ("load_s", Json.Float p.p_load_s);
-      ("entries_loaded", Json.Int p.p_entries_loaded);
-      ("identical", Json.Bool p.p_identical);
-    ]
-
-let to_json (r : result) =
-  Json.Obj
-    [
-      ( "workload",
-        Json.String "mixed batch + RQL over five instances, cold vs warm start"
-      );
-      ("requests", Json.Int r.b_requests);
-      ("cold", phase_json r.cold);
-      ("warm", phase_json r.warm);
-      ("question_ratio", Json.Float r.question_ratio);
-      ( "snapshot",
-        Json.Obj
-          [
-            ("entries", Json.Int r.snapshot_entries);
-            ("bytes", Json.Int r.snapshot_bytes);
-          ] );
-      ( "faults",
-        Json.List
-          (List.map
-             (fun f ->
-               Json.Obj
-                 [
-                   ("name", Json.String f.f_name);
-                   ("entries_loaded", Json.Int f.f_entries_loaded);
-                   ("entries_skipped", Json.Int f.f_entries_skipped);
-                   ("torn_tail", Json.Bool f.f_torn_tail);
-                   ("refused", Json.Bool f.f_refused);
-                   ("questions", Json.Int f.f_questions);
-                   ("identical", Json.Bool f.f_identical);
-                 ])
-             r.faults) );
-      ( "violations",
-        Json.List (List.map (fun s -> Json.String s) r.b_violations) );
-    ]
-
-let run ?out ?requests () =
-  Format.printf "Durability benchmark (E30):@.";
-  let r = workload ?requests () in
-  Format.printf
-    "  cold: %d questions, %.3fs (first response %.4fs)@."
-    r.cold.p_questions r.cold.p_wall_s r.cold.p_first_response_s;
-  Format.printf
-    "  warm: %d questions (%.1f%% of cold), %.3fs (load %.4fs + first \
-     response %.4fs), %d entries loaded@."
-    r.warm.p_questions
-    (100. *. r.question_ratio)
-    r.warm.p_wall_s r.warm.p_load_s r.warm.p_first_response_s
-    r.warm.p_entries_loaded;
-  Format.printf "  snapshot: %d entries, %d bytes@." r.snapshot_entries
-    r.snapshot_bytes;
-  List.iter
-    (fun f ->
-      Format.printf
-        "  fault %-14s loaded %d, skipped %d%s%s, %d questions, identical %b@."
-        f.f_name f.f_entries_loaded f.f_entries_skipped
-        (if f.f_torn_tail then ", torn tail" else "")
-        (if f.f_refused then ", refused" else "")
-        f.f_questions f.f_identical)
-    r.faults;
-  Format.printf "  warm and fault responses byte-identical: %b@."
-    (r.warm.p_identical && List.for_all (fun f -> f.f_identical) r.faults);
-  Bench_util.write_opt out (fun () -> to_json r);
-  r.b_violations
+  ( Json.Obj
+      [
+        ( "workload",
+          Json.String "mixed batch + RQL over five instances, cold vs warm start"
+        );
+        ("requests", Json.Int (List.length batch));
+        ( "cold",
+          Json.Obj
+            (cold
+            @ [
+                ("load_s", Json.Float 0.);
+                ("entries_loaded", Json.Int 0);
+                ("identical", Json.Bool true);
+              ]) );
+        ( "warm",
+          Json.Obj
+            (warm
+            @ [
+                ("load_s", Json.Float load_s);
+                ("entries_loaded", Json.Int report2.Store.entries_loaded);
+                ("identical", Json.Bool warm_identical);
+              ]) );
+        ("question_ratio", Json.Float ratio);
+        ( "snapshot",
+          Json.Obj
+            [
+              ("entries", Json.Int snap.Store.entries_written);
+              ("bytes", Json.Int snap.Store.bytes_written);
+            ] );
+        ("faults", Json.List faults);
+        ("violations", Bench_util.strings violations);
+      ],
+    violations )

@@ -12,7 +12,7 @@
     future-version file refused, truncation detected as a torn tail,
     the bit flip skipped as a CRC failure. *)
 
-val run : ?out:string -> ?requests:int -> unit -> string list
+val run : ?requests:int -> unit -> Json.t * string list
 (** Run E30 ([requests] default 160, in the scratch directory
-    [_store_bench], removed afterwards), print the summary, write the
-    JSON to [out] when given, and return the violated gates. *)
+    [_store_bench], removed afterwards): the report and the violated
+    gates. *)

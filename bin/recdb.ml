@@ -61,6 +61,24 @@ let db_type_arg =
   in
   Arg.conv (parse, print)
 
+(* HOST:PORT with a port in 1..65535 (--shard, --endpoints and the
+   lines of --shards-file). *)
+let parse_host_port s =
+  let bad () =
+    Error (`Msg (Printf.sprintf "%S: expected HOST:PORT, PORT in 1..65535" s))
+  in
+  match String.rindex_opt s ':' with
+  | None -> bad ()
+  | Some i -> (
+      let host = String.sub s 0 i in
+      let port = String.sub s (i + 1) (String.length s - i - 1) in
+      match int_of_string_opt port with
+      | Some p when host <> "" && p >= 1 && p <= 65535 -> Ok (host, p)
+      | _ -> bad ())
+
+let host_port_arg =
+  Arg.conv (parse_host_port, fun ppf (h, p) -> Format.fprintf ppf "%s:%d" h p)
+
 (* ------------------------------------------------------------------ *)
 
 let cmd_instances =
@@ -849,7 +867,7 @@ let cmd_loadgen =
   let endpoints =
     Arg.(
       value
-      & opt_all string []
+      & opt_all host_port_arg []
       & info [ "endpoints" ] ~docv:"HOST:PORT"
           ~doc:
             "Dial these addresses round-robin per connection instead of \
@@ -857,31 +875,7 @@ let cmd_loadgen =
              router.  Repeatable.")
   in
   let run host port connections requests pipeline rate endpoints =
-    let endpoints =
-      match endpoints with
-      | [] -> None
-      | specs ->
-          Some
-            (List.map
-               (fun spec ->
-                 match String.rindex_opt spec ':' with
-                 | None ->
-                     Format.eprintf "--endpoints %S: expected HOST:PORT@."
-                       spec;
-                     exit 1
-                 | Some i -> (
-                     let h = String.sub spec 0 i in
-                     let p =
-                       String.sub spec (i + 1) (String.length spec - i - 1)
-                     in
-                     match int_of_string_opt p with
-                     | Some p -> (h, p)
-                     | None ->
-                         Format.eprintf "--endpoints %S: bad port %S@." spec
-                           p;
-                         exit 1))
-               specs)
-    in
+    let endpoints = if endpoints = [] then None else Some endpoints in
     let port =
       match (port, endpoints) with
       | Some p, _ -> p
@@ -891,8 +885,12 @@ let cmd_loadgen =
           exit 1
     in
     let report =
-      Loadgen.run ~host ~port ~connections ~requests ~pipeline ?rate
-        ?endpoints ()
+      try
+        Loadgen.run ~host ~port ~connections ~requests ~pipeline ?rate
+          ?endpoints ()
+      with Unix.Unix_error (e, _, _) ->
+        Format.eprintf "loadgen: cannot connect: %s@." (Unix.error_message e);
+        exit 1
     in
     Format.printf "%a@." Loadgen.pp_report report;
     if report.Loadgen.lost > 0 then exit 1
@@ -1813,7 +1811,7 @@ let cmd_router =
   in
   let shard_args =
     Arg.(
-      value & opt_all string []
+      value & opt_all host_port_arg []
       & info [ "shard" ] ~docv:"HOST:PORT"
           ~doc:"A shard endpoint (repeatable).")
   in
@@ -1879,25 +1877,6 @@ let cmd_router =
   in
   let run host port window shard_args shards_file hedge_ms queue_timeout_ms
       no_stats metrics_port max_line port_file =
-    let parse_endpoint s =
-      match String.rindex_opt s ':' with
-      | Some i -> (
-          let h = String.sub s 0 i in
-          match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-          | Some p when p > 0 -> Some (h, p)
-          | _ -> None)
-      | None -> None
-    in
-    let from_flags =
-      List.map
-        (fun s ->
-          match parse_endpoint s with
-          | Some e -> e
-          | None ->
-              Format.eprintf "router: bad --shard %s (want HOST:PORT)@." s;
-              exit 1)
-        shard_args
-    in
     let from_file =
       match shards_file with
       | None -> []
@@ -1910,17 +1889,21 @@ let cmd_router =
           in
           let rec go acc =
             match input_line ic with
+            | line when String.trim line = "" -> go acc
             | line -> (
-                match int_of_string_opt (String.trim line) with
-                | Some p when p > 0 -> go (("127.0.0.1", p) :: acc)
-                | _ -> go acc)
+                match parse_host_port ("127.0.0.1:" ^ String.trim line) with
+                | Ok e -> go (e :: acc)
+                | Error _ ->
+                    Format.eprintf "router: %s: bad shard port %S@." path
+                      (String.trim line);
+                    exit 1)
             | exception End_of_file ->
                 close_in ic;
                 List.rev acc
           in
           go []
     in
-    let shards = from_flags @ from_file in
+    let shards = shard_args @ from_file in
     if shards = [] then begin
       Format.eprintf "router: no shards (give --shard or --shards-file)@.";
       exit 1
@@ -2129,8 +2112,9 @@ let cmd_incomplete_smoke =
   in
   Cmd.v (Cmd.info "incomplete-smoke" ~doc) Term.(const run $ const ())
 
-(* One entry point for the benchmarks.  Each prints its tables, writes
-   its JSON with -o, and returns the acceptance checks it violated; a
+(* One entry point for the benchmarks.  Each returns its report as
+   JSON and the acceptance checks it violated; the report is printed
+   one line per leaf (Bench_util.pp_report) and written with -o.  A
    flag the named bench does not read is a usage error, not a silent
    no-op. *)
 let cmd_bench =
@@ -2142,77 +2126,80 @@ let cmd_bench =
          answer differs from uncached evaluation or the cache saves no raw \
          oracle call).",
         [],
-        fun ~out ~requests:_ ~trials:_ ~fault_requests:_ ->
-          Engine_bench.run ?out () );
+        fun ~requests:_ ~trials:_ ~fault_requests:_ -> Engine_bench.run () );
       ( "resilience",
         "E25: guard overhead (reported), deadline and budget trips on \
          tree(paths3, 6), retry determinism under injected faults (exit 1 \
          if a probe does not trip with its typed error, the budget \
          overspends, or a non-faulted response changes).",
         [ "--requests"; "--trials"; "--fault-requests" ],
-        fun ~out ~requests ~trials ~fault_requests ->
-          Engine_bench.run_resilience ?out ?trials ?requests ?fault_requests
-            () );
+        fun ~requests ~trials ~fault_requests ->
+          Engine_bench.run_resilience ?trials ?requests ?fault_requests () );
       ( "parallel",
         "E26: shared-memo pools cold and warm (exit 1 unless every measured \
          run is byte-identical to sequential, asks no more questions and \
          loses no worker).",
         [ "--requests" ],
-        fun ~out ~requests ~trials:_ ~fault_requests:_ ->
-          Engine_bench.run_parallel ?out ?requests () );
+        fun ~requests ~trials:_ ~fault_requests:_ ->
+          Engine_bench.run_parallel ?requests () );
       ( "server",
         "E27: socket vs batch byte-identity, loopback throughput at 1/2/4/8 \
          connections, typed sheds at 2x the admission window.",
         [ "--requests" ],
-        fun ~out ~requests ~trials:_ ~fault_requests:_ ->
-          Net_bench.run ?out ?requests () );
+        fun ~requests ~trials:_ ~fault_requests:_ ->
+          Net_bench.run ?requests () );
       ( "obs",
         "E28: tracing overhead off / 1-in-64 / full, byte-identity with \
          tracing on, exact ledger slices, a worked budget-trip trace.",
         [ "--requests"; "--trials" ],
-        fun ~out ~requests ~trials ~fault_requests:_ ->
-          Engine_bench.run_obs ?out ?requests ?trials () );
+        fun ~requests ~trials ~fault_requests:_ ->
+          Engine_bench.run_obs ?requests ?trials () );
       ( "rql",
         "E29: planned vs naive questions, warm re-serve with no new plans or \
          questions, byte-identity across planners.",
         [ "--requests" ],
-        fun ~out ~requests ~trials:_ ~fault_requests:_ ->
-          Engine_bench.run_rql ?out ?requests () );
+        fun ~requests ~trials:_ ~fault_requests:_ ->
+          Engine_bench.run_rql ?requests () );
       ( "compile",
         "E31: interpreter-vs-compiled hot loops (the two gated ones >= 5x), \
          then the golden sets served compiled must reproduce the frozen \
          interpreted output in test/golden/compile_interp.jsonl (run from \
          the source root; --requests cuts the 200-request e31 batch).",
         [ "--requests" ],
-        fun ~out ~requests ~trials:_ ~fault_requests:_ ->
+        fun ~requests ~trials:_ ~fault_requests:_ ->
           let golden = "test/golden/compile_interp.jsonl" in
           if Sys.file_exists golden then
-            Engine_bench.run_compile ?out ~golden ?requests ()
-          else [ golden ^ " not found: run bench compile from the source root" ]
-      );
+            Engine_bench.run_compile ~golden ?requests ()
+          else
+            ( Json.Obj [],
+              [ golden ^ " not found: run bench compile from the source root" ]
+            ) );
       ( "store",
         "E30: cold vs warm-start questions and the snapshot fault matrix \
          (warm byte-identical with < 5% of cold's questions).",
         [ "--requests" ],
-        fun ~out ~requests ~trials:_ ~fault_requests:_ ->
-          Store_bench.run ?out ?requests () );
+        fun ~requests ~trials:_ ~fault_requests:_ ->
+          Store_bench.run ?requests () );
       ( "cluster",
         "E32: three shard processes behind the router: routed == \
          sequential bytes, ledger containment, hedging under a stopped \
          shard, kill -9 recovery.",
         [ "--requests" ],
-        fun ~out ~requests ~trials:_ ~fault_requests:_ ->
-          Cluster_bench.run ?out ?requests ~exe:Sys.executable_name () );
+        fun ~requests ~trials:_ ~fault_requests:_ ->
+          Cluster_bench.run ?requests ~exe:Sys.executable_name () );
       ( "incomplete",
         "E33: certain \xe2\x8a\x86 exact \xe2\x8a\x86 possible on the \
          demo declarations, closed-world identity, approximate convergence, \
          zero ledger overhead.",
         [ "--requests" ],
-        fun ~out ~requests ~trials:_ ~fault_requests:_ ->
-          Incomplete_bench.run ?out ?requests () );
+        fun ~requests ~trials:_ ~fault_requests:_ ->
+          Incomplete_bench.run ?requests () );
     ]
   in
-  let doc = "Run one benchmark; exit 1 if any acceptance check fails." in
+  let doc =
+    "Run one benchmark: print its report one PATH VALUE line per figure, \
+     list the violated acceptance checks, and exit 1 if there are any."
+  in
   let man =
     `S Manpage.s_description
     :: List.map
@@ -2235,7 +2222,7 @@ let cmd_bench =
     Arg.(
       value
       & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write results as JSON.")
+      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write the report as JSON.")
   in
   let count long doc =
     Arg.(value & opt (some int) None & info [ long ] ~docv:"N" ~doc)
@@ -2273,8 +2260,15 @@ let cmd_bench =
     match usage with
     | Some msg -> `Error (true, msg)
     | None -> (
-        let violations = bench ~out ~requests ~trials ~fault_requests in
-        Option.iter (Format.printf "wrote %s@.") out;
+        let report, violations = bench ~requests ~trials ~fault_requests in
+        Bench_util.pp_report Format.std_formatter report;
+        Option.iter
+          (fun path ->
+            Out_channel.with_open_text path (fun oc ->
+                output_string oc (Json.to_string report);
+                output_char oc '\n');
+            Format.printf "wrote %s@." path)
+          out;
         match violations with
         | [] ->
             Format.printf "bench %s: OK@." name;

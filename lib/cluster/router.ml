@@ -83,21 +83,12 @@ type t = {
   mutable expo_source : Obs.Expo.source option;
 }
 
-let op_name : Request.payload -> string = function
-  | Request.Sentence _ -> "sentence"
-  | Request.Query _ -> "query"
-  | Request.Classes _ -> "classes"
-  | Request.Tree _ -> "tree"
-  | Request.Program _ -> "program"
-  | Request.Rql _ -> "rql"
-  | Request.Stats -> "stats"
-
 (* The routing key: the (instance, op) pair collapsed to its question
    scope — instance when there is one, op name otherwise. *)
 let key_of payload =
   match Request.payload_instance payload with
   | Some i -> "i:" ^ i
-  | None -> "o:" ^ op_name payload
+  | None -> "o:" ^ Request.op_name payload
 
 (* id-prefix surgery.  Shard responses begin {"id":<int> by
    construction; anything else (defensive) passes through unchanged. *)

@@ -544,15 +544,6 @@ let compiled_of ~tr tbl key build =
       Hashtbl.add tbl key c;
       c
 
-let payload_op : Request.payload -> string = function
-  | Request.Sentence _ -> "sentence"
-  | Request.Query _ -> "query"
-  | Request.Classes _ -> "classes"
-  | Request.Tree _ -> "tree"
-  | Request.Program _ -> "program"
-  | Request.Rql _ -> "rql"
-  | Request.Stats -> "stats"
-
 let error_kind : Request.error -> string = function
   | Request.Parse_error _ -> "parse_error"
   | Request.Unknown_instance _ -> "unknown_instance"
@@ -1053,7 +1044,7 @@ let trace_begin t (req : Request.t) ~instance ?mode entry_opt queued_s =
       in
       Obs.Trace.begin_request c ~req_id:req.Request.id
         ~attrs:
-          (("op", payload_op req.Request.payload)
+          (("op", Request.op_name req.Request.payload)
           :: ((match instance with Some i -> [ ("instance", i) ] | None -> [])
              @ match mode with Some m -> [ ("mode", m) ] | None -> []))
         ledger;

@@ -195,8 +195,27 @@ type response = {
    [op "query": missing required field "instance"], not a bare
    [missing field]. *)
 
+let op_name = function
+  | Sentence _ -> "sentence"
+  | Query _ -> "query"
+  | Classes _ -> "classes"
+  | Tree _ -> "tree"
+  | Program _ -> "program"
+  | Rql _ -> "rql"
+  | Stats -> "stats"
+
+(* Every op's wire name, for the error messages below. *)
 let known_ops =
-  [ "sentence"; "query"; "classes"; "tree"; "program"; "rql"; "stats" ]
+  List.map op_name
+    [
+      Sentence { instance = ""; sentence = "" };
+      Query { instance = ""; query = ""; cutoff = 0 };
+      Classes { db_type = [||]; rank = 0 };
+      Tree { instance = ""; depth = 0 };
+      Program { instance = ""; program = ""; fuel = 0; cutoff = 0 };
+      Rql { instance = ""; text = ""; cutoff = 0; planner = Plan_cost };
+      Stats;
+    ]
 
 let in_op op msg =
   match op with
@@ -391,9 +410,20 @@ let decode_line ?on_unknown ~default_id line =
     match of_line ~default_id ?on_unknown line with
     | Ok req -> `Request req
     | Error err ->
+        (* Answer under the line's own id whenever it declares one, so
+           the client can correlate the error; the line number only
+           stands in for an id that is missing or does not decode. *)
+        let id =
+          match Json.parse line with
+          | Ok j -> (
+              match Json.member "id" j with
+              | Some (Json.Int i) -> i
+              | _ -> default_id)
+          | Error _ -> default_id
+        in
         `Error
           {
-            id = default_id;
+            id;
             result = Error err;
             cert = Cert_exact;
             stats = zero_stats;
@@ -407,20 +437,17 @@ let to_json { id; payload; mode } =
     match payload with
     | Sentence { instance; sentence } ->
         [
-          ("op", Json.String "sentence");
           ("instance", Json.String instance);
           ("sentence", Json.String sentence);
         ]
     | Query { instance; query; cutoff } ->
         [
-          ("op", Json.String "query");
           ("instance", Json.String instance);
           ("query", Json.String query);
           ("cutoff", Json.Int cutoff);
         ]
     | Classes { db_type; rank } ->
         [
-          ("op", Json.String "classes");
           ( "type",
             Json.List (Array.to_list (Array.map (fun a -> Json.Int a) db_type))
           );
@@ -428,13 +455,11 @@ let to_json { id; payload; mode } =
         ]
     | Tree { instance; depth } ->
         [
-          ("op", Json.String "tree");
           ("instance", Json.String instance);
           ("depth", Json.Int depth);
         ]
     | Program { instance; program; fuel; cutoff } ->
         [
-          ("op", Json.String "program");
           ("instance", Json.String instance);
           ("program", Json.String program);
           ("fuel", Json.Int fuel);
@@ -442,7 +467,6 @@ let to_json { id; payload; mode } =
         ]
     | Rql { instance; text; cutoff; planner } ->
         [
-          ("op", Json.String "rql");
           ("instance", Json.String instance);
           ("text", Json.String text);
           ("cutoff", Json.Int cutoff);
@@ -451,7 +475,7 @@ let to_json { id; payload; mode } =
               (match planner with Plan_cost -> "cost" | Plan_naive -> "naive")
           );
         ]
-    | Stats -> [ ("op", Json.String "stats") ]
+    | Stats -> []
   in
   (* Mode at the end, and only when explicitly set: a request without
      one encodes byte-identically to the pre-incompleteness ABI (the
@@ -465,7 +489,9 @@ let to_json { id; payload; mode } =
     | Some (M_approximate { budget }) ->
         [ ("mode", Json.String "approximate"); ("budget", Json.Int budget) ]
   in
-  Json.Obj ((("id", Json.Int id) :: fields) @ mode_fields)
+  Json.Obj
+    ((("id", Json.Int id) :: ("op", Json.String (op_name payload)) :: fields)
+    @ mode_fields)
 
 let tuple_json u =
   Json.List (Array.to_list (Array.map (fun x -> Json.Int x) u))

@@ -247,8 +247,10 @@ val decode_line :
     socket front-end ({!Conn} in [lib/net]): blank lines are skipped,
     a decodable line becomes a request, and a malformed line becomes a
     ready-made error {e response} (typed [Parse_error]/[Bad_request],
-    id = [default_id], zero stats) so one bad line never aborts a
-    batch or kills a connection. *)
+    zero stats) so one bad line never aborts a batch or kills a
+    connection.  The error response carries the line's own integer
+    ["id"] whenever the line is a JSON object that declares one, and
+    [default_id] only when the id is missing or does not decode. *)
 
 val to_json : t -> Json.t
 (** Round-trips through {!of_json}. *)
@@ -264,6 +266,10 @@ val certificate_of_json : Json.t -> certificate option
     [None] on an unknown kind. *)
 
 val error_to_string : error -> string
+
+val op_name : payload -> string
+(** The wire ["op"] name of a payload (["sentence"], ["query"], …). *)
+
 val payload_instance : payload -> string option
 (** The instance a request touches, if any. *)
 

@@ -7,8 +7,11 @@
     ({!Request.decode_line} — the same per-line step [serve-batch]
     uses) and hands each request to the front door's [submit].
     Malformed, oversized and truncated frames become typed
-    [Parse_error] responses (id = line number), counted in
-    [server.bad_frames], and the connection {e keeps serving}; unknown
+    [Parse_error] responses under their line number; a JSON object
+    that fails validation becomes a typed [Bad_request] under its own
+    integer ["id"] (the line number when it has none).  Both are
+    counted in [server.bad_frames], and the connection {e keeps
+    serving}; unknown
     top-level fields are counted, never rejected.  Because both doors
     answer frame errors here, their bytes for a broken frame are the
     same.  Responses are written as [submit] answers them, so they may

@@ -237,6 +237,8 @@ let test_router_passthrough () =
           ^ {|"sentence":"exists x. exists y. R1(x, y)"}|};
           {|{"id":9,"op":"sentence","instance":"triangles",|}
           ^ {|"sentence":"forall x. exists y. R1(x, y)"}|};
+          (* rejected at either door's decode step, under its own id *)
+          {|{"id":45,"op":"tree","instance":"rado","depth":99}|};
         ]
       in
       wait_shards_up router 1;

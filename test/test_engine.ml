@@ -619,6 +619,38 @@ let test_metrics_quantile () =
 (* The committed BENCH_*.json baselines and the frozen golden file were
    measured on these exact requests: a changed stream invalidates them,
    so each is pinned by the md5 of its newline-joined wire lines. *)
+(* The one E-bench report renderer: a line per scalar leaf, keys
+   joined by '.', list elements named by their "name" field, else by
+   index; empty containers print nothing. *)
+let test_bench_report_lines () =
+  let report =
+    Json.Obj
+      [
+        ("requests", Json.Int 3);
+        ( "rows",
+          Json.List
+            [
+              Json.Obj
+                [ ("name", Json.String "cold"); ("wall_s", Json.Float 0.5) ];
+              Json.Obj
+                [ ("domains", Json.Int 2); ("identical", Json.Bool true) ];
+            ] );
+        ("violations", Json.List []);
+      ]
+  in
+  check
+    Alcotest.(list string)
+    "path value lines"
+    [
+      "requests 3";
+      "rows.cold.name \"cold\"";
+      "rows.cold.wall_s 0.5";
+      "rows.1.domains 2";
+      "rows.1.identical true";
+    ]
+    (String.split_on_char '\n'
+       (String.trim (Format.asprintf "%a" Bench_util.pp_report report)))
+
 let test_workload_streams_pinned () =
   let digest batch =
     Digest.to_hex
@@ -687,6 +719,8 @@ let () =
         [
           Alcotest.test_case "mixed and rql streams pinned by digest" `Quick
             test_workload_streams_pinned;
+          Alcotest.test_case "bench report renders one line per leaf" `Quick
+            test_bench_report_lines;
         ] );
       ( "metrics",
         [

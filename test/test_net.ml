@@ -126,11 +126,24 @@ let test_decode_line () =
   (match Request.decode_line ~default_id:3 (classes_line 9) with
   | `Request r -> check Alcotest.int "declared id wins" 9 r.Request.id
   | _ -> Alcotest.fail "valid line should decode");
-  match Request.decode_line ~default_id:3 "{not json" with
+  (match Request.decode_line ~default_id:3 "{not json" with
   | `Error r ->
       check Alcotest.int "default id on parse failure" 3 r.Request.id;
       check Alcotest.bool "typed error" true (Result.is_error r.Request.result)
-  | _ -> Alcotest.fail "bad line should be `Error"
+  | _ -> Alcotest.fail "bad line should be `Error");
+  (* a rejected request keeps the id it declares: the client must be
+     able to correlate the error, and the line number could collide
+     with another in-flight id *)
+  (match
+     Request.decode_line ~default_id:4
+       {|{"id":45,"op":"tree","instance":"rado","depth":99}|}
+   with
+  | `Error r ->
+      check Alcotest.int "declared id on validation failure" 45 r.Request.id
+  | _ -> Alcotest.fail "out-of-range depth should be `Error");
+  match Request.decode_line ~default_id:4 {|{"id":"x","op":"stats"}|} with
+  | `Error r -> check Alcotest.int "default id for a bad id" 4 r.Request.id
+  | _ -> Alcotest.fail "a string id should be `Error"
 
 (* ------------------------------------------------------------------ *)
 (* Server: bad frames never kill the connection                        *)
@@ -161,8 +174,9 @@ let survives_bad_frames port =
   let l3, r3 = next () in
   check Alcotest.(option string) "unknown op -> bad_request"
     (Some "bad_request") (error_kind r3);
-  (* decode errors carry the line number, exactly as in serve-batch *)
-  check Alcotest.int "line number as id on decode error" 3 (response_id r3);
+  (* a rejected request keeps its declared id, exactly as in
+     serve-batch *)
+  check Alcotest.int "declared id on decode error" 5 (response_id r3);
   (* ...and the connection still serves real work *)
   send_line fd (classes_line 6);
   let l4, r4 = next () in
