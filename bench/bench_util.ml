@@ -21,6 +21,15 @@ let strings xs = Json.List (List.map (fun s -> Json.String s) xs)
 
 let gate ok fmt = Printf.ksprintf (fun s -> if ok then [] else [ s ]) fmt
 
+let recdb = "_build/default/bin/recdb.exe"
+
+let with_recdb bench =
+  if Sys.file_exists recdb then bench recdb
+  else
+    ( Json.Obj [],
+      [ recdb ^ " not found: build it (dune build ./bin/recdb.exe) and run \
+                from the source root" ] )
+
 let pp_report ppf report =
   let rec leaves path = function
     | Json.Obj fields -> List.iter (fun (k, v) -> leaves (k :: path) v) fields

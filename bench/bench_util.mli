@@ -24,6 +24,12 @@ val gate : bool -> ('a, unit, string, string list) format4 -> 'a
 (** [gate ok fmt ...]: no violation when [ok], else the one formatted
     violation. *)
 
+val with_recdb : (string -> Json.t * string list) -> Json.t * string list
+(** [with_recdb bench] runs [bench exe] with [exe] the [recdb] binary
+    the forking benches spawn, [_build/default/bin/recdb.exe] relative
+    to the source root; when it is missing, an empty report whose one
+    violation names it. *)
+
 val pp_report : Format.formatter -> Json.t -> unit
 (** Print a report one line per scalar leaf, as [path value]: the path
     joins object keys with [.] and names a list element by its ["name"]

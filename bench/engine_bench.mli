@@ -1,5 +1,5 @@
 (** The engine benchmarks E24–E26, E28, E29 and E31 behind
-    [recdb bench NAME].  Every [run*] returns its report — the JSON
+    [bench/main.exe NAME].  Every [run*] returns its report — the JSON
     that [-o] writes — and the violated acceptance checks, empty when
     all hold. *)
 

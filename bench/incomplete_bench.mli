@@ -3,7 +3,7 @@
     declarations, closed-world byte-identity across all four modes,
     approximate-mode convergence to the certain answer under a growing
     consult budget, and zero question-ledger overhead for the
-    certificate machinery ([recdb bench incomplete]). *)
+    certificate machinery ([bench/main.exe incomplete]). *)
 
 val run : ?requests:int -> unit -> Json.t * string list
 (** Run E33: [requests] (default 120) mode-triplicated requests over

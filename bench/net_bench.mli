@@ -1,4 +1,4 @@
-(** E27: the network serving benchmark ([recdb bench server],
+(** E27: the network serving benchmark ([bench/main.exe server],
     [BENCH_server.json]).
 
     Three measurements over loopback:
@@ -23,3 +23,7 @@ val run : ?requests:int -> unit -> Json.t * string list
     the violated gates: identity, everything answered, no unexpected
     errors, sheds present under 2x overload, window respected, question
     bound respected. *)
+
+val report_to_json : Loadgen.report -> Json.t
+(** A load-generator report as the JSON the E27 rows and the smokes
+    print. *)

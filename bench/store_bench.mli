@@ -1,4 +1,4 @@
-(** E30: the durability benchmark ([recdb bench store],
+(** E30: the durability benchmark ([bench/main.exe store],
     [BENCH_store.json]).
 
     Serves {!Workload.mixed_with_rql} (the mixed batch plus RQL

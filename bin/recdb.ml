@@ -8,11 +8,10 @@
      recdb sentence -i rado 'forall x. ...'  evaluate an FO sentence
      recdb normalize -t 2 -r 2 '{(x,y)|...}' L⁻ normal form (Thm 2.1)
      recdb serve-batch FILE                  JSON-lines requests -> results
-     recdb crash-test                        kill workers mid-batch, verify containment
-     recdb bench NAME                        one benchmark (engine, resilience,
-                                             parallel, server, obs, rql, compile,
-                                             store, cluster, incomplete); exit 1
-                                             on any violated gate
+     recdb serve / router / shard / loadgen  the TCP front end and the cluster
+     recdb stats / store-inspect             look into a running server or a store
+
+   Benchmarks and smokes: bench/main.exe.
 
    Exit codes: 0 success, 1 runtime error (parse failure, unknown
    instance, ...), 124 command-line misuse (unknown subcommand or
@@ -900,213 +899,6 @@ let cmd_loadgen =
       const run $ host_arg $ port $ connections $ requests $ pipeline $ rate
       $ endpoints)
 
-(* The forking smokes' shared scaffolding.  Each works in a fresh
-   scratch directory holding the child's port file and log, removed
-   when every check passes and kept (with the log) when one fails. *)
-let smoke_dir dir =
-  Proc.rm_rf dir;
-  Unix.mkdir dir 0o755;
-  dir
-
-let smoke_fail name ~dir fs =
-  List.iter (Format.eprintf "%s failure: %s@." name) fs;
-  Format.eprintf "%s: child log kept in %s@." name dir;
-  exit 1
-
-let smoke_verdict name ~dir = function
-  | [] -> Proc.rm_rf dir
-  | fs -> smoke_fail name ~dir fs
-
-(* [recdb serve --port 0 ARGS] forked from this executable under
-   Proc.with_server.  A child that never comes up or does not drain to
-   exit 0 on SIGTERM is reported to [fail]; [body]'s value is kept
-   even then, so the smoke still reports its own checks. *)
-let serve_argv args =
-  Array.of_list (Sys.executable_name :: "serve" :: "--port" :: "0" :: args)
-
-let with_serve ~dir ~fail args body =
-  let v = ref None in
-  (match
-     Proc.with_server
-       ~log:(Filename.concat dir "server.log")
-       ~port_file:(Filename.concat dir "server.port")
-       (serve_argv args)
-       (fun ~port ~metrics_port -> v := Some (body ~port ~metrics_port))
-   with
-  | Ok () -> ()
-  | Error e -> fail e);
-  !v
-
-(* The router publishes its port before its upstream connections are
-   up; a request routed before then is a typed oracle_unavailable.
-   Probe until one comes back answered. *)
-let wait_routed port =
-  let probe = {|{"id":0,"op":"classes","type":[2,1],"rank":2}|} in
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  let rec go () =
-    let answered =
-      match Proc.send_and_collect ~timeout_s:5.0 ~port [ probe ] with
-      | Ok [ line ] -> (
-          match Json.parse line with
-          | Ok j -> Json.member "error" j = None
-          | Error _ -> false)
-      | Ok _ | Error _ -> false
-    in
-    if answered then true
-    else if Unix.gettimeofday () > deadline then false
-    else begin
-      Unix.sleepf 0.05;
-      go ()
-    end
-  in
-  go ()
-
-let cmd_server_smoke =
-  let doc =
-    "CI smoke: fork a real recdb serve child on an ephemeral loopback port \
-     (--port 0, discovered through --port-file), run the load generator \
-     against it, then fork a recdb router child over that serve child and \
-     run the same load through it.  Verifies, for each door, that every \
-     request is answered with zero errors and zero sheds, and that both \
-     children drain clean and exit 0 on SIGTERM.  Exits 1 otherwise."
-  in
-  let requests =
-    Arg.(
-      value & opt int 300
-      & info [ "requests" ] ~docv:"N" ~doc:"Total requests per door.")
-  in
-  let connections =
-    Arg.(
-      value & opt int 4
-      & info [ "c"; "connections" ] ~docv:"N" ~doc:"Concurrent connections.")
-  in
-  let run requests connections =
-    let dir = smoke_dir "_server_smoke" in
-    let failures = ref [] in
-    let fail fmt = Format.kasprintf (fun s -> failures := s :: !failures) fmt in
-    let load door port =
-      let r = Loadgen.run ~port ~connections ~requests ~pipeline:4 () in
-      Format.printf "server-smoke (%s): %a@." door Loadgen.pp_report r;
-      if r.Loadgen.answered <> r.Loadgen.sent then
-        fail "%s: %d answered of %d sent" door r.Loadgen.answered
-          r.Loadgen.sent;
-      if r.Loadgen.errors > 0 then
-        fail "%s: %d error responses" door r.Loadgen.errors;
-      if r.Loadgen.shed > 0 then
-        fail "%s: %d sheds under nominal load" door r.Loadgen.shed;
-      if r.Loadgen.lost > 0 then fail "%s: %d requests lost" door r.Loadgen.lost
-    in
-    ignore
-      (with_serve ~dir ~fail:(fail "serve: %s")
-         [ "--window"; "256"; "--per-conn-window"; "64" ]
-         (fun ~port ~metrics_port:_ ->
-           load "serve" port;
-           match
-             Proc.with_server
-               ~log:(Filename.concat dir "router.log")
-               ~port_file:(Filename.concat dir "router.port")
-               [|
-                 Sys.executable_name;
-                 "router";
-                 "--port";
-                 "0";
-                 "--shard";
-                 Printf.sprintf "127.0.0.1:%d" port;
-               |]
-               (fun ~port ~metrics_port:_ ->
-                 if wait_routed port then load "router" port
-                 else fail "router: never reached its shard")
-           with
-           | Ok () -> ()
-           | Error e -> fail "router: %s" e));
-    smoke_verdict "server-smoke" ~dir (List.rev !failures);
-    Format.printf "server-smoke: clean shutdown, zero errors@."
-  in
-  Cmd.v (Cmd.info "server-smoke" ~doc) Term.(const run $ requests $ connections)
-
-let cmd_crash_test =
-  let doc =
-    "Chaos-test the worker pool: serve a mixed batch while deliberately \
-     killing the worker domain on every Nth request, then verify \
-     containment — one response per request, crashed requests carry a \
-     typed worker_crash error, and every other response is byte-identical \
-     to a clean sequential run.  Exits 1 on any violation."
-  in
-  let requests =
-    Arg.(
-      value & opt int 200
-      & info [ "requests" ] ~docv:"N" ~doc:"Batch size.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 3
-      & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains.")
-  in
-  let every =
-    Arg.(
-      value & opt int 25
-      & info [ "every" ] ~docv:"K"
-          ~doc:"Kill the serving worker on requests with id divisible by K.")
-  in
-  let run requests jobs every =
-    if requests < 1 || jobs < 1 || every < 1 then begin
-      Format.eprintf "requests, jobs and every must all be >= 1@.";
-      exit 1
-    end;
-    let batch = Workload.mixed requests in
-    let reference = Engine.handle_all (Engine.create ()) batch in
-    let pool =
-      Pool.create ~domains:jobs
-        ~crash_on:(fun r -> r.Request.id mod every = 0)
-        ()
-    in
-    let responses = Pool.run_batch pool batch in
-    let deaths = Pool.worker_deaths pool in
-    Pool.shutdown pool;
-    let violations = ref [] in
-    let violation fmt =
-      Format.kasprintf (fun s -> violations := s :: !violations) fmt
-    in
-    if List.length responses <> requests then
-      violation "%d responses for %d requests" (List.length responses)
-        requests
-    else
-      List.iter2
-        (fun (r : Request.response) (ref_r : Request.response) ->
-          if r.id <> ref_r.id then
-            violation "response id %d out of order (expected %d)" r.id
-              ref_r.id
-          else if r.id mod every = 0 then (
-            match r.result with
-            | Error (Request.Worker_crash _) -> ()
-            | _ ->
-                violation "request %d should have died with worker_crash"
-                  r.id)
-          else if Bench_util.bytes r <> Bench_util.bytes ref_r then
-            violation "request %d differs from the sequential run" r.id)
-        responses reference;
-    let crashed =
-      List.length
-        (List.filter
-           (fun (r : Request.response) ->
-             match r.result with
-             | Error (Request.Worker_crash _) -> true
-             | _ -> false)
-           responses)
-    in
-    Format.printf
-      "crash-test: %d requests on %d workers, crashing every %dth id: %d \
-       worker deaths, %d crashed responses, %d clean@."
-      requests jobs every deaths crashed (requests - crashed);
-    match !violations with
-    | [] -> Format.printf "containment holds: all clean responses identical \
-                           to a sequential run@."
-    | vs ->
-        List.iter (Format.eprintf "violation: %s@.") (List.rev vs);
-        exit 1
-  in
-  Cmd.v (Cmd.info "crash-test" ~doc) Term.(const run $ requests $ jobs $ every)
-
 let cmd_stats =
   let doc =
     "One-shot scrape of a running server's metrics listener: fetch a path \
@@ -1196,142 +988,6 @@ let cmd_stats =
   in
   Cmd.v (Cmd.info "stats" ~doc)
     Term.(const run $ host_arg $ port $ path $ ledger)
-
-(* The exposition format checks obs-smoke runs against a scrape body:
-   every family the serving stack is known to register must be present,
-   and every histogram's cumulative le-ladder must be monotone. *)
-let check_exposition body =
-  let failures = ref [] in
-  let fail fmt = Format.kasprintf (fun s -> failures := s :: !failures) fmt in
-  let lines = String.split_on_char '\n' body in
-  let required =
-    [
-      "engine_requests_total";
-      "engine_plans_compiled_total";
-      "engine_compile_ns_total";
-      "engine_latency_seconds";
-      "server_frames_dropped_oversized_total";
-      "server_frames_parse_error_total";
-      "server_scrapes_total";
-      "admission_window";
-      "admission_admitted_total";
-      "pool_oracle_questions";
-      "pool_cache_hits";
-    ]
-  in
-  List.iter
-    (fun name ->
-      let present =
-        List.exists
-          (fun l ->
-            String.length l > String.length name
-            && String.sub l 0 (String.length name) = name
-            && (l.[String.length name] = ' ' || l.[String.length name] = '_'
-               || l.[String.length name] = '{'))
-          lines
-      in
-      if not present then fail "missing metric family %s" name)
-    required;
-  (* Bucket monotonicity: within one histogram, counts never decrease
-     down the le ladder, and the +Inf bucket equals _count. *)
-  let bucket_of l =
-    match String.index_opt l '{' with
-    | Some i when String.length l > 7 && String.sub l 0 1 <> "#" -> (
-        let name = String.sub l 0 i in
-        match String.rindex_opt l ' ' with
-        | Some sp -> (
-            try
-              Some (name, int_of_string (String.sub l (sp + 1)
-                                            (String.length l - sp - 1)))
-            with _ -> None)
-        | None -> None)
-    | _ -> None
-  in
-  let last : (string * int) option ref = ref None in
-  List.iter
-    (fun l ->
-      match bucket_of l with
-      | Some (name, v) -> (
-          (match !last with
-          | Some (prev_name, prev_v) when prev_name = name && v < prev_v ->
-              fail "histogram %s: bucket count %d < previous %d" name v prev_v
-          | _ -> ());
-          last := Some (name, v))
-      | None -> last := None)
-    lines;
-  List.rev !failures
-
-let cmd_obs_smoke =
-  let doc =
-    "CI smoke for the observability subsystem: fork a real recdb serve \
-     child with tracing sampled (--trace-sample 4) and a metrics listener \
-     on an ephemeral port, drive it with the load generator, then scrape \
-     /metrics (asserting the exposition is well-formed: required families \
-     present, histogram buckets monotone) and /traces (asserting every line \
-     parses as JSON and carries a span tree), and require a clean SIGTERM \
-     drain.  Exits 1 on any failure."
-  in
-  let requests =
-    Arg.(
-      value & opt int 200
-      & info [ "requests" ] ~docv:"N" ~doc:"Total requests.")
-  in
-  let run requests =
-    let dir = smoke_dir "_obs_smoke" in
-    let failures = ref [] in
-    let fail fmt = Format.kasprintf (fun s -> failures := s :: !failures) fmt in
-    let check_traces body =
-      match
-        List.filter
-          (fun l -> String.trim l <> "")
-          (String.split_on_char '\n' body)
-      with
-      | [] -> fail "/traces: no sampled traces collected"
-      | lines ->
-          List.iter
-            (fun l ->
-              match Json.parse l with
-              | Ok (Json.Obj kvs)
-                when List.mem_assoc "root" kvs
-                     && List.mem_assoc "questions" kvs ->
-                  ()
-              | Ok _ -> fail "/traces: not a span tree: %s" l
-              | Error e -> fail "/traces: unparseable line (%s)" e)
-            lines
-    in
-    ignore
-    @@ with_serve ~dir ~fail:(fail "%s")
-         [
-           "--trace-sample"; "4"; "--metrics-port"; "0"; "--window"; "256";
-           "--per-conn-window"; "64";
-         ]
-         (fun ~port ~metrics_port ->
-           let r = Loadgen.run ~port ~connections:4 ~requests ~pipeline:4 () in
-           if r.Loadgen.answered <> r.Loadgen.sent then
-             fail "%d answered of %d sent" r.Loadgen.answered r.Loadgen.sent;
-           if r.Loadgen.errors > 0 then
-             fail "%d error responses" r.Loadgen.errors;
-           match metrics_port with
-           | None -> fail "no metrics listener came up"
-           | Some port -> (
-               let get path = Expo_server.get ~port ~path () in
-               (match get "/metrics" with
-               | Error reason -> fail "/metrics scrape failed: %s" reason
-               | Ok body ->
-                   List.iter (fail "/metrics: %s") (check_exposition body));
-               (match get "/traces" with
-               | Error reason -> fail "/traces scrape failed: %s" reason
-               | Ok body -> check_traces body);
-               match get "/nonsense" with
-               | Error _ -> ()
-               | Ok _ -> fail "/nonsense answered 200; expected 404"));
-    smoke_verdict "obs-smoke" ~dir (List.rev !failures);
-    Format.printf
-      "obs-smoke: %d requests, exposition well-formed, traces parse, clean \
-       drain@."
-      requests
-  in
-  Cmd.v (Cmd.info "obs-smoke" ~doc) Term.(const run $ requests)
 
 let cmd_rql =
   let doc =
@@ -1453,109 +1109,6 @@ let cmd_rql =
       const run $ inst $ cutoff $ naive $ explain $ open_world_flag
       $ decl_flags $ query)
 
-let cmd_rql_smoke =
-  let doc =
-    "CI smoke for the RQL front-end: fork a real recdb serve child on an \
-     ephemeral loopback port (--port 0, discovered through --port-file), \
-     send the committed golden request file over a socket, and diff the \
-     responses (sorted by id, stats stripped) against the committed \
-     expected output.  Exits 1 on any difference."
-  in
-  let requests_file =
-    Arg.(
-      value
-      & opt string "test/golden/rql_requests.jsonl"
-      & info [ "requests" ] ~docv:"FILE" ~doc:"Golden request file.")
-  in
-  let expected_file =
-    Arg.(
-      value
-      & opt string "test/golden/rql_expected.jsonl"
-      & info [ "expected" ] ~docv:"FILE" ~doc:"Expected response file.")
-  in
-  let update =
-    Arg.(
-      value & flag
-      & info [ "update" ]
-          ~doc:"Rewrite the expected file with the observed responses.")
-  in
-  let read_lines path =
-    let ic = open_in path in
-    let rec go acc =
-      match input_line ic with
-      | line -> go (if String.trim line = "" then acc else line :: acc)
-      | exception End_of_file ->
-          close_in ic;
-          List.rev acc
-    in
-    go []
-  in
-  let run requests_file expected_file update =
-    let requests = read_lines requests_file in
-    if requests = [] then begin
-      Format.eprintf "rql-smoke: no requests in %s@." requests_file;
-      exit 1
-    end;
-    (* stats vary with memo state; the golden contract is the
-       deterministic part of each response only. *)
-    let dir = smoke_dir "_rql_smoke" in
-    let failures = ref [] in
-    let fail s = failures := s :: !failures in
-    let observed =
-      match
-        with_serve ~dir ~fail
-          [ "--no-stats"; "--window"; "64"; "--per-conn-window"; "32" ]
-          (fun ~port ~metrics_port:_ -> Proc.send_and_collect ~port requests)
-      with
-      | Some (Ok responses) ->
-          (* The server may answer out of order across the pipeline; the
-             golden file is committed sorted by id. *)
-          Some (Proc.sort_by_id responses)
-      | Some (Error e) ->
-          fail ("workload send failed: " ^ e);
-          None
-      | None -> None
-    in
-    let rec diff i e o acc =
-      match (e, o) with
-      | [], [] -> List.rev acc
-      | e :: es, o :: os ->
-          diff (i + 1) es os
-            (if String.equal e o then acc
-             else Printf.sprintf "line %d:\n  expected: %s\n  got:      %s" i e o :: acc)
-      | e :: es, [] ->
-          diff (i + 1) es []
-            (Printf.sprintf "line %d missing (expected %s)" i e :: acc)
-      | [], o :: os ->
-          diff (i + 1) [] os
-            (Printf.sprintf "line %d unexpected: %s" i o :: acc)
-    in
-    (match observed with
-    | Some observed when not update ->
-        List.iter
-          (fun d -> fail ("difference: " ^ d))
-          (diff 1 (read_lines expected_file) observed [])
-    | _ -> ());
-    smoke_verdict "rql-smoke" ~dir (List.rev !failures);
-    let observed = Option.value observed ~default:[] in
-    if update then begin
-      let oc = open_out expected_file in
-      List.iter
-        (fun l ->
-          output_string oc l;
-          output_char oc '\n')
-        observed;
-      close_out oc;
-      Format.printf "rql-smoke: wrote %d responses to %s@."
-        (List.length observed) expected_file
-    end
-    else
-      Format.printf "rql-smoke: %d responses match %s, clean drain@."
-        (List.length observed) expected_file
-  in
-  Cmd.v (Cmd.info "rql-smoke" ~doc)
-    Term.(const run $ requests_file $ expected_file $ update)
-
 let cmd_store_inspect =
   let doc =
     "Inspect a durable store directory (read-only, safe against a live \
@@ -1576,156 +1129,6 @@ let cmd_store_inspect =
     print_string (Store.inspect ~dir)
   in
   Cmd.v (Cmd.info "store-inspect" ~doc) Term.(const run $ dir)
-
-let cmd_store_smoke =
-  let doc =
-    "CI crash-recovery smoke: serve the mixed workload through a durable \
-     child server, kill -9 it mid-load after a snapshot, restart on the \
-     same store, and verify the warm server's responses are byte-identical \
-     to a sequential reference while asking < 5% of the cold run's oracle \
-     questions.  Exits 1 on any violation."
-  in
-  let requests =
-    Arg.(
-      value & opt int 120
-      & info [ "requests" ] ~docv:"N" ~doc:"Workload size.")
-  in
-  let dir_arg =
-    Arg.(
-      value & opt string "_store_smoke"
-      & info [ "dir" ] ~docv:"DIR"
-          ~doc:"Scratch directory: the store, the child's port file and log.")
-  in
-  let scrape_gauge ~metrics_port name =
-    match Expo_server.get ~port:metrics_port ~path:"/metrics" () with
-    | Error e ->
-        Format.eprintf "store-smoke: metrics scrape failed: %s@." e;
-        None
-    | Ok body ->
-        let prefix = name ^ " " in
-        String.split_on_char '\n' body
-        |> List.find_map (fun line ->
-               if String.length line > String.length prefix
-                  && String.sub line 0 (String.length prefix) = prefix
-               then
-                 float_of_string_opt
-                   (String.sub line (String.length prefix)
-                      (String.length line - String.length prefix))
-               else None)
-  in
-  let run requests dir =
-    let dir = smoke_dir dir in
-    let batch = Workload.mixed_with_rql requests in
-    let lines = List.map (fun r -> Json.to_string (Request.to_json r)) batch in
-    let reference = Proc.sort_by_id (Bench_util.sequential batch) in
-    let failures = ref [] in
-    let fail fmt = Format.kasprintf (fun s -> failures := s :: !failures) fmt in
-    (* Both phases fork a real durable [recdb serve] on the same store,
-       so kill -9 exercises genuine crash recovery, not an in-process
-       fake. *)
-    let store = Filename.concat dir "store" in
-    let args =
-      [
-        "-j"; "1"; "--no-stats"; "--metrics-port"; "0"; "--store"; store;
-        "--snapshot-interval"; "0.4";
-      ]
-    in
-    let served ~port what =
-      match Proc.send_and_collect ~port lines with
-      | Ok responses ->
-          if Proc.sort_by_id responses <> reference then
-            fail "%s responses differ from sequential" what
-      | Error e -> fail "%s workload send failed: %s" what e
-    in
-    (* --- phase 1: cold durable server, kill -9 mid-load.  It is never
-       meant to drain, so it is spawned directly rather than under
-       Proc.with_server. ---------------------------------------------- *)
-    let port_file = Filename.concat dir "cold.port" in
-    let pid =
-      Proc.spawn
-        ~log:(Filename.concat dir "cold.log")
-        (serve_argv (args @ [ "--port-file"; port_file ]))
-    in
-    let cold_questions =
-      match Proc.wait_port_file port_file with
-      | Error e ->
-          Proc.kill_and_reap pid Sys.sigkill;
-          fail "%s" e;
-          None
-      | Ok (port, metrics_port) ->
-          served ~port "cold";
-          let cold_questions =
-            Option.bind metrics_port (fun mp ->
-                scrape_gauge ~metrics_port:mp "pool_oracle_questions")
-          in
-          (* wait for a write-behind snapshot to land, then re-send the
-             workload and shoot the server while it is answering *)
-          let deadline = Unix.gettimeofday () +. 10. in
-          let rec wait_snapshot () =
-            match metrics_port with
-            | None -> Unix.sleepf 1.0
-            | Some mp -> (
-                match
-                  scrape_gauge ~metrics_port:mp "store_snapshot_last_entries"
-                with
-                | Some n when n > 0. -> ()
-                | _ ->
-                    if Unix.gettimeofday () > deadline then
-                      fail "no snapshot within 10s of serving"
-                    else begin
-                      Unix.sleepf 0.1;
-                      wait_snapshot ()
-                    end)
-          in
-          wait_snapshot ();
-          let killer =
-            Thread.create
-              (fun () ->
-                Unix.sleepf 0.05;
-                Unix.kill pid Sys.sigkill)
-              ()
-          in
-          (* the crash drops the connection mid-stream; whatever arrives
-             before EOF is noise — the contract is about the restart *)
-          ignore (Proc.send_and_collect ~port lines);
-          Thread.join killer;
-          ignore (Unix.waitpid [] pid);
-          cold_questions
-    in
-    (* --- phase 2: warm restart on the crashed store, then a clean
-       SIGTERM drain (checked by the harness) ------------------------- *)
-    ignore
-    @@ with_serve ~dir ~fail:(fail "%s") args (fun ~port ~metrics_port ->
-        served ~port "warm";
-        match (metrics_port, cold_questions) with
-        | Some mp, Some coldq -> (
-            (match scrape_gauge ~metrics_port:mp "pool_oracle_questions" with
-            | Some warmq ->
-                if coldq > 0. && warmq >= 0.05 *. coldq then
-                  fail "warm questions %.0f not < 5%%%% of cold %.0f" warmq
-                    coldq
-                else
-                  Format.printf
-                    "store-smoke: cold %.0f questions, warm %.0f (%.1f%%)@."
-                    coldq warmq
-                    (if coldq > 0. then 100. *. warmq /. coldq else 0.)
-            | None -> fail "pool_oracle_questions missing from warm /metrics");
-            match
-              scrape_gauge ~metrics_port:mp "store_last_flush_age_seconds"
-            with
-            | Some _ -> ()
-            | None -> fail "store_last_flush_age_seconds missing from /metrics")
-        | _ -> fail "metrics unavailable; cannot check the question ratio");
-    (* --- phase 3: the drain flushed a final snapshot ---------------- *)
-    if not (Sys.file_exists (Filename.concat store "snapshot.rdb")) then
-      fail "no snapshot after clean drain";
-    smoke_verdict "store-smoke" ~dir (List.rev !failures);
-    Format.printf
-      "store-smoke: %d requests; crash mid-load recovered, responses \
-       byte-identical cold and warm, clean drain@."
-      (List.length lines)
-  in
-  Cmd.v (Cmd.info "store-smoke" ~doc) Term.(const run $ requests $ dir_arg)
 
 let cmd_shard =
   let doc =
@@ -1940,347 +1343,6 @@ let cmd_router =
       $ hedge_ms $ queue_timeout_ms $ no_stats $ metrics_port $ max_line
       $ port_file)
 
-let cmd_incomplete_smoke =
-  let doc =
-    "CI smoke for incompleteness-aware answering over the wire: fork a \
-     real recdb serve --open-world child, send mode-carrying \
-     requests (wire field and RQL text prefix), and check the \
-     certain/exact/possible containment, the typed certificates, that an \
-     exact response carries no cert field, that a closed-world instance \
-     answers identically in every mode, that an unknown top-level field \
-     (a \"mod\" typo) is warn-and-count (scraped from /metrics), and \
-     that a second child's --default-mode certain applies to modeless \
-     requests; both children must drain clean on SIGTERM.  Exits 1 on any \
-     failure."
-  in
-  let run () =
-    let dir = smoke_dir "_incomplete_smoke" in
-    let failures = ref [] in
-    let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-    let rado_sentence mode_fields id =
-      Printf.sprintf
-        {|{"id":%d,"op":"sentence","instance":"rado","sentence":"exists x. exists y. R1(x, y)"%s}|}
-        id mode_fields
-    in
-    let tri_sentence mode_fields id =
-      Printf.sprintf
-        {|{"id":%d,"op":"sentence","instance":"triangles","sentence":"exists x. exists y. R1(x, y)"%s}|}
-        id mode_fields
-    in
-    let lines =
-      [
-        rado_sentence {|,"mode":"certain"|} 1;
-        rado_sentence "" 2;
-        rado_sentence {|,"mode":"possible"|} 3;
-        rado_sentence {|,"mode":"approximate","budget":1|} 4;
-        tri_sentence {|,"mode":"certain"|} 5;
-        tri_sentence "" 6;
-        (* "mod" is a typo'd "mode": warn-and-count, served exact *)
-        tri_sentence {|,"mod":"possible"|} 7;
-        {|{"id":8,"op":"rql","instance":"mod3","text":"mode possible query {(x, y) | R1(x, y)} cutoff 3","cutoff":3}|};
-      ]
-    in
-    let parse_responses raw =
-      List.filter_map
-        (fun l ->
-          match Json.parse l with Ok j -> Some j | Error _ -> None)
-        (Proc.sort_by_id raw)
-    in
-    let field name j = Json.member name j in
-    let cert_kind j =
-      match field "cert" j with
-      | Some c -> (
-          match Json.member "kind" c with
-          | Some (Json.String k) -> Some (k, c)
-          | _ -> None)
-      | None -> None
-    in
-    let ok_bool j =
-      match field "ok" j with
-      | Some ok -> (
-          match Json.member "value" ok with
-          | Some (Json.Bool b) -> Some b
-          | _ -> None)
-      | None -> None
-    in
-    let check_modes raw =
-      match parse_responses raw with
-      | [ r1; r2; r3; r4; r5; r6; r7; r8 ] ->
-          (* open world: certain false ⊆ exact true ⊆ possible true *)
-          if ok_bool r1 <> Some false then
-            fail "rado certain: expected false (unknown served as lower)";
-          if ok_bool r2 <> Some true then fail "rado exact: expected true";
-          if ok_bool r3 <> Some true then
-            fail "rado possible: expected true (unknown served as upper)";
-          (match cert_kind r1 with
-          | Some ("certain_lower_bound", _) -> ()
-          | _ -> fail "rado certain: expected a certain_lower_bound cert");
-          if cert_kind r2 <> None then
-            fail "rado exact: response must carry no cert field";
-          (match cert_kind r3 with
-          | Some ("possible_upper_bound", _) -> ()
-          | _ -> fail "rado possible: expected a possible_upper_bound cert");
-          (match cert_kind r4 with
-          | Some ("approximate", c) -> (
-              match Json.member "budget_spent" c with
-              | Some (Json.Int n) when n <= 1 -> ()
-              | _ -> fail "rado approximate: budget_spent exceeds budget 1")
-          | _ -> fail "rado approximate at budget 1: expected to trip");
-          (* closed world: every mode = exact bytes, no certs *)
-          List.iter
-            (fun (name, r) ->
-              if ok_bool r <> ok_bool r6 then
-                fail "triangles %s: differs from exact" name;
-              if cert_kind r <> None then
-                fail "triangles %s: unexpected cert on a total instance" name)
-            [ ("certain", r5); ("typo'd-mode", r7) ];
-          if cert_kind r6 <> None then
-            fail "triangles exact: unexpected cert field";
-          (* RQL text prefix: mode travels in the query text *)
-          (match cert_kind r8 with
-          | Some ("possible_upper_bound", _) -> ()
-          | _ ->
-              fail
-                "rql 'mode possible' prefix: expected a possible_upper_bound \
-                 cert")
-      | rs -> fail "expected 8 responses, got %d" (List.length rs)
-    in
-    (* the typo'd field must be scrapeable *)
-    let check_counters body =
-      let counter_at_least name n =
-        List.exists
-          (fun l ->
-            match String.index_opt l ' ' with
-            | Some i when String.sub l 0 i = name -> (
-                match
-                  int_of_string_opt
-                    (String.trim
-                       (String.sub l (i + 1) (String.length l - i - 1)))
-                with
-                | Some v -> v >= n
-                | None -> false)
-            | _ -> false)
-          (String.split_on_char '\n' body)
-      in
-      if not (counter_at_least "server_frames_unknown_field_total" 1) then
-        fail "metrics: server_frames_unknown_field_total did not count";
-      if not (counter_at_least "engine_mode_certain_total" 1) then
-        fail "metrics: engine_mode_certain_total did not count"
-    in
-    (* Server 1: the demo declarations, default mode exact. *)
-    ignore
-    @@ with_serve ~dir ~fail:(fail "%s")
-         [
-           "--open-world"; "--metrics-port"; "0"; "--window"; "64";
-           "--per-conn-window"; "16";
-         ]
-         (fun ~port ~metrics_port ->
-           (match Proc.send_and_collect ~port lines with
-           | Error e -> fail "exchange failed: %s" e
-           | Ok raw -> check_modes raw);
-           match metrics_port with
-           | None -> fail "no metrics listener came up"
-           | Some port -> (
-               match Expo_server.get ~port ~path:"/metrics" () with
-               | Error reason -> fail "/metrics scrape failed: %s" reason
-               | Ok body -> check_counters body));
-    (* Server 2: --default-mode certain applies to modeless requests. *)
-    ignore
-    @@ with_serve ~dir ~fail:(fail "%s")
-         [ "--open-world"; "--default-mode"; "certain" ]
-         (fun ~port ~metrics_port:_ ->
-           match Proc.send_and_collect ~port [ rado_sentence "" 1 ] with
-           | Error e -> fail "default-mode exchange failed: %s" e
-           | Ok raw -> (
-               match parse_responses raw with
-               | [ r ] -> (
-                   if ok_bool r <> Some false then
-                     fail "default-mode certain: expected false";
-                   match cert_kind r with
-                   | Some ("certain_lower_bound", _) -> ()
-                   | _ ->
-                       fail
-                         "default-mode certain: expected a \
-                          certain_lower_bound cert")
-               | rs ->
-                   fail "default-mode: expected 1 response, got %d"
-                     (List.length rs)));
-    smoke_verdict "incomplete-smoke" ~dir (List.rev !failures);
-    Format.printf
-      "incomplete-smoke: modes, certificates, closed-world identity, \
-       unknown-field counter and --default-mode all check out@."
-  in
-  Cmd.v (Cmd.info "incomplete-smoke" ~doc) Term.(const run $ const ())
-
-(* One entry point for the benchmarks.  Each returns its report as
-   JSON and the acceptance checks it violated; the report is printed
-   one line per leaf (Bench_util.pp_report) and written with -o.  A
-   flag the named bench does not read is a usage error, not a silent
-   no-op. *)
-let cmd_bench =
-  let benches =
-    (* name, summary, flags read beyond -o, run *)
-    [
-      ( "engine",
-        "E24: LRU oracle savings on the E17 sentences (exit 1 if a cached \
-         answer differs from uncached evaluation or the cache saves no raw \
-         oracle call).",
-        [],
-        fun ~requests:_ ~trials:_ ~fault_requests:_ -> Engine_bench.run () );
-      ( "resilience",
-        "E25: guard overhead (reported), deadline and budget trips on \
-         tree(paths3, 6), retry determinism under injected faults (exit 1 \
-         if a probe does not trip with its typed error, the budget \
-         overspends, or a non-faulted response changes).",
-        [ "--requests"; "--trials"; "--fault-requests" ],
-        fun ~requests ~trials ~fault_requests ->
-          Engine_bench.run_resilience ?trials ?requests ?fault_requests () );
-      ( "parallel",
-        "E26: shared-memo pools cold and warm (exit 1 unless every measured \
-         run is byte-identical to sequential, asks no more questions and \
-         loses no worker).",
-        [ "--requests" ],
-        fun ~requests ~trials:_ ~fault_requests:_ ->
-          Engine_bench.run_parallel ?requests () );
-      ( "server",
-        "E27: socket vs batch byte-identity, loopback throughput at 1/2/4/8 \
-         connections, typed sheds at 2x the admission window.",
-        [ "--requests" ],
-        fun ~requests ~trials:_ ~fault_requests:_ ->
-          Net_bench.run ?requests () );
-      ( "obs",
-        "E28: tracing overhead off / 1-in-64 / full, byte-identity with \
-         tracing on, exact ledger slices, a worked budget-trip trace.",
-        [ "--requests"; "--trials" ],
-        fun ~requests ~trials ~fault_requests:_ ->
-          Engine_bench.run_obs ?requests ?trials () );
-      ( "rql",
-        "E29: planned vs naive questions, warm re-serve with no new plans or \
-         questions, byte-identity across planners.",
-        [ "--requests" ],
-        fun ~requests ~trials:_ ~fault_requests:_ ->
-          Engine_bench.run_rql ?requests () );
-      ( "compile",
-        "E31: interpreter-vs-compiled hot loops (the two gated ones >= 5x), \
-         then the golden sets served compiled must reproduce the frozen \
-         interpreted output in test/golden/compile_interp.jsonl (run from \
-         the source root; --requests cuts the 200-request e31 batch).",
-        [ "--requests" ],
-        fun ~requests ~trials:_ ~fault_requests:_ ->
-          let golden = "test/golden/compile_interp.jsonl" in
-          if Sys.file_exists golden then
-            Engine_bench.run_compile ~golden ?requests ()
-          else
-            ( Json.Obj [],
-              [ golden ^ " not found: run bench compile from the source root" ]
-            ) );
-      ( "store",
-        "E30: cold vs warm-start questions and the snapshot fault matrix \
-         (warm byte-identical with < 5% of cold's questions).",
-        [ "--requests" ],
-        fun ~requests ~trials:_ ~fault_requests:_ ->
-          Store_bench.run ?requests () );
-      ( "cluster",
-        "E32: three shard processes behind the router: routed == \
-         sequential bytes, ledger containment, hedging under a stopped \
-         shard, kill -9 recovery.",
-        [ "--requests" ],
-        fun ~requests ~trials:_ ~fault_requests:_ ->
-          Cluster_bench.run ?requests ~exe:Sys.executable_name () );
-      ( "incomplete",
-        "E33: certain \xe2\x8a\x86 exact \xe2\x8a\x86 possible on the \
-         demo declarations, closed-world identity, approximate convergence, \
-         zero ledger overhead.",
-        [ "--requests" ],
-        fun ~requests ~trials:_ ~fault_requests:_ ->
-          Incomplete_bench.run ?requests () );
-    ]
-  in
-  let doc =
-    "Run one benchmark: print its report one PATH VALUE line per figure, \
-     list the violated acceptance checks, and exit 1 if there are any."
-  in
-  let man =
-    `S Manpage.s_description
-    :: List.map
-         (fun (name, summary, flags, _) ->
-           `I
-             ( name,
-               Printf.sprintf "%s  Flags: -o%s." summary
-                 (String.concat "" (List.map (( ^ ) ", ") flags)) ))
-         benches
-  in
-  let bench_name =
-    Arg.(
-      required
-      & pos 0
-          (some (enum (List.map (fun (n, _, _, _) -> (n, n)) benches)))
-          None
-      & info [] ~docv:"NAME" ~doc:"Which benchmark (see DESCRIPTION).")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write the report as JSON.")
-  in
-  let count long doc =
-    Arg.(value & opt (some int) None & info [ long ] ~docv:"N" ~doc)
-  in
-  let requests = count "requests" "Workload size (each bench has its own default)."
-  and trials = count "trials" "Timing trials, best kept (resilience, obs)."
-  and fault_requests =
-    count "fault-requests" "Batch size of the fault-injection run (resilience)."
-  in
-  let run name out requests trials fault_requests =
-    let _, _, reads, bench = List.find (fun (n, _, _, _) -> n = name) benches in
-    let flag_error =
-      List.find_map
-        (fun (flag, v) ->
-          match v with
-          | Some _ when not (List.mem flag reads) ->
-              Some (Printf.sprintf "bench %s does not take %s" name flag)
-          | Some n when n < 1 -> Some (Printf.sprintf "%s must be >= 1" flag)
-          | _ -> None)
-        [
-          ("--requests", requests);
-          ("--trials", trials);
-          ("--fault-requests", fault_requests);
-        ]
-    in
-    let usage =
-      match (name, requests) with
-      | "compile", Some n when n > Engine_bench.golden_e31_requests ->
-          Some
-            (Printf.sprintf
-               "bench compile takes --requests <= %d (the frozen e31 batch)"
-               Engine_bench.golden_e31_requests)
-      | _ -> flag_error
-    in
-    match usage with
-    | Some msg -> `Error (true, msg)
-    | None -> (
-        let report, violations = bench ~requests ~trials ~fault_requests in
-        Bench_util.pp_report Format.std_formatter report;
-        Option.iter
-          (fun path ->
-            Out_channel.with_open_text path (fun oc ->
-                output_string oc (Json.to_string report);
-                output_char oc '\n');
-            Format.printf "wrote %s@." path)
-          out;
-        match violations with
-        | [] ->
-            Format.printf "bench %s: OK@." name;
-            `Ok ()
-        | vs ->
-            List.iter (Format.eprintf "violation: %s@.") vs;
-            exit 1)
-  in
-  Cmd.v (Cmd.info "bench" ~doc ~man)
-    Term.(
-      ret (const run $ bench_name $ out $ requests $ trials $ fault_requests))
-
 let () =
   let doc = "query languages over recursive (infinite, computable) databases" in
   let info = Cmd.info "recdb" ~version:"1.0.0" ~doc in
@@ -2299,15 +1361,8 @@ let () =
             cmd_serve_batch;
             cmd_serve;
             cmd_loadgen;
-            cmd_server_smoke;
-            cmd_crash_test;
-            cmd_bench;
             cmd_stats;
-            cmd_obs_smoke;
-            cmd_rql_smoke;
             cmd_store_inspect;
-            cmd_store_smoke;
             cmd_shard;
             cmd_router;
-            cmd_incomplete_smoke;
           ]))

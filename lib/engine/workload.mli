@@ -1,6 +1,6 @@
 (** The deterministic request streams the serving checks share: the
-    default {!Loadgen} workload, [recdb crash-test] and [store-smoke],
-    the E24–E33 benches and the serving tests.  Committed baselines
+    default {!Loadgen} workload, the store smoke, the E24–E33 benches
+    and the serving tests.  Committed baselines
     were measured on these exact requests, so each stream is pinned by
     a digest in [test_engine]. *)
 

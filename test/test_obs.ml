@@ -261,27 +261,42 @@ let test_expo_histogram_cumulative () =
   let rendered =
     Obs.Expo.render [ Obs.Expo.Histo { name = "lat"; help = "x"; h } ]
   in
-  let lines = String.split_on_char '\n' rendered in
-  let bucket_counts =
-    List.filter_map
-      (fun l ->
-        if String.length l > 4 && String.sub l 0 4 = "lat_" then
-          match String.rindex_opt l ' ' with
-          | Some sp when String.length l > 19 && String.sub l 0 19
-                         = "lat_seconds_bucket{" ->
-              int_of_string_opt
-                (String.sub l (sp + 1) (String.length l - sp - 1))
-          | _ -> None
-        else None)
-      lines
+  check
+    Alcotest.(list string)
+    "buckets monotone, +Inf bucket = _count" []
+    (Smoke.check_exposition ~families:[ "lat_seconds" ] rendered);
+  check Alcotest.bool "the count is every observation" true
+    (List.mem "lat_seconds_count 5" (String.split_on_char '\n' rendered))
+
+(* The scrape check obs-smoke runs: a ladder that decreases, or a +Inf
+   bucket that is not the _count, is a violation; labelled gauge rows
+   are not buckets, whatever their order. *)
+let test_expo_check () =
+  let violations body =
+    List.length (Smoke.check_exposition ~families:[] body)
   in
-  check Alcotest.bool "buckets are cumulative (monotone)" true
-    (List.for_all2 ( <= )
-       (List.filteri (fun i _ -> i < List.length bucket_counts - 1)
-          bucket_counts)
-       (List.tl bucket_counts));
-  check Alcotest.int "+Inf bucket is the count" 5
-    (List.nth bucket_counts (List.length bucket_counts - 1))
+  check Alcotest.int "decreasing ladder" 1
+    (violations
+       "x_seconds_bucket{le=\"0.1\"} 3\nx_seconds_bucket{le=\"+Inf\"} 2\n\
+        x_seconds_count 2\n");
+  check Alcotest.int "+Inf bucket <> _count" 1
+    (violations
+       "x_seconds_bucket{le=\"0.1\"} 1\nx_seconds_bucket{le=\"+Inf\"} 2\n\
+        x_seconds_count 3\n");
+  let shard up i =
+    Obs.Expo.Labeled_gauge
+      {
+        name = "cluster_shard_up";
+        help = "x";
+        labels = [ ("shard", string_of_int i) ];
+        value = up;
+      }
+  in
+  check
+    Alcotest.(list string)
+    "gauge rows 1 then 0" []
+    (Smoke.check_exposition ~families:[ "cluster_shard_up" ]
+       (Obs.Expo.render [ shard 1. 0; shard 0. 1 ]))
 
 let test_expo_registry () =
   let calls = ref 0 in
@@ -383,6 +398,7 @@ let () =
           Alcotest.test_case "histogram buckets cumulative" `Quick
             test_expo_histogram_cumulative;
           Alcotest.test_case "source registry" `Quick test_expo_registry;
+          Alcotest.test_case "scrape check" `Quick test_expo_check;
         ] );
       ( "engine",
         [

@@ -223,37 +223,53 @@ let test_retries_absorb_faults () =
 (* ------------------------------------------------------------------ *)
 (* Crash containment                                                   *)
 
+(* Killing the serving worker on every [every]th id of [batch] fails
+   exactly those requests with a typed worker_crash, one death each,
+   and changes no other byte.  The mixed-100 rows are the sparse and
+   the respawn-churn (every other request) configurations. *)
 let test_crash_containment () =
-  let batch = chaos_batch in
-  let reference = Lazy.force chaos_reference in
-  let pool =
-    Pool.create ~domains:3 ~crash_on:(fun r -> r.Request.id mod 7 = 0) ()
-  in
-  let responses = Pool.run_batch pool batch in
-  let deaths = Pool.worker_deaths pool in
-  Pool.shutdown pool;
-  check Alcotest.int "one response per request" (List.length batch)
-    (List.length responses);
-  let crashed = ref 0 in
-  List.iteri
-    (fun i (r : Request.response) ->
-      check Alcotest.int "in order" (i + 1) r.Request.id;
-      if r.Request.id mod 7 = 0 then begin
-        incr crashed;
-        match r.Request.result with
-        | Error (Request.Worker_crash _) -> ()
-        | _ ->
-            Alcotest.failf "request %d should have died with the worker"
-              r.Request.id
-      end
-      else
-        check Alcotest.string
-          (Printf.sprintf "request %d survived its neighbours' crashes"
-             (i + 1))
-          (List.nth reference i) (fingerprint r))
-    responses;
-  check Alcotest.bool "crashes actually happened" true (!crashed > 0);
-  check Alcotest.int "one worker death per crashed request" !crashed deaths
+  List.iter
+    (fun (domains, every, batch, reference) ->
+      let name = Printf.sprintf "%d domains, every %d" domains every in
+      let pool =
+        Pool.create ~domains ~crash_on:(fun r -> r.Request.id mod every = 0) ()
+      in
+      let responses = Pool.run_batch pool batch in
+      let deaths = Pool.worker_deaths pool in
+      Pool.shutdown pool;
+      check Alcotest.int (name ^ ": one response per request")
+        (List.length batch) (List.length responses);
+      let crashed = ref 0 in
+      List.iteri
+        (fun i (r : Request.response) ->
+          check Alcotest.int (name ^ ": in order") (i + 1) r.Request.id;
+          if r.Request.id mod every = 0 then begin
+            incr crashed;
+            match r.Request.result with
+            | Error (Request.Worker_crash _) -> ()
+            | _ ->
+                Alcotest.failf "%s: request %d should have died with the worker"
+                  name r.Request.id
+          end
+          else
+            check Alcotest.string
+              (Printf.sprintf "%s: request %d survived its neighbours' crashes"
+                 name (i + 1))
+              (List.nth reference i) (fingerprint r))
+        responses;
+      check Alcotest.bool (name ^ ": crashes actually happened") true
+        (!crashed > 0);
+      check Alcotest.int (name ^ ": one worker death per crashed request")
+        !crashed deaths)
+    (let mixed = Workload.mixed 100 in
+     let mixed_reference =
+       List.map fingerprint (Engine.handle_all (Engine.create ()) mixed)
+     in
+     [
+       (3, 7, chaos_batch, Lazy.force chaos_reference);
+       (3, 20, mixed, mixed_reference);
+       (2, 2, mixed, mixed_reference);
+     ])
 
 let test_last_worker_death_drains_queue () =
   (* Respawns disabled: once the last worker dies the queue is stranded
