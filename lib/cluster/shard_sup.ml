@@ -10,7 +10,6 @@ type shard = {
   index : int;
   mutable pid : int;
   mutable port : int;  (* 0 until first discovery, then stable *)
-  mutable metrics_port : int option;
   mutable up : bool;  (* bound and (as far as waitpid knows) running *)
   port_file : string;
   log : string;
@@ -37,9 +36,8 @@ let spawn_shard ~exe ~extra_args s =
   (try Sys.remove s.port_file with Sys_error _ -> ());
   s.pid <- Proc.spawn ~log:s.log (argv ~exe ~extra_args s);
   match Proc.wait_port_file s.port_file with
-  | Ok (port, mp) ->
+  | Ok (port, _) ->
       s.port <- port;
-      s.metrics_port <- mp;
       s.up <- true;
       Ok ()
   | Error e ->
@@ -120,7 +118,6 @@ let start ?(dir = "_shards") ?(extra_args = [ "-j"; "1" ]) ~exe ~n () =
           index = i;
           pid = -1;
           port = 0;
-          metrics_port = None;
           up = false;
           port_file = Filename.concat dir (Printf.sprintf "shard%d.port" i);
           log = Filename.concat dir (Printf.sprintf "shard%d.log" i);
@@ -159,9 +156,6 @@ let start ?(dir = "_shards") ?(extra_args = [ "-j"; "1" ]) ~exe ~n () =
 
 let endpoints t =
   Array.to_list (Array.map (fun s -> ("127.0.0.1", s.port)) t.shards)
-
-let metrics_ports t =
-  Array.to_list (Array.map (fun s -> s.metrics_port) t.shards)
 
 let shards_up t =
   Mutex.lock t.lock;

@@ -35,7 +35,6 @@ val endpoints : t -> (string * int) list
 (** The stable [(host, port)] of every shard, respawns included —
     what {!Router.start} takes. *)
 
-val metrics_ports : t -> int option list
 val shards_up : t -> int
 val respawns : t -> int
 

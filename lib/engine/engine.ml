@@ -53,14 +53,12 @@ let default_config =
 
 (* The per-worker compiled tier: closures specialized against this
    entry's instrumented oracles, keyed by source text (RQL keys carry
-   the planner mode).  Plan ASTs stay in Shared_memo — instance-free,
-   shareable, persistable; the closures here are the per-entry
-   specialization of those ASTs and are rebuilt in nanoseconds-to-
-   microseconds on first use (counted by engine.plans_compiled /
-   engine.compile_ns), so a store-warmed plan cache hands out compiled
-   plans at first touch for free.  Plain hashtables: an engine is
-   single-threaded (see the mli), concurrency comes from Pool giving
-   each domain its own engine. *)
+   the planner mode).  Plan ASTs stay in Shared_memo — instance-free
+   and shareable; the closures here are the per-entry specialization
+   of those ASTs and are rebuilt in nanoseconds-to-microseconds on
+   first use (counted by engine.plans_compiled / engine.compile_ns).
+   Plain hashtables: an engine is single-threaded (see the mli),
+   concurrency comes from Pool giving each domain its own engine. *)
 type compiled_tier = {
   c_sentences : (string, unit -> bool) Hashtbl.t;
   c_queries : (string, Hs.Fo_compile.query) Hashtbl.t;
@@ -120,7 +118,7 @@ let cache_capacity = 4096
    per-question guard (budget tick + fault hook, present only when
    resilience is configured), the cross-worker {!Shared_memo} (hits
    are not questions and skip the guard — the check fires only before
-   a question that will actually be asked), and the per-worker striped
+   a question that will actually be asked), and the per-worker
    LRU on top.  Without [shared] and without a guard this is PR 1's
    hot path, byte for byte. *)
 let make_entry ~guarded ~res ~faults ~shared ~decl name build
@@ -390,15 +388,13 @@ let parse_program shared s =
       | Shared_memo.Program_plan r -> r
       | _ -> compute ())
 
-(* RQL plans go through a two-level cache layered on Shared_memo.plan:
-   a raw-text key (a hit skips even lexing) wrapping a normalized-text
-   key (a hit shares one compiled plan across whitespace/alpha-renaming
-   variants).  Nesting find_or_compute is safe — no lock is held across
-   a compute closure.  Plans are mode-tagged so a naive plan can never
-   answer for a cost-based one; errors are memoized as errors, never as
-   successes.  The counters are registry singletons (shared by every
-   engine in the process, like all "engine.*" metrics). *)
-let m_rql_plan_raw_hits = Metrics.counter "engine.rql_plan_raw_hits"
+(* RQL plans are cached under the planner mode and the normalized text,
+   so whitespace and alpha-renaming variants share one plan and a naive
+   plan can never answer for a cost-based one.  Every request parses
+   its text; a parse error is returned, never cached.  Compile errors
+   are cached as errors, never as successes.  The counters are registry
+   singletons (shared by every engine in the process, like all
+   "engine.*" metrics). *)
 let m_rql_plan_norm_hits = Metrics.counter "engine.rql_plan_norm_hits"
 let m_rql_plan_compiles = Metrics.counter "engine.rql_plan_compiles"
 
@@ -406,110 +402,42 @@ let rql_mode = function
   | Request.Plan_naive -> Rql.Rql_plan.Naive
   | Request.Plan_cost -> Rql.Rql_plan.Planned
 
-let compile_rql ~mode text =
-  match
-    Rql.Rql_plan.plan_of_text ~max_rank:Request.Bounds.max_rank ~max_cutoff
-      ~max_depth ~mode text
-  with
-  | p -> Ok p
-  | exception Rql.Rql_plan.Error msg -> Error msg
-
-(* Returns the plan (or memoized static error) plus the cache level the
-   answer came from: "raw", "norm", "miss" or "off". *)
+(* Returns the plan (or static error) plus where it came from: "hit",
+   "miss" or "off" (no shared memo). *)
 let plan_rql shared ~mode text =
-  match shared with
-  | None -> (compile_rql ~mode text, "off")
-  | Some st -> (
-      let mode_tag =
-        match mode with Rql.Rql_plan.Naive -> "n" | Rql.Rql_plan.Planned -> "c"
+  match Rql.Rql_plan.parse text with
+  | exception Rql.Rql_plan.Error msg -> (Error msg, "miss")
+  | ast -> (
+      let compile () =
+        match
+          Rql.Rql_plan.compile ~max_rank:Request.Bounds.max_rank ~max_cutoff
+            ~max_depth ~mode ast
+        with
+        | p -> Ok p
+        | exception Rql.Rql_plan.Error msg -> Error msg
       in
-      let raw_computed = ref false in
-      let norm_hit = ref false in
-      let result =
-        Shared_memo.plan st
-          ~key:("ra:" ^ mode_tag ^ ":" ^ text)
-          ~compute:(fun () ->
-            raw_computed := true;
-            match Rql.Rql_plan.parse text with
-            | exception Rql.Rql_plan.Error msg ->
-                Shared_memo.Rql_plan (Error msg)
-            | ast ->
-                let norm = Rql.Rql_plan.normalize ast in
-                let norm_computed = ref false in
-                let p =
-                  Shared_memo.plan st
-                    ~key:("rn:" ^ mode_tag ^ ":" ^ norm)
-                    ~compute:(fun () ->
-                      norm_computed := true;
-                      Metrics.incr m_rql_plan_compiles;
-                      Shared_memo.Rql_plan
-                        (match
-                           Rql.Rql_plan.compile
-                             ~max_rank:Request.Bounds.max_rank ~max_cutoff
-                             ~max_depth ~mode ast
-                         with
-                        | p -> Ok p
-                        | exception Rql.Rql_plan.Error msg -> Error msg))
-                in
-                if not !norm_computed then begin
-                  norm_hit := true;
-                  Metrics.incr m_rql_plan_norm_hits
-                end;
-                p)
-      in
-      let level =
-        if not !raw_computed then begin
-          Metrics.incr m_rql_plan_raw_hits;
-          "raw"
-        end
-        else if !norm_hit then "norm"
-        else "miss"
-      in
-      match result with
-      | Shared_memo.Rql_plan r -> (r, level)
-      | _ -> (compile_rql ~mode text, level))
-
-(* Recompile a plan-cache entry from its key — the import half of
-   lib/store's snapshot story.  Parsing and planning are deterministic
-   pure functions of the key text (no instance is touched), so this
-   asks zero oracle questions and reproduces the exact value the key
-   originally cached: errors recompile to the same errors, which is
-   what keeps "never persist a cached error as a success" true by
-   construction.  Unknown prefixes (a future format) return [None]. *)
-let plan_of_key key =
-  let strip prefix =
-    let n = String.length prefix in
-    if String.length key >= n && String.sub key 0 n = prefix then
-      Some (String.sub key n (String.length key - n))
-    else None
-  in
-  match strip "s:" with
-  | Some s -> Some (Shared_memo.Sentence_plan (parse_sentence None s))
-  | None -> (
-      match strip "q:" with
-      | Some s -> Some (Shared_memo.Query_plan (parse_query None s))
-      | None -> (
-          match strip "p:" with
-          | Some s -> Some (Shared_memo.Program_plan (parse_program None s))
-          | None ->
-              let rql mode text =
-                Some (Shared_memo.Rql_plan (compile_rql ~mode text))
-              in
-              (* "ra:" keys wrap raw query text; "rn:" keys wrap
-                 normalized text, which [Rql_plan.normalize] guarantees
-                 re-parses to an alpha-equal AST — both recompile with
-                 the same entry point. *)
-              let tagged prefix =
-                match strip (prefix ^ "n:") with
-                | Some text -> rql Rql.Rql_plan.Naive text
-                | None -> (
-                    match strip (prefix ^ "c:") with
-                    | Some text -> rql Rql.Rql_plan.Planned text
-                    | None -> None)
-              in
-              (match tagged "ra:" with
-              | Some _ as r -> r
-              | None -> tagged "rn:")))
+      match shared with
+      | None -> (compile (), "off")
+      | Some st -> (
+          let mode_tag =
+            match mode with
+            | Rql.Rql_plan.Naive -> "n"
+            | Rql.Rql_plan.Planned -> "c"
+          in
+          let computed = ref false in
+          let cached =
+            Shared_memo.plan st
+              ~key:("rn:" ^ mode_tag ^ ":" ^ Rql.Rql_plan.normalize ast)
+              ~compute:(fun () ->
+                computed := true;
+                Metrics.incr m_rql_plan_compiles;
+                Shared_memo.Rql_plan (compile ()))
+          in
+          if not !computed then Metrics.incr m_rql_plan_norm_hits;
+          let level = if !computed then "miss" else "hit" in
+          match cached with
+          | Shared_memo.Rql_plan r -> (r, level)
+          | _ -> (compile (), level)))
 
 (* Tracing shims: one branch when no ctx is attached or the current
    request is not sampled. *)
@@ -653,7 +581,7 @@ let eval_payload ~tr ~shared entry (payload : Request.payload) :
   | Request.Rql { instance; text; cutoff; planner } -> (
       (* The [mode <word>] prefix is serving-tier syntax, consumed by
          [Engine.handle]'s mode resolution before evaluation.  Strip it
-         here too so every plan cache — raw, normalized, compiled — is
+         here too so every plan cache — normalized, compiled — is
          keyed by the bare query and shared across modes. *)
       let text =
         match Incomplete.Scan.split_mode text with

@@ -114,6 +114,9 @@ val handle_all : t -> Request.t list -> Request.response list
 (** Sequential evaluation, in order — the reference for {!Pool}'s
     byte-identity guarantee. *)
 
+val cache_capacity : int
+(** Per-relation capacity of every engine's {!Oracle_cache} (4096). *)
+
 val cache_stats : t -> Oracle_cache.stats
 (** Aggregate LRU statistics over every instance this engine has
     touched. *)
@@ -140,16 +143,6 @@ val shared_stats : t -> Shared_memo.stats option
 val faults_injected : t -> int
 (** Faults this engine's injector has raised so far (0 when fault
     injection is off). *)
-
-val plan_of_key : string -> Shared_memo.plan option
-(** Recompile a {!Shared_memo} plan-cache entry from its key — the
-    import half of [lib/store]'s snapshots, which persist plans as keys
-    only.  Parsing/planning is a deterministic pure function of the key
-    text and touches no instance, so recompilation asks {b zero}
-    Def. 3.9 oracle questions, and a key that cached a parse/compile
-    error recompiles to the same error (never to a success).  Returns
-    [None] for an unrecognized key prefix (e.g. from a future format),
-    which the importer counts and skips. *)
 
 (** {2 The instance registry} *)
 

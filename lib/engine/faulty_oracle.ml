@@ -1,24 +1,15 @@
 exception Oracle_unavailable of { oracle : string; call : int }
 
-type config = {
-  seed : int;
-  fault_period : int;
-  latency_period : int;
-  latency_s : float;
-}
+type config = { seed : int; fault_period : int }
 
-let config ?(fault_period = 97) ?(latency_period = 0) ?(latency_s = 0.0005)
-    ~seed () =
+let config ?(fault_period = 97) ~seed () =
   if fault_period < 0 then invalid_arg "Faulty_oracle.config: fault_period < 0";
-  if latency_period < 0 then
-    invalid_arg "Faulty_oracle.config: latency_period < 0";
-  { seed; fault_period; latency_period; latency_s }
+  { seed; fault_period }
 
 type t = {
   cfg : config;
   mutable counter : int;
   mutable injected : int;
-  mutable stalls : int;
   m_faults : Metrics.counter;
 }
 
@@ -27,7 +18,6 @@ let make cfg =
     cfg;
     counter = 0;
     injected = 0;
-    stalls = 0;
     m_faults = Metrics.counter "engine.faults_injected";
   }
 
@@ -45,11 +35,6 @@ let mix seed n =
 let pre t ~oracle =
   let n = t.counter in
   t.counter <- n + 1;
-  if t.cfg.latency_period > 0 && mix (t.cfg.seed lxor 0x1aec) n mod t.cfg.latency_period = 0
-  then begin
-    t.stalls <- t.stalls + 1;
-    Unix.sleepf t.cfg.latency_s
-  end;
   if t.cfg.fault_period > 0 && mix t.cfg.seed n mod t.cfg.fault_period = 0
   then begin
     t.injected <- t.injected + 1;
@@ -58,4 +43,3 @@ let pre t ~oracle =
   end
 
 let faults_injected t = t.injected
-let stalls_injected t = t.stalls

@@ -2,14 +2,14 @@
 
     Wraps the membership / T_B / ≅_B oracles of an engine's instances so
     that, on a schedule derived purely from a seed and a per-engine call
-    counter, a call raises a transient {!Oracle_unavailable} or sleeps
-    for a small artificial latency before answering.  Faults are raised
-    {e before} the underlying oracle is consulted, so a faulted call is
-    never counted as a genuine oracle question and never changes an
-    answer: retrying the same question later (a fresh counter value)
-    gets the true answer, which is what makes the engine's bounded
-    retry deterministic-modulo-schedule and keeps non-faulted results
-    byte-identical to a fault-free run (the chaos test's invariant).
+    counter, a call raises a transient {!Oracle_unavailable} instead of
+    answering.  Faults are raised {e before} the underlying oracle is
+    consulted, so a faulted call is never counted as a genuine oracle
+    question and never changes an answer: retrying the same question
+    later (a fresh counter value) gets the true answer, which is what
+    makes the engine's bounded retry deterministic-modulo-schedule and
+    keeps non-faulted results byte-identical to a fault-free run (the
+    chaos test's invariant).
 
     The schedule is a pure function of [(seed, call_index)] via a
     splitmix-style mixer — no [Random] state, no wall clock — so a
@@ -25,21 +25,10 @@ type config = {
   fault_period : int;
       (** Roughly one injected fault per this many oracle calls;
           [0] disables faults. *)
-  latency_period : int;
-      (** Roughly one artificial stall per this many calls; [0]
-          disables latency injection. *)
-  latency_s : float;  (** Duration of one injected stall. *)
 }
 
-val config :
-  ?fault_period:int ->
-  ?latency_period:int ->
-  ?latency_s:float ->
-  seed:int ->
-  unit ->
-  config
-(** Defaults: [fault_period = 97], [latency_period = 0],
-    [latency_s = 0.0005]. *)
+val config : ?fault_period:int -> seed:int -> unit -> config
+(** Default: [fault_period = 97]. *)
 
 type t
 
@@ -49,8 +38,7 @@ val make : config -> t
 
 val pre : t -> oracle:string -> unit
 (** The hook the engine calls immediately before consulting an oracle:
-    advances the call counter, maybe sleeps, maybe raises
+    advances the call counter, maybe raises
     {!Oracle_unavailable}. *)
 
 val faults_injected : t -> int
-val stalls_injected : t -> int

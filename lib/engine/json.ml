@@ -63,8 +63,6 @@ let to_string j =
   write buf j;
   Buffer.contents buf
 
-let pp ppf j = Format.pp_print_string ppf (to_string j)
-
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 
@@ -234,4 +232,3 @@ let member key = function
 
 let to_int = function Int i -> Some i | _ -> None
 let to_string_opt = function String s -> Some s | _ -> None
-let to_list_opt = function List xs -> Some xs | _ -> None

@@ -19,8 +19,6 @@ type t =
 val to_string : t -> string
 (** Compact (no insignificant whitespace), deterministic rendering. *)
 
-val pp : Format.formatter -> t -> unit
-
 val parse : string -> (t, string) result
 (** Parse one JSON value; trailing non-whitespace is an error.  Numbers
     without [.], [e] or [E] become [Int], the rest [Float]. *)
@@ -32,4 +30,3 @@ val member : string -> t -> t option
 
 val to_int : t -> int option
 val to_string_opt : t -> string option
-val to_list_opt : t -> t list option

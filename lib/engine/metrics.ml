@@ -77,28 +77,6 @@ let dump_text () =
     hs;
   Buffer.contents buf
 
-let dump_json () =
-  let cs, hs = snapshot () in
-  Json.Obj
-    [
-      ( "counters",
-        Json.Obj
-          (List.map (fun (name, c) -> (name, Json.Int (counter_value c))) cs)
-      );
-      ( "histograms",
-        Json.Obj
-          (List.map
-             (fun (name, h) ->
-               ( name,
-                 Json.Obj
-                   [
-                     ("count", Json.Int (histogram_count h));
-                     ("p50", Json.Float (quantile h 0.5));
-                     ("p99", Json.Float (quantile h 0.99));
-                   ] ))
-             hs) );
-    ]
-
 let reset_all () =
   Mutex.lock registry_lock;
   Hashtbl.iter (fun _ c -> Atomic.set c.cell 0) counters;

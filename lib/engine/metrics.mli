@@ -37,9 +37,5 @@ val dump_text : unit -> string
 (** Human-readable table: counters sorted by name, then histograms with
     count/p50/p99. *)
 
-val dump_json : unit -> Json.t
-(** [{"counters": {...}, "histograms": {name: {"count": n, "p50": s,
-    "p99": s}}}] with names sorted. *)
-
 val reset_all : unit -> unit
 (** Zero every registered counter and histogram (names stay registered). *)

@@ -1,11 +1,11 @@
 open Prelude
 module H = Hashtbl.Make (Tuple.Hashed)
 
-(* Intrusive doubly-linked list in recency order; [lru.head] is the
-   most recently used node, [lru.tail] the eviction candidate.  The
-   node key carries its FNV-1a hash, computed once per probe at
-   [lookup] entry: the stripe pick, the table probe and every later
-   recency touch or resize reuse it instead of rehashing the tuple. *)
+(* Intrusive doubly-linked list in recency order; [head] is the most
+   recently used node, [tail] the eviction candidate.  The node key
+   carries its FNV-1a hash, computed once per probe at [lookup] entry:
+   the table probe and every later recency touch or resize reuse it
+   instead of rehashing the tuple. *)
 type node = {
   key : Tuple.Hashed.t;
   answer : bool;
@@ -13,139 +13,80 @@ type node = {
   mutable next : node option;
 }
 
-type lru = {
-  mutable head : node option;
-  mutable tail : node option;
-  table : node H.t;
-}
-
-(* One stripe = one independent LRU under its own mutex.  A lookup
-   touches exactly one stripe (chosen by the tuple's hash), so probes
-   of different stripes never contend, and — critically — the stripe
-   mutex is NEVER held across the underlying oracle call: the miss
-   path unlocks, asks, relocks and re-checks.  One slow oracle
-   question therefore cannot stall concurrent hits, not even hits on
-   the same stripe. *)
-type stripe = { m : Mutex.t; lru : lru; cap : int }
-
 type stats = { hits : int; misses : int; evictions : int }
 
+(* One owner: every lookup, [clear] and [length] runs on the domain
+   that owns the engine, so the list and the table need no lock.  The
+   counters are atomics because Pool and the /metrics gauges read them
+   from other domains. *)
 type t = {
   base : Rdb.Relation.t;
   mutable cached : Rdb.Relation.t;  (* set right after creation *)
   cap : int;
-  stripes : stripe array;
+  table : node H.t;
+  mutable head : node option;
+  mutable tail : node option;
   hits : int Atomic.t;
   misses : int Atomic.t;
   evictions : int Atomic.t;
 }
 
-let unlink lru node =
+let unlink c node =
   (match node.prev with
   | Some p -> p.next <- node.next
-  | None -> lru.head <- node.next);
+  | None -> c.head <- node.next);
   (match node.next with
   | Some s -> s.prev <- node.prev
-  | None -> lru.tail <- node.prev);
+  | None -> c.tail <- node.prev);
   node.prev <- None;
   node.next <- None
 
-let push_front lru node =
-  node.next <- lru.head;
-  (match lru.head with Some h -> h.prev <- Some node | None -> ());
-  lru.head <- Some node;
-  if lru.tail = None then lru.tail <- Some node
-
-(* Same hash, same stripe assignment as before the precomputation —
-   recency order, eviction order and stats are unchanged (the
-   regression test asserts it). *)
-let stripe_of c hk = c.stripes.(Tuple.Hashed.hash hk mod Array.length c.stripes)
-
-let insert_locked s node =
-  let evicted =
-    if H.length s.lru.table >= s.cap then
-      match s.lru.tail with
-      | Some victim ->
-          unlink s.lru victim;
-          H.remove s.lru.table victim.key;
-          true
-      | None -> false
-    else false
-  in
-  H.replace s.lru.table node.key node;
-  push_front s.lru node;
-  evicted
+let push_front c node =
+  node.next <- c.head;
+  (match c.head with Some h -> h.prev <- Some node | None -> ());
+  c.head <- Some node;
+  if c.tail = None then c.tail <- Some node
 
 let lookup c u =
   let hk = Tuple.Hashed.make u in
-  let s = stripe_of c hk in
-  Mutex.lock s.m;
-  match H.find_opt s.lru.table hk with
+  match H.find_opt c.table hk with
   | Some node ->
       (* Hit: refresh recency, answer without consulting the oracle. *)
-      unlink s.lru node;
-      push_front s.lru node;
-      Mutex.unlock s.m;
+      unlink c node;
+      push_front c node;
       Atomic.incr c.hits;
       node.answer
   | None ->
       (* Miss: a genuine oracle question, counted by the underlying
-         relation's instrumentation.  The stripe is UNLOCKED across the
-         call — a slow question never blocks concurrent hits — at the
-         price that concurrent probes of the same cold tuple may each
-         ask (the answers are equal; the re-check below keeps the
-         table consistent and the first insertion wins). *)
-      Mutex.unlock s.m;
+         relation's instrumentation. *)
       let answer = Rdb.Relation.mem c.base u in
       Atomic.incr c.misses;
-      Mutex.lock s.m;
-      (match H.find_opt s.lru.table hk with
-      | Some node ->
-          (* Raced with another domain's identical question: keep the
-             existing node, just refresh its recency. *)
-          unlink s.lru node;
-          push_front s.lru node;
-          Mutex.unlock s.m
-      | None ->
-          let node =
-            (* own the key without rehashing: copy the tuple, keep the
-               hash computed at probe entry *)
-            { key = Tuple.Hashed.copy hk; answer; prev = None; next = None }
-          in
-          let evicted = insert_locked s node in
-          Mutex.unlock s.m;
-          if evicted then Atomic.incr c.evictions);
+      if H.length c.table >= c.cap then
+        Option.iter
+          (fun victim ->
+            unlink c victim;
+            H.remove c.table victim.key;
+            Atomic.incr c.evictions)
+          c.tail;
+      (* own the key without rehashing: copy the tuple, keep the hash
+         computed at probe entry *)
+      let node =
+        { key = Tuple.Hashed.copy hk; answer; prev = None; next = None }
+      in
+      H.replace c.table node.key node;
+      push_front c node;
       answer
 
-(* Default striping: serving-sized caches get concurrency, small caches
-   (tests, tight memory budgets) keep one stripe and therefore exact
-   global LRU recency order. *)
-let auto_stripes capacity = if capacity >= 1024 then 8 else 1
-
-let wrap ?(capacity = 4096) ?stripes base =
+let wrap ?(capacity = 4096) base =
   if capacity < 1 then invalid_arg "Oracle_cache.wrap: capacity < 1";
-  let n =
-    match stripes with
-    | None -> auto_stripes capacity
-    | Some n ->
-        if n < 1 then invalid_arg "Oracle_cache.wrap: stripes < 1";
-        min n capacity
-  in
-  let stripe i =
-    (* distribute the capacity exactly: the stripe caps sum to [capacity] *)
-    let cap = (capacity / n) + (if i < capacity mod n then 1 else 0) in
-    {
-      m = Mutex.create ();
-      lru = { head = None; tail = None; table = H.create (min cap 1024) };
-      cap;
-    }
-  in
   let c =
     {
       base;
       cached = base;
       cap = capacity;
-      stripes = Array.init n stripe;
+      table = H.create (min capacity 1024);
+      head = None;
+      tail = None;
       hits = Atomic.make 0;
       misses = Atomic.make 0;
       evictions = Atomic.make 0;
@@ -174,31 +115,15 @@ let reset_stats c =
   Atomic.set c.evictions 0
 
 let clear c =
-  Array.iter
-    (fun s ->
-      Mutex.lock s.m;
-      H.reset s.lru.table;
-      s.lru.head <- None;
-      s.lru.tail <- None;
-      Mutex.unlock s.m)
-    c.stripes
+  H.reset c.table;
+  c.head <- None;
+  c.tail <- None
 
-let length c =
-  Array.fold_left
-    (fun acc s ->
-      Mutex.lock s.m;
-      let n = H.length s.lru.table in
-      Mutex.unlock s.m;
-      acc + n)
-    0 c.stripes
-
+let length c = H.length c.table
 let capacity c = c.cap
-let stripe_count c = Array.length c.stripes
 
-let wrap_db ?capacity ?stripes db =
-  let caches =
-    Array.map (fun r -> wrap ?capacity ?stripes r) (Rdb.Database.relations db)
-  in
+let wrap_db ?capacity db =
+  let caches = Array.map (fun r -> wrap ?capacity r) (Rdb.Database.relations db) in
   let db' =
     Rdb.Database.make ~name:(Rdb.Database.name db)
       ~domain:(Rdb.Database.domain db)

@@ -1,5 +1,5 @@
-(** A bounded, lock-striped LRU memoization layer in front of a
-    relation's membership oracle.
+(** A bounded LRU memoization layer in front of a relation's
+    membership oracle.
 
     The paper's cost model (Definitions 2.4 and 3.9) counts every
     question put to a relation's oracle.  A cache does not change that
@@ -17,37 +17,22 @@
     Both positive and negative answers are cached (a "no" is as
     authoritative as a "yes" for a decision procedure).
 
-    {b Concurrency.}  The table is partitioned into stripes (chosen by
-    {!Prelude.Tuple.hash}), each an independent LRU under its own
-    mutex, and no mutex is ever held across the underlying oracle call:
-    the miss path unlocks, asks the oracle, relocks and {e re-checks}
-    before inserting.  Consequences a caller should know:
-
-    - a slow oracle question never blocks concurrent lookups — not
-      hits, not misses, not even on the same stripe;
-    - concurrent probes of the same {e cold} tuple may each reach the
-      oracle (each counted as a miss); the answers are identical and
-      the first insertion wins.  Total genuine questions stay bounded
-      by total misses;
-    - recency order is exact {e per stripe}.  With one stripe (the
-      default below 1024 capacity) eviction order is true global LRU
-      order; with several, it is true LRU within each stripe.
-
-    Hit/miss/eviction counters are [Atomic.t], so a cache may safely
-    sit in front of a relation shared by a {!Pool}'s workers. *)
+    {b Ownership.}  A cache has one owner: each {!Engine} wraps its
+    own instances, and each engine runs on one domain (a {!Pool} gives
+    every worker its own engine).  Lookups, {!clear} and {!length}
+    take no lock and must run on the owner's domain.  Eviction order is
+    true least-recently-used order over the whole cache.  The
+    hit/miss/eviction counters are [Atomic.t], so {!stats} may be read
+    from any domain — {!Pool} and the [/metrics] gauges do. *)
 
 type t
 
 type stats = { hits : int; misses : int; evictions : int }
 
-val wrap : ?capacity:int -> ?stripes:int -> Rdb.Relation.t -> t
+val wrap : ?capacity:int -> Rdb.Relation.t -> t
 (** [wrap r] builds a cache in front of [r].  [capacity] (default 4096)
-    bounds the {e total} number of memoized tuples across all stripes;
-    least-recently-used entries are evicted first, per stripe.
-    [stripes] defaults to 8 for capacities ≥ 1024 and to 1 below that
-    (so small caches keep exact global LRU semantics); it is clamped to
-    [capacity] so every stripe holds at least one entry.  Raises
-    [Invalid_argument] on [capacity < 1] or [stripes < 1]. *)
+    bounds the number of memoized tuples; the least-recently-used entry
+    is evicted first.  Raises [Invalid_argument] on [capacity < 1]. *)
 
 val relation : t -> Rdb.Relation.t
 (** The cached view: same name (suffixed [+lru]), same arity, answers
@@ -67,11 +52,7 @@ val length : t -> int
 
 val capacity : t -> int
 
-val stripe_count : t -> int
-(** How many independent LRU stripes this cache runs. *)
-
-val wrap_db :
-  ?capacity:int -> ?stripes:int -> Rdb.Database.t -> Rdb.Database.t * t array
+val wrap_db : ?capacity:int -> Rdb.Database.t -> Rdb.Database.t * t array
 (** Wrap every relation of a database; the returned database shares the
     original's name and domain, and [caches.(i)] fronts relation [i].
     The per-relation capacity is [capacity]. *)

@@ -305,7 +305,6 @@ let oracle_questions pool =
   raw + tb + eq
 
 let shared_stats pool = Shared_memo.stats pool.shared
-let shared_memo pool = pool.shared
 
 (* Aggregate LRU stats over the live workers' engines.  [slot.engine]
    is written once by each worker at startup; this read races only

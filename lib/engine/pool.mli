@@ -137,9 +137,6 @@ val ledger_counts : t -> int * int * int * int
 val shared_stats : t -> Shared_memo.stats
 (** Hit/miss statistics of the pool's shared memo layer. *)
 
-val shared_memo : t -> Shared_memo.t
-(** The pool's shared memo layer itself — what [lib/store] snapshots. *)
-
 val cache_stats : t -> Oracle_cache.stats
 (** Aggregate per-worker LRU statistics across the live worker engines
     (a racy snapshot, exact when the pool is quiescent). *)

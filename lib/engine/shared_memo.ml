@@ -15,20 +15,20 @@ module Make_table (K : Hashtbl.HashedType) = struct
   module H = Hashtbl.Make (K)
 
   type 'v t = {
-    stripes : (Mutex.t * 'v H.t) array;
+    stripe : (Mutex.t * 'v H.t) array;  (* 8 of them, chosen by key hash *)
     hits : int Atomic.t;
     misses : int Atomic.t;
   }
 
-  let create ?(stripes = 8) () =
+  let create () =
     {
-      stripes = Array.init stripes (fun _ -> (Mutex.create (), H.create 64));
+      stripe = Array.init 8 (fun _ -> (Mutex.create (), H.create 64));
       hits = Atomic.make 0;
       misses = Atomic.make 0;
     }
 
   let find_or_compute t k compute =
-    let lock, tbl = t.stripes.(K.hash k mod Array.length t.stripes) in
+    let lock, tbl = t.stripe.(K.hash k mod Array.length t.stripe) in
     Mutex.lock lock;
     let found = H.find_opt tbl k in
     Mutex.unlock lock;
@@ -52,10 +52,10 @@ module Make_table (K : Hashtbl.HashedType) = struct
 
   (* Insert-if-absent without touching the hit/miss ledger: loading a
      snapshot must not look like thousands of misses (the stats feed
-     plan-cache gauges and the E29/E30 assertions).  Same
+     the memo gauges and the E30 assertions).  Same
      first-insertion-wins rule as [find_or_compute]. *)
   let seed t k v =
-    let lock, tbl = t.stripes.(K.hash k mod Array.length t.stripes) in
+    let lock, tbl = t.stripe.(K.hash k mod Array.length t.stripe) in
     Mutex.lock lock;
     let inserted =
       match H.find_opt tbl k with
@@ -77,7 +77,7 @@ module Make_table (K : Hashtbl.HashedType) = struct
         let acc = H.fold f tbl acc in
         Mutex.unlock lock;
         acc)
-      init t.stripes
+      init t.stripe
 
   let stats t =
     { hits = Atomic.get t.hits; misses = Atomic.get t.misses }
@@ -241,19 +241,17 @@ let total_hits t =
 (* ------------------------------------------------------------------ *)
 (* Snapshot export / import.
 
-   Plans are exported as *keys only*: a plan value holds compiled ASTs
-   and closures whose serialization would be fragile, and recompiling
-   from the cache key asks zero oracle questions (parsing/compiling
-   never touches an instance).  The importer is handed a
-   [plan_of_key] recompiler for exactly this reason.  Everything else
-   round-trips by value. *)
+   Everything but plans round-trips by value.  Plans are not exported:
+   a plan value holds compiled ASTs whose serialization would be
+   fragile, and recomputing one asks zero oracle questions (parsing and
+   planning never touch an instance), so persisting plans would save
+   no question. *)
 
 type dump_entry =
   | D_instance of { name : string; nrels : int }
   | D_children of { inst : string; key : Tuple.t; value : int list }
   | D_equiv of { inst : string; u : Tuple.t; v : Tuple.t; value : bool }
   | D_rel of { inst : string; index : int; key : Tuple.t; value : bool }
-  | D_plan of { key : string }
   | D_result of { key : string; value : result_value }
   | D_rql_def of { key : string; value : Tupleset.t }
 
@@ -297,7 +295,6 @@ let export t =
         !acc)
       acc instances
   in
-  let acc = Stbl.fold t.plans (fun key _ acc -> D_plan { key } :: acc) acc in
   let acc =
     Stbl.fold t.results (fun key value acc -> D_result { key; value } :: acc) acc
   in
@@ -309,11 +306,11 @@ let export t =
   List.rev acc
 
 (* Returns [true] if the entry was inserted (or was an instance
-   declaration), [false] if it was skipped: already present, plan key
-   that no longer recompiles, or rel index the importer cannot place.
-   Seeding never updates hit/miss counters — a loaded answer is a
-   cache entry, not a question, and must not read as one. *)
-let seed t ~plan_of_key entry =
+   declaration), [false] if it was skipped: already present, or a rel
+   index the importer cannot place.  Seeding never updates hit/miss
+   counters — a loaded answer is a cache entry, not a question, and
+   must not read as one. *)
+let seed t entry =
   match entry with
   | D_instance { name; nrels } ->
       ignore (instance t ~name ~nrels);
@@ -331,9 +328,5 @@ let seed t ~plan_of_key entry =
         let tbls = m.rel_tbls in
         if index < Array.length tbls then Ttbl.seed tbls.(index) key value
         else false
-  | D_plan { key } -> (
-      match plan_of_key key with
-      | Some p -> Stbl.seed t.plans key p
-      | None -> false)
   | D_result { key; value } -> Stbl.seed t.results key value
   | D_rql_def { key; value } -> Stbl.seed t.rql_defs key value

@@ -25,8 +25,8 @@
 
     {b Locking.}  Every table is lock-striped, each stripe under one
     plain mutex held only for a single hashtable probe or insert, so
-    lookups on different stripes never contend and lookups on the same
-    stripe wait at most one probe.  No lock is ever held across a
+    two lookups contend only when they land on the same stripe, and
+    then wait at most one probe.  No lock is ever held across a
     [compute] closure, so one slow oracle question cannot stall
     unrelated lookups.  Two workers racing on the same cold key may
     both compute; the first insertion wins and both return it.
@@ -71,10 +71,9 @@ val rel : instance_memo -> int -> Prelude.Tuple.t -> compute:(unit -> bool) -> b
 
 (** A compiled plan: the parse result for a sentence, query, QL program
     or RQL query ([Error msg] memoizes a deterministic parse/compile
-    failure — never cached as a success).  RQL plans are stored twice
-    by {!Engine}: under the raw query text (a hit skips even lexing)
-    and under the normalized text (a hit shares the compiled plan
-    across whitespace/alpha-renaming variants). *)
+    failure — never cached as a success).  {!Engine} keys an RQL plan
+    by planner mode and normalized text, so a hit shares the compiled
+    plan across whitespace/alpha-renaming variants. *)
 type plan =
   | Sentence_plan of (Rlogic.Ast.formula, string) result
   | Query_plan of (Rlogic.Ast.query, string) result
@@ -127,13 +126,10 @@ val total_hits : t -> int
 
 (** {1 Snapshot export / import}
 
-    The bridge to [lib/store]'s durable snapshots.  Plans cross the
-    boundary as {e keys only} — a plan value holds compiled ASTs whose
-    on-disk encoding would be fragile, and recompiling from the cache
-    key is deterministic and asks zero Def. 3.9 oracle questions
-    (parsing and planning never touch an instance).  The importer is
-    therefore handed a [plan_of_key] recompiler
-    (see {!Engine.plan_of_key}). *)
+    The bridge to [lib/store]'s durable snapshots.  Every table but the
+    plan cache round-trips by value.  Plans are not exported: recomputing
+    one parses text and asks zero Def. 3.9 oracle questions, so a
+    persisted plan would save no question. *)
 
 type dump_entry =
   | D_instance of { name : string; nrels : int }
@@ -152,7 +148,6 @@ type dump_entry =
       key : Prelude.Tuple.t;
       value : bool;
     }
-  | D_plan of { key : string }
   | D_result of { key : string; value : result_value }
   | D_rql_def of { key : string; value : Prelude.Tupleset.t }
 
@@ -162,9 +157,8 @@ val export : t -> dump_entry list
     that does appear was genuinely computed and committed).  Instance
     declarations precede the entries that reference them. *)
 
-val seed : t -> plan_of_key:(string -> plan option) -> dump_entry -> bool
+val seed : t -> dump_entry -> bool
 (** Insert one exported entry if absent.  Never updates hit/miss
     counters: a loaded answer is a cache entry, not a question.
-    Returns [false] when skipped — key already present, plan key that
-    no longer recompiles ([plan_of_key] returned [None]), or a
-    malformed relation index. *)
+    Returns [false] when skipped — key already present, or a malformed
+    relation index. *)

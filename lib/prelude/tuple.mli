@@ -71,7 +71,7 @@ module Tbl : Hashtbl.S with type key = t
 
 (** A tuple bundled with its memoized hash: computing the hash once at
     key-creation time instead of on every probe/resize of a hashtable.
-    Used for hot cache keys (striped LRU stripes, shared memo tables). *)
+    Used for hot cache keys (LRU oracle caches, shared memo tables). *)
 module Hashed : sig
   type tuple = t
   type t

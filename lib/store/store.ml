@@ -4,18 +4,16 @@
 
    Ledger correctness (Def. 3.9): nothing in this module ever asks an
    oracle question.  Export reads committed memo entries; import seeds
-   them back without touching hit/miss counters; plan entries are
-   persisted as keys and recompiled by [Engine.plan_of_key], which
-   parses text and touches no instance.  A warm start therefore differs
-   from a cold one only in where cache {e hits} come from — never in
-   what is asked, and never in a single response byte. *)
+   them back without touching hit/miss counters.  A warm start
+   therefore differs from a cold one only in where cache {e hits} come
+   from — never in what is asked, and never in a single response
+   byte. *)
 
 let m_snapshots = Metrics.counter "store.snapshots_written"
 let m_snapshot_entries = Metrics.counter "store.snapshot_entries_written"
 let m_errors_dropped = Metrics.counter "store.nondet_errors_dropped"
 let m_entries_loaded = Metrics.counter "store.entries_loaded"
 let m_entries_skipped = Metrics.counter "store.entries_skipped"
-let m_plans_recompiled = Metrics.counter "store.plans_recompiled"
 let m_journal_appends = Metrics.counter "store.journal_appends"
 let m_journal_rotations = Metrics.counter "store.journal_rotations"
 let m_journal_replayed = Metrics.counter "store.journal_replayed"
@@ -27,7 +25,6 @@ type load_report = {
   entries_skipped : int;
   torn_tail : bool;
   refused : string option;
-  plans_recompiled : int;
   journal_present : bool;
   journal_records : int;
   journal_skipped : int;
@@ -249,7 +246,7 @@ let fits_live live (entry : Shared_memo.dump_entry) =
 
 let load_snapshot t =
   if not (Sys.file_exists t.snapshot_path) then
-    (false, 0, 0, false, None, 0)
+    (false, 0, 0, false, None)
   else begin
     let ic = open_in_bin t.snapshot_path in
     Fun.protect
@@ -262,19 +259,17 @@ let load_snapshot t =
         in
         match Store_codec.check_header ~magic:Store_codec.snapshot_magic head with
         | Store_codec.Header_torn ->
-            (true, 0, 0, true, None, 0)
+            (true, 0, 0, true, None)
         | Store_codec.Bad_magic ->
             Metrics.incr m_refused;
-            (true, 0, 0, false, Some "bad magic", 0)
+            (true, 0, 0, false, Some "bad magic")
         | Store_codec.Future_version v ->
             Metrics.incr m_refused;
             (true, 0, 0, false,
              Some (Printf.sprintf "future format version %d (mine: %d)" v
-                     Store_codec.format_version),
-             0)
+                     Store_codec.format_version))
         | Store_codec.Header_ok ->
             let loaded = ref 0 and skipped = ref 0 and torn = ref false in
-            let plans = ref 0 in
             let live =
               List.filter_map
                 (fun name ->
@@ -295,23 +290,14 @@ let load_snapshot t =
                   match Store_codec.decode_entry payload with
                   | exception Store_codec.Decode_error _ -> incr skipped
                   | entry ->
-                      if
-                        fits_live live entry
-                        && Shared_memo.seed t.memo
-                             ~plan_of_key:Engine.plan_of_key entry
-                      then begin
-                        incr loaded;
-                        match entry with
-                        | Shared_memo.D_plan _ -> incr plans
-                        | _ -> ()
-                      end
+                      if fits_live live entry && Shared_memo.seed t.memo entry
+                      then incr loaded
                       else
-                        (* already present, un-recompilable plan key or
-                           a count that does not fit the live instance:
-                           skipped, not an error *)
+                        (* already present, or a count that does not fit
+                           the live instance: skipped, not an error *)
                         incr skipped)
             done;
-            (true, !loaded, !skipped, !torn, None, !plans))
+            (true, !loaded, !skipped, !torn, None))
   end
 
 let load_journal t =
@@ -484,8 +470,7 @@ let open_store ?(snapshot_interval_s = 30.) ?(fsync_every = 8)
               entries_loaded,
               entries_skipped,
               torn_tail,
-              refused,
-              plans_recompiled ) =
+              refused ) =
           load_snapshot t
         in
         let ( journal_present,
@@ -523,7 +508,6 @@ let open_store ?(snapshot_interval_s = 30.) ?(fsync_every = 8)
         t.journal_oc <- Unix.out_channel_of_descr fd;
         Metrics.incr ~by:entries_loaded m_entries_loaded;
         Metrics.incr ~by:entries_skipped m_entries_skipped;
-        Metrics.incr ~by:plans_recompiled m_plans_recompiled;
         let report =
           {
             snapshot_present;
@@ -531,7 +515,6 @@ let open_store ?(snapshot_interval_s = 30.) ?(fsync_every = 8)
             entries_skipped;
             torn_tail;
             refused;
-            plans_recompiled;
             journal_present;
             journal_records;
             journal_skipped;
@@ -684,7 +667,6 @@ let inspect ~dir =
                    | Shared_memo.D_children _ -> bump "children"
                    | Shared_memo.D_equiv _ -> bump "equiv"
                    | Shared_memo.D_rel _ -> bump "rel"
-                   | Shared_memo.D_plan _ -> bump "plan"
                    | Shared_memo.D_result _ -> bump "result"
                    | Shared_memo.D_rql_def _ -> bump "rql_def")
              done;

@@ -1,19 +1,18 @@
 (** The persistence + recovery tier: write-behind snapshots of
     {!Shared_memo} plus an append-only request journal.
 
-    {b What is persisted.}  Whole-request results, compiled plans
-    (including RQL plan-cache entries, as {e keys} recompiled by
-    {!Engine.plan_of_key} at load), T_B / ≅_B / relation-membership
-    answers, and materialized RQL definitions — everything expensive
-    and deterministic.  Snapshots are written by a background thread
+    {b What is persisted.}  Whole-request results, T_B / ≅_B /
+    relation-membership answers, and materialized RQL definitions —
+    everything that is expensive and deterministic.  Plans are not
+    persisted: planning asks no oracle question, so a persisted plan
+    would save none.  Snapshots are written by a background thread
     via temp-file + fsync + atomic rename, so the serving hot path
     never blocks on the disk and a crash mid-write can never damage
     the last good snapshot.
 
     {b Why persistence cannot change the ledger (Def. 3.9).}  Nothing
     here asks an oracle question: export reads committed memo entries,
-    import seeds them back without touching hit/miss counters, and
-    plan recompilation parses text without touching an instance.  A
+    and import seeds them back without touching hit/miss counters.  A
     loaded answer is a cache {e hit}, not a question — a warm start
     changes where hits come from, never what is asked, and never a
     response byte.
@@ -38,13 +37,12 @@ type load_report = {
   snapshot_present : bool;
   entries_loaded : int;  (** entries seeded into the memo *)
   entries_skipped : int;
-      (** CRC failures + undecodable records + already-present keys +
-          plan keys that no longer recompile + instance declarations and
-          relation entries whose count or index does not fit the live
-          instance of that name *)
+      (** CRC failures + undecodable records (a plan record written by
+          an older build among them) + already-present keys + instance
+          declarations and relation entries whose count or index does
+          not fit the live instance of that name *)
   torn_tail : bool;  (** snapshot ended mid-frame (truncated) *)
   refused : string option;  (** whole-snapshot refusal reason *)
-  plans_recompiled : int;
   journal_present : bool;
   journal_records : int;
   journal_skipped : int;

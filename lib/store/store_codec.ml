@@ -406,6 +406,10 @@ let r_result_value r : Shared_memo.result_value =
   let cert = r_certificate () in
   { Shared_memo.value; cert }
 
+(* Tag 4 held a plan-cache key in older snapshots.  Plans are no longer
+   persisted, so such a record fails to decode and the loader skips it;
+   the tag stays retired so an old record can never decode as
+   something else. *)
 let encode_entry (e : Shared_memo.dump_entry) =
   let buf = Buffer.create 64 in
   (match e with
@@ -430,9 +434,6 @@ let encode_entry (e : Shared_memo.dump_entry) =
       w_uint buf index;
       w_tuple buf key;
       w_bool buf value
-  | Shared_memo.D_plan { key } ->
-      w_uint buf 4;
-      w_string buf key
   | Shared_memo.D_result { key; value } ->
       w_uint buf 5;
       w_string buf key;
@@ -468,7 +469,6 @@ let decode_entry payload : Shared_memo.dump_entry =
         let key = r_tuple r in
         let value = r_bool r in
         Shared_memo.D_rel { inst; index; key; value }
-    | 4 -> Shared_memo.D_plan { key = r_string r }
     | 5 ->
         let key = r_string r in
         let value = r_result_value r in

@@ -267,9 +267,15 @@ let test_router_passthrough () =
 (* Regression: a shard that dies abruptly (kill -9, crash) must become
    a typed oracle_unavailable — the router process survives the EPIPE. *)
 
-(* A "shard" that accepts one connection, reads a little, then slams
-   the socket shut — the router's subsequent writes hit EPIPE/ECONNRESET
-   exactly as they would against a kill -9'd process. *)
+(* A "shard" that accepts connections, reads a little from each, then
+   slams it shut — the router's subsequent writes hit EPIPE/ECONNRESET
+   exactly as they would against a kill -9'd process.  Each connection
+   gets its own thread, so a silent one (the router's idle reconnect)
+   never delays the next (a stats fan-out).  The returned [stop] ends
+   the accept loop and closes the listener from the loop's own thread:
+   a loop that outlived its test would call [accept] on whatever socket
+   reused the closed fd number next — the next test's fake shard — and
+   could take the router's connection to it. *)
 let slammer_shard () =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt fd Unix.SO_REUSEADDR true;
@@ -280,32 +286,41 @@ let slammer_shard () =
     | Unix.ADDR_INET (_, p) -> p
     | _ -> assert false
   in
-  (* not joined: a thread blocked in [accept] is not woken by closing
-     the listening fd on Linux; it parks harmlessly until process exit *)
-  let (_ : Thread.t) =
+  let slam conn =
+    (* linger 0 turns close into RST — the abrupt death *)
+    (try Unix.setsockopt_optint conn Unix.SO_LINGER (Some 0)
+     with Unix.Unix_error _ -> ());
+    let buf = Bytes.create 256 in
+    (try ignore (Unix.read conn buf 0 256) with Unix.Unix_error _ -> ());
+    try Unix.close conn with Unix.Unix_error _ -> ()
+  in
+  let stopping = Atomic.make false in
+  let rec serve () =
+    if not (Atomic.get stopping) then begin
+      (match Unix.select [ fd ] [] [] 0.02 with
+      | [], _, _ -> ()
+      | _ -> (
+          match Unix.accept fd with
+          | conn, _ -> ignore (Thread.create slam conn)
+          | exception Unix.Unix_error _ -> ()));
+      serve ()
+    end
+  in
+  let loop =
     Thread.create
       (fun () ->
-        let rec serve () =
-          match Unix.accept fd with
-          | conn, _ ->
-              (* linger 0 turns close into RST — the abrupt death *)
-              (try Unix.setsockopt_optint conn Unix.SO_LINGER (Some 0)
-               with Unix.Unix_error _ -> ());
-              let buf = Bytes.create 256 in
-              (try ignore (Unix.read conn buf 0 256)
-               with Unix.Unix_error _ -> ());
-              (try Unix.close conn with Unix.Unix_error _ -> ());
-              serve ()
-          | exception Unix.Unix_error _ -> ()
-        in
-        serve ())
+        serve ();
+        Unix.close fd)
       ()
   in
-  (port, fd)
+  ( port,
+    fun () ->
+      Atomic.set stopping true;
+      Thread.join loop )
 
 let test_dead_shard_is_typed_never_fatal () =
-  let p1, fd1 = slammer_shard () in
-  let p2, fd2 = slammer_shard () in
+  let p1, stop1 = slammer_shard () in
+  let p2, stop2 = slammer_shard () in
   let router =
     Router.start ~stats:false ~queue_timeout_s:2.0
       ~shards:[ ("127.0.0.1", p1); ("127.0.0.1", p2) ]
@@ -314,8 +329,8 @@ let test_dead_shard_is_typed_never_fatal () =
   Fun.protect
     ~finally:(fun () ->
       ignore (Router.drain ~timeout_s:10.0 router);
-      (try Unix.close fd1 with Unix.Unix_error _ -> ());
-      (try Unix.close fd2 with Unix.Unix_error _ -> ()))
+      stop1 ();
+      stop2 ())
     (fun () ->
       (* wait until the router holds connections to both "shards" *)
       let deadline = Unix.gettimeofday () +. 10.0 in
@@ -429,13 +444,15 @@ let test_hedged_request_answered_once () =
   Fun.protect
     ~finally:(fun () ->
       ignore (Router.drain ~timeout_s:10.0 router);
-      (* a fake that was never dialled stays parked in accept *)
+      (* a fake that was never dialled stays parked in accept; a dialled
+         one reads EOF now that the router is drained, and is joined
+         before its socket is closed, so it never reads a reused fd *)
       List.iter
         (fun fk ->
           Option.iter
             (fun fd ->
-              (try Unix.close fd with Unix.Unix_error _ -> ());
-              Option.iter Thread.join fk.fk_thread)
+              Option.iter Thread.join fk.fk_thread;
+              try Unix.close fd with Unix.Unix_error _ -> ())
             fk.fk_conn)
         [ a; b ])
     (fun () ->

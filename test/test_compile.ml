@@ -465,12 +465,12 @@ let test_engine_compile_counters () =
 (* Oracle_cache: precomputed node hashes must not change behaviour     *)
 
 let test_lru_stats_regression () =
-  (* Hand-computed reference trace, capacity 3, single stripe:
+  (* Hand-computed reference trace, capacity 3:
      1m 2m 3m  1h  4m(evict 2)  2m(evict 3)  4h 1h  3m(evict 2) —
      6 misses, 3 hits, 3 resident.  The hashed-key representation
      must reproduce these numbers exactly. *)
   let c =
-    Oracle_cache.wrap ~capacity:3 ~stripes:1
+    Oracle_cache.wrap ~capacity:3
       (Rdb.Relation.make ~arity:1 (fun u -> u.(0) mod 2 = 0))
   in
   let rel = Oracle_cache.relation c in

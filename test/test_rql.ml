@@ -280,6 +280,59 @@ let test_planner_asks_fewer_questions () =
     (Printf.sprintf "planned (%d) < naive (%d)" planned naive)
     true (planned < naive)
 
+(* The single-use inline decision, the one place the cost model steers
+   the ledger: a definition used under a quantifier is inlined when its
+   body is cheap and kept (materialized once) when re-evaluating it per
+   binding would cost more.  Fresh engines, cutoff 4. *)
+let bytes_and_questions ~instance text =
+  let e = Engine.create () in
+  let r = Engine.handle e (rql_req ~instance text) in
+  ignore (expect_ok text r);
+  ( Json.to_string (Request.response_to_json ~stats:false r),
+    Engine.question_count e )
+
+let test_inline_refused () =
+  let text =
+    "let l(x) = exists y. exists z. R1(x,y) && R1(y,z) && R1(z,x); \
+     query {(a,b) | exists w. (R1(a,w) && l(w) && R1(w,b))}"
+  in
+  let written_out =
+    "query {(a,b) | exists w. (R1(a,w) && (exists y. exists z. R1(w,y) && \
+     R1(y,z) && R1(z,w)) && R1(w,b))}"
+  in
+  check Alcotest.int "the planner keeps l" 1
+    (defs_count ~mode:Rql_plan.Planned text);
+  let kept, kept_q = bytes_and_questions ~instance:"paths3" text in
+  let inlined, inlined_q = bytes_and_questions ~instance:"paths3" written_out in
+  check Alcotest.string "same bytes as l written out in place" inlined kept;
+  Alcotest.(check bool)
+    (Printf.sprintf "keeping l asks fewer questions (%d < %d)" kept_q
+       inlined_q)
+    true (kept_q < inlined_q)
+
+let test_inline_taken () =
+  let text =
+    "let e(x,y) = R1(x,y) || R1(y,x); query {(a,b,c) | e(a,b) && R1(b,c)}"
+  in
+  (* the same query with [e] used twice (the conjunct is idempotent): a
+     definition used twice is never inlined, so this plan materializes
+     [e] and is otherwise the same *)
+  let materialized =
+    "let e(x,y) = R1(x,y) || R1(y,x); \
+     query {(a,b,c) | e(a,b) && R1(b,c) && e(a,b)}"
+  in
+  check Alcotest.int "the planner inlines e" 0
+    (defs_count ~mode:Rql_plan.Planned text);
+  check Alcotest.int "and keeps it when used twice" 1
+    (defs_count ~mode:Rql_plan.Planned materialized);
+  let inlined, inlined_q = bytes_and_questions ~instance:"arrows" text in
+  let kept, kept_q = bytes_and_questions ~instance:"arrows" materialized in
+  check Alcotest.string "same bytes as e materialized" kept inlined;
+  Alcotest.(check bool)
+    (Printf.sprintf "inlining e asks fewer questions (%d < %d)" inlined_q
+       kept_q)
+    true (inlined_q < kept_q)
+
 let test_rql_errors () =
   let e = Engine.create () in
   let expect name req pred =
@@ -329,7 +382,7 @@ let test_plan_cache_normalization () =
   let ra = Engine.handle e (rql_req ~id:1 text_a) in
   ignore (expect_ok "first text" ra);
   let s1 = plans_stats e in
-  check Alcotest.int "cold text: raw and normalized miss" 2
+  check Alcotest.int "cold text: one plan miss" 1
     (s1.Shared_memo.misses - s0.Shared_memo.misses);
   check Alcotest.int "cold text: no hits" 0
     (s1.Shared_memo.hits - s0.Shared_memo.hits);
@@ -338,7 +391,7 @@ let test_plan_cache_normalization () =
   let rb = Engine.handle e (rql_req ~id:1 text_b) in
   ignore (expect_ok "variant text" rb);
   let s2 = plans_stats e in
-  check Alcotest.int "variant: raw misses, normalized hits" 1
+  check Alcotest.int "variant: no plan miss" 0
     (s2.Shared_memo.misses - s1.Shared_memo.misses);
   check Alcotest.int "variant: one normalized hit" 1
     (s2.Shared_memo.hits - s1.Shared_memo.hits);
@@ -349,37 +402,53 @@ let test_plan_cache_normalization () =
     (Engine.question_count e - q_before);
 
   (* Same text, different cutoff: the whole-request memo misses but the
-     raw plan entry hits, skipping even lexing. *)
+     plan entry hits. *)
   let rc = Engine.handle e (rql_req ~id:1 ~cutoff:2 text_a) in
   ignore (expect_ok "same text, new cutoff" rc);
   let s3 = plans_stats e in
   check Alcotest.int "repeat text: no new plan misses" 0
     (s3.Shared_memo.misses - s2.Shared_memo.misses);
-  check Alcotest.int "repeat text: one raw hit" 1
-    (s3.Shared_memo.hits - s2.Shared_memo.hits)
+  check Alcotest.int "repeat text: one hit" 1
+    (s3.Shared_memo.hits - s2.Shared_memo.hits);
+
+  (* The planner mode is part of the key: a naive plan is planned once
+     of its own and never answers for the cost-based one. *)
+  ignore
+    (expect_ok "naive planner"
+       (Engine.handle e (rql_req ~id:1 ~planner:Request.Plan_naive text_b)));
+  let s4 = plans_stats e in
+  check Alcotest.int "other mode: one plan miss" 1
+    (s4.Shared_memo.misses - s3.Shared_memo.misses);
+  check Alcotest.int "other mode: no hit" 0
+    (s4.Shared_memo.hits - s3.Shared_memo.hits)
 
 let test_plan_cache_never_caches_errors_as_success () =
   let shared = Shared_memo.create () in
   let e = Engine.create ~shared () in
-  let bad = "sentence exists x. R1(x" in
   let expect_parse_error r =
     match (r : Request.response).result with
     | Error (Request.Parse_error _) -> ()
-    | Ok _ -> Alcotest.fail "a cached parse error must stay an error"
+    | Ok _ -> Alcotest.fail "a cached error must stay an error"
     | Error err ->
         Alcotest.failf "wrong error %s" (Request.error_to_string err)
   in
-  let s0 = plans_stats e in
-  expect_parse_error (Engine.handle e (rql_req ~cutoff:3 bad));
-  let s1 = plans_stats e in
-  check Alcotest.int "parse error cached under the raw key only" 1
-    (s1.Shared_memo.misses - s0.Shared_memo.misses);
-  (* A different cutoff bypasses the whole-request memo, so the second
-     serve re-reads the plan cache — and must see the error again. *)
-  expect_parse_error (Engine.handle e (rql_req ~cutoff:4 bad));
-  let s2 = plans_stats e in
-  check Alcotest.int "second serve hits the cached error" 1
-    (s2.Shared_memo.hits - s1.Shared_memo.hits)
+  (* A different cutoff bypasses the whole-request memo, so each second
+     serve goes back to planning. *)
+  let twice text =
+    let s0 = plans_stats e in
+    expect_parse_error (Engine.handle e (rql_req ~cutoff:3 text));
+    let s1 = plans_stats e in
+    expect_parse_error (Engine.handle e (rql_req ~cutoff:4 text));
+    let s2 = plans_stats e in
+    ( s1.Shared_memo.misses - s0.Shared_memo.misses,
+      s2.Shared_memo.hits - s1.Shared_memo.hits )
+  in
+  let misses, hits = twice "sentence exists x. R1(x" in
+  check Alcotest.int "a parse error never reaches the plan cache" 0 misses;
+  check Alcotest.int "so its second serve parses again" 0 hits;
+  let misses, hits = twice "sentence exists x. q(x)" in
+  check Alcotest.int "a compile error is cached, as an error" 1 misses;
+  check Alcotest.int "its second serve hits the cached error" 1 hits
 
 let test_shared_def_memo () =
   (* Two different queries over the same fixpoint share its
@@ -471,6 +540,10 @@ let () =
             test_rql_matches_plain_tree;
           Alcotest.test_case "planners byte-identical" `Quick
             test_planners_byte_identical;
+          Alcotest.test_case "costly definition kept" `Quick
+            test_inline_refused;
+          Alcotest.test_case "cheap definition inlined" `Quick
+            test_inline_taken;
           Alcotest.test_case "planner asks fewer questions" `Quick
             test_planner_asks_fewer_questions;
           Alcotest.test_case "typed errors" `Quick test_rql_errors;

@@ -125,11 +125,6 @@ let gen_entry =
         string_printable
         (pair (int_range 0 5) gen_tuple)
         bool;
-      (* plan keys as the engine writes them, RQL prefixes included *)
-      map2
-        (fun prefix text -> Shared_memo.D_plan { key = prefix ^ text })
-        (oneofl [ "s:"; "q:"; "p:"; "ra:n:"; "ra:c:"; "rn:n:"; "rn:c:" ])
-        string_printable;
       map2
         (fun key value -> Shared_memo.D_result { key; value })
         string_printable
@@ -207,7 +202,7 @@ let export_seed_roundtrip () =
   let memo2 = Shared_memo.create () in
   List.iter
     (fun e ->
-      ignore (Shared_memo.seed memo2 ~plan_of_key:Engine.plan_of_key e))
+      ignore (Shared_memo.seed memo2 e))
     entries;
   (* probes must hit the seeded values, and the ledger must read as
      hits, not as questions *)
@@ -237,7 +232,7 @@ let export_seed_roundtrip () =
 let seed_does_not_count_as_questions () =
   let memo = Shared_memo.create () in
   ignore
-    (Shared_memo.seed memo ~plan_of_key:Engine.plan_of_key
+    (Shared_memo.seed memo
        (Shared_memo.D_result
           {
             key = "x";
@@ -263,40 +258,37 @@ let aborted_compute_never_exported () =
     (List.length (Shared_memo.export memo))
 
 (* ------------------------------------------------------------------ *)
-(* Plans persist as keys; errors stay errors                           *)
+(* Plans are never exported; errors stay errors                        *)
 
-let plan_error_stays_error () =
+let plans_never_exported () =
   let memo = Shared_memo.create () in
-  let bad = "ra:c:let x = fix" in
-  (* cache a deterministic compile error the way the engine does *)
-  (match
-     Shared_memo.plan memo ~key:bad ~compute:(fun () ->
-         Shared_memo.Rql_plan (Error "compile error"))
-   with
-  | Shared_memo.Rql_plan (Error _) -> ()
-  | _ -> Alcotest.fail "setup");
+  (* a cached compile error and a cached success, the way the engine
+     caches them *)
+  List.iter
+    (fun (key, r) ->
+      ignore
+        (Shared_memo.plan memo ~key ~compute:(fun () -> Shared_memo.Rql_plan r)))
+    [
+      ("rn:c:let x = fix", Error "compile error");
+      ( "rn:c:query {(v0) | R1(v0,v0)}",
+        Ok
+          (Rql.Rql_plan.plan_of_text ~mode:Rql.Rql_plan.Planned
+             "query {(x) | R1(x,x)}") );
+    ];
+  check Alcotest.int "no plan entry exported" 0
+    (List.length (Shared_memo.export memo));
+  (* a seeded memo therefore recomputes every plan: a persisted error
+     can never come back as a success, nor a success as an error *)
   let memo2 = Shared_memo.create () in
   List.iter
-    (fun e -> ignore (Shared_memo.seed memo2 ~plan_of_key:Engine.plan_of_key e))
+    (fun e -> ignore (Shared_memo.seed memo2 e))
     (Shared_memo.export memo);
-  (* the seeded plan must already be there (compute must not run), and
-     it must still be an error — recompilation cannot invent a success *)
-  match
-    Shared_memo.plan memo2 ~key:bad ~compute:(fun () ->
-        Alcotest.fail "plan recomputed after seed")
-  with
-  | Shared_memo.Rql_plan (Error _) -> ()
-  | Shared_memo.Rql_plan (Ok _) ->
-      Alcotest.fail "persisted plan error became a success"
-  | _ -> Alcotest.fail "wrong plan variant"
-
-let plan_of_key_unknown_prefix () =
-  check Alcotest.bool "unknown prefix refused" true
-    (Engine.plan_of_key "zz:whatever" = None);
-  check Alcotest.bool "sentence key recompiles" true
-    (match Engine.plan_of_key "s:R1(x,x)" with
-    | Some (Shared_memo.Sentence_plan _) -> true
-    | _ -> false)
+  let ran = ref false in
+  ignore
+    (Shared_memo.plan memo2 ~key:"rn:c:let x = fix" ~compute:(fun () ->
+         ran := true;
+         Shared_memo.Rql_plan (Error "compile error")));
+  check Alcotest.bool "plan recomputed after seed" true !ran
 
 let nondet_errors_filtered_at_save () =
   with_tmpdir (fun dir ->
@@ -366,12 +358,84 @@ let engine_roundtrip_zero_questions () =
       let store2, report = Store.open_store ~write_behind:false ~dir memo2 in
       Store.close store2;
       check Alcotest.bool "entries loaded" true (report.Store.entries_loaded > 0);
-      check Alcotest.bool "plans recompiled" true
-        (report.Store.plans_recompiled > 0);
       let eng2 = Engine.create ~shared:memo2 () in
       let warm = render (Engine.handle_all eng2 batch) in
       check (Alcotest.list Alcotest.string) "warm byte-identical" cold warm;
       check Alcotest.int "warm run asked zero questions" 0
+        (Engine.question_count eng2))
+
+(* Snapshots written before plans stopped being persisted carry tag-4
+   plan records (one varint tag, then the cache key as a string).  Such
+   a record no longer decodes: the loader skips it, seeds everything
+   else, and the warm replay still asks nothing — planning never asks. *)
+let parent_plan_records_skipped () =
+  with_tmpdir (fun dir ->
+      let batch = Workload.mixed_with_rql 40 in
+      let render rs =
+        List.map
+          (fun r -> Json.to_string (Request.response_to_json ~stats:false r))
+          rs
+      in
+      let memo = Shared_memo.create () in
+      let store, _ = Store.open_store ~write_behind:false ~dir memo in
+      let cold = render (Engine.handle_all (Engine.create ~shared:memo ()) batch) in
+      let snap = Store.snapshot_now store in
+      Store.close store;
+      (* rewrite the snapshot in the older layout: the same records,
+         with plan records between the per-instance entries and the
+         results, where the older exporter put them *)
+      let ic = open_in_bin (snapshot_path dir) in
+      ignore (Store_codec.read_exactly_header ic);
+      let rec frames acc =
+        match Store_codec.read_frame ic with
+        | Store_codec.Frame p -> frames (p :: acc)
+        | _ -> List.rev acc
+      in
+      let payloads = frames [] in
+      close_in ic;
+      check Alcotest.int "every written entry read back"
+        snap.Store.entries_written (List.length payloads);
+      let plan_record key =
+        let b = Buffer.create 32 in
+        Store_codec.w_uint b 4;
+        Store_codec.w_string b key;
+        Buffer.contents b
+      in
+      let plans =
+        List.map plan_record
+          [
+            "s:exists x. exists y. R1(x, y)";
+            "q:{(x,y) | R1(x,y) && x != y}";
+            "p:x0 := R1";
+            "rn:c:query {(v0,v1) | R1(v0,v1)}";
+            "rn:n:query {(v0,v1) | R1(v0,v1)}";
+          ]
+      in
+      let is_result p =
+        match Store_codec.decode_entry p with
+        | Shared_memo.D_result _ | Shared_memo.D_rql_def _ -> true
+        | _ -> false
+      in
+      let before = List.filter (fun p -> not (is_result p)) payloads in
+      let after = List.filter is_result payloads in
+      check Alcotest.bool "results were exported" true (after <> []);
+      let oc = open_out_bin (snapshot_path dir) in
+      output_string oc (Store_codec.header Store_codec.snapshot_magic);
+      List.iter
+        (fun p -> output_string oc (Store_codec.frame p))
+        (before @ plans @ after);
+      close_out oc;
+      let memo2 = Shared_memo.create () in
+      let store2, report = Store.open_store ~write_behind:false ~dir memo2 in
+      Store.close store2;
+      check Alcotest.int "plan records count as skipped" (List.length plans)
+        report.Store.entries_skipped;
+      check Alcotest.int "every other entry seeds" (List.length payloads)
+        report.Store.entries_loaded;
+      let eng2 = Engine.create ~shared:memo2 () in
+      check (Alcotest.list Alcotest.string) "warm byte-identical" cold
+        (render (Engine.handle_all eng2 batch));
+      check Alcotest.int "warm replay asks zero questions" 0
         (Engine.question_count eng2))
 
 (* ------------------------------------------------------------------ *)
@@ -620,10 +684,8 @@ let () =
         ] );
       ( "errors",
         [
-          Alcotest.test_case "plan errors persist as errors" `Quick
-            plan_error_stays_error;
-          Alcotest.test_case "plan_of_key prefix handling" `Quick
-            plan_of_key_unknown_prefix;
+          Alcotest.test_case "plans are never exported" `Quick
+            plans_never_exported;
           Alcotest.test_case "nondeterministic errors filtered at save" `Quick
             nondet_errors_filtered_at_save;
         ] );
@@ -631,6 +693,8 @@ let () =
         [
           Alcotest.test_case "warm engine: identical bytes, zero questions"
             `Quick engine_roundtrip_zero_questions;
+          Alcotest.test_case "older snapshot: plan records skipped" `Quick
+            parent_plan_records_skipped;
         ] );
       ( "faults",
         [
