@@ -932,17 +932,21 @@ let cmd_stats =
              ABI instead of scraping the metrics listener.")
   in
   let print_ledger ~indent (l : Request.ledger) =
-    Format.printf
-      "%s%-24s %8d questions (raw %d, t_b %d, equiv %d)  cache hits %d%s%s@."
-      indent l.Request.l_node l.Request.l_questions l.Request.l_raw
-      l.Request.l_tb l.Request.l_equiv l.Request.l_cache_hits
-      (if l.Request.l_served > 0 then
-         Printf.sprintf "  served %d" l.Request.l_served
-       else "")
-      (if l.Request.l_hedges_fired > 0 || l.Request.l_sheds > 0 then
-         Printf.sprintf "  hedges %d (wins %d)  sheds %d"
-           l.Request.l_hedges_fired l.Request.l_hedge_wins l.Request.l_sheds
-       else "")
+    if not l.Request.l_reachable then
+      Format.printf "%s%-24s unreachable@." indent l.Request.l_node
+    else
+      Format.printf
+        "%s%-24s %8d questions (raw %d, t_b %d, equiv %d)  cache hits %d%s%s@."
+        indent l.Request.l_node l.Request.l_questions l.Request.l_raw
+        l.Request.l_tb l.Request.l_equiv l.Request.l_cache_hits
+        (if l.Request.l_served > 0 then
+           Printf.sprintf "  served %d" l.Request.l_served
+         else "")
+        (if l.Request.l_hedges_fired > 0 || l.Request.l_sheds > 0 then
+           Printf.sprintf "  hedges %d (wins %d)  sheds %d"
+             l.Request.l_hedges_fired l.Request.l_hedge_wins
+             l.Request.l_sheds
+         else "")
   in
   let run_ledger host port =
     let fail fmt =

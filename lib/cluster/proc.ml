@@ -97,6 +97,99 @@ let send_and_collect ?host ?timeout_s ~port lines =
       (try Unix.close fd with Unix.Unix_error _ -> ());
       result
 
+(* One endpoint of [ask_all]: connecting, reading its answer, or done
+   with the answer line ([None]: refused, reset, closed short, late).
+   Only the first two own an open socket. *)
+type asking =
+  | Dialling of Unix.file_descr
+  | Reading of Unix.file_descr * Buffer.t
+  | Answered of string option
+
+let ask_all ~timeout_s endpoints line =
+  Frame.ignore_sigpipe ();
+  let deadline = Unix.gettimeofday () +. timeout_s in
+  let request = line ^ "\n" in
+  let chunk = Bytes.create 4096 in
+  let answered fd answer =
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    Answered answer
+  in
+  let dial (host, port) =
+    match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
+    | exception Unix.Unix_error _ -> Answered None
+    | fd -> (
+        Unix.set_nonblock fd;
+        match
+          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
+        with
+        | () -> Dialling fd
+        | exception Unix.Unix_error (Unix.EINPROGRESS, _, _) -> Dialling fd
+        | exception (Unix.Unix_error _ | Failure _) -> answered fd None)
+  in
+  (* a connect completes when the socket turns writable: send the line
+     and half-close, as send_and_collect does *)
+  let send fd =
+    match Unix.getsockopt_error fd with
+    | Some _ -> answered fd None
+    | None -> (
+        try
+          ignore (Unix.write_substring fd request 0 (String.length request));
+          Unix.shutdown fd Unix.SHUTDOWN_SEND;
+          Reading (fd, Buffer.create 256)
+        with Unix.Unix_error _ -> answered fd None)
+  in
+  let receive fd buf =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> answered fd None (* EOF before a whole line *)
+    | n -> (
+        Buffer.add_subbytes buf chunk 0 n;
+        match String.index_opt (Buffer.contents buf) '\n' with
+        | Some i -> answered fd (Some (Buffer.sub buf 0 i))
+        | None when Buffer.length buf > 1 lsl 20 -> answered fd None
+        | None -> Reading (fd, buf))
+    | exception
+        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+        Reading (fd, buf)
+    | exception Unix.Unix_error _ -> answered fd None
+  in
+  let slots = List.map (fun e -> ref (dial e)) endpoints in
+  let rec loop () =
+    let dialling =
+      List.filter_map
+        (fun s -> match !s with Dialling fd -> Some fd | _ -> None)
+        slots
+    in
+    let reading =
+      List.filter_map
+        (fun s -> match !s with Reading (fd, _) -> Some fd | _ -> None)
+        slots
+    in
+    let left = deadline -. Unix.gettimeofday () in
+    if (dialling <> [] || reading <> []) && left > 0. then begin
+      let readable, writable, _ =
+        try Unix.select reading dialling [] left
+        with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+      in
+      List.iter
+        (fun s ->
+          match !s with
+          | Dialling fd when List.mem fd writable -> s := send fd
+          | Reading (fd, buf) when List.mem fd readable -> s := receive fd buf
+          | _ -> ())
+        slots;
+      loop ()
+    end
+  in
+  (* whatever ends the loop, late endpoints are unanswered and closed *)
+  Fun.protect loop ~finally:(fun () ->
+      List.iter
+        (fun s ->
+          match !s with
+          | Dialling fd | Reading (fd, _) -> s := answered fd None
+          | Answered _ -> ())
+        slots);
+  List.map (fun s -> match !s with Answered a -> a | _ -> None) slots
+
 let id_of line =
   match Json.parse line with
   | Ok j -> ( match Json.member "id" j with Some (Json.Int i) -> i | _ -> -1)

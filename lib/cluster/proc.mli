@@ -45,7 +45,16 @@ val send_and_collect :
     peer vanishing mid-read is EOF, not an error — the caller sees a
     short response list instead).  [timeout_s] bounds each socket
     read/write ([SO_RCVTIMEO]); a stalled peer becomes an [Error]
-    instead of a hang — the router's ledger fan-out relies on this. *)
+    instead of a hang. *)
+
+val ask_all :
+  timeout_s:float -> (string * int) list -> string -> string option list
+(** [ask_all ~timeout_s endpoints line] sends [line] to every
+    [(host, port)] at once, each on its own nonblocking one-shot
+    connection, and returns each endpoint's first response line in
+    endpoint order.  One deadline, [timeout_s] from the call, bounds
+    the whole exchange: an endpoint that refuses, resets, closes
+    short, or has not answered by then is [None]. *)
 
 val id_of : string -> int
 (** The ["id"] of a JSON line; [-1] when unparsable. *)

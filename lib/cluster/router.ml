@@ -405,9 +405,10 @@ let hedge_loop t ~hedge_after_s =
   loop ()
 
 (* ------------------------------------------------------------------ *)
-(* The stats op: fan out to every shard on fresh one-shot connections,
-   merge with Ledger_merge, append the router's own question-free row.
-   Rare and synchronous on the asking client's reader thread. *)
+(* The stats op: ask every shard at once on fresh one-shot connections
+   under one 5 s deadline, merge with Ledger_merge, append the router's
+   own question-free row.  Rare and synchronous on the asking client's
+   reader thread, which it holds for one deadline at most. *)
 
 let router_ledger t =
   Mutex.lock t.lock;
@@ -424,15 +425,19 @@ let stats_line =
   Json.to_string (Request.to_json (Request.make ~id:0 Request.Stats))
 
 let shard_ledgers t =
-  List.filter_map
-    (fun (_, u) ->
-      match
-        Proc.send_and_collect ~host:u.u_host ~port:u.u_port ~timeout_s:5.0
-          [ stats_line ]
-      with
-      | Ok (line :: _) -> Ledger_merge.of_response_line line
-      | Ok [] | Error _ -> None)
-    t.upstreams
+  let answers =
+    Proc.ask_all ~timeout_s:5.0
+      (List.map (fun (_, u) -> (u.u_host, u.u_port)) t.upstreams)
+      stats_line
+  in
+  List.map2
+    (fun (_, u) answer ->
+      match Option.bind answer Ledger_merge.of_response_line with
+      | Some l -> l
+      | None ->
+          let node = Printf.sprintf "%s:%d" u.u_host u.u_port in
+          { (Ledger_merge.zero node) with Request.l_reachable = false })
+    t.upstreams answers
 
 let merged_ledger t =
   let shards = shard_ledgers t in

@@ -70,10 +70,12 @@ type counters = {
 val counters : t -> counters
 
 val merged_ledger : t -> Request.ledger * Request.ledger list
-(** What the [stats] op answers: fan out to every shard on one-shot
-    connections, sum with {!Ledger_merge.sum}, include the router's
-    own question-free row (served/hedges/sheds).  Shards that cannot
-    be reached are omitted from the per-shard list. *)
+(** What the [stats] op answers: ask every shard at once on one-shot
+    connections ({!Proc.ask_all}, one 5 s deadline for the whole
+    fan-out), sum with {!Ledger_merge.sum}, include the router's own
+    question-free row (served/hedges/sheds).  Every shard gets a row,
+    in shard order: one that did not answer by the deadline gets a
+    zero row labelled ["host:port"] with [l_reachable = false]. *)
 
 val drain : ?timeout_s:float -> t -> [ `Clean | `Forced of int ]
 (** Stop accepting, half-close every client, wait for owed responses

@@ -62,6 +62,7 @@ type ledger = {
   l_hedges_fired : int;
   l_hedge_wins : int;
   l_sheds : int;
+  l_reachable : bool;
 }
 
 let ledger ?(served = 0) ?(hedges_fired = 0) ?(hedge_wins = 0) ?(sheds = 0)
@@ -77,6 +78,7 @@ let ledger ?(served = 0) ?(hedges_fired = 0) ?(hedge_wins = 0) ?(sheds = 0)
     l_hedges_fired = hedges_fired;
     l_hedge_wins = hedge_wins;
     l_sheds = sheds;
+    l_reachable = true;
   }
 
 type outcome =
@@ -500,7 +502,7 @@ let tuples_json us = Json.List (List.map tuple_json us)
 
 let ledger_to_json l =
   Json.Obj
-    [
+    ([
       ("node", Json.String l.l_node);
       ("questions", Json.Int l.l_questions);
       ("oracle_calls", Json.Int l.l_raw);
@@ -512,17 +514,21 @@ let ledger_to_json l =
       ("hedge_wins", Json.Int l.l_hedge_wins);
       ("sheds", Json.Int l.l_sheds);
     ]
+    @ if l.l_reachable then [] else [ ("unreachable", Json.Bool true) ])
 
 let ledger_of_json j =
   let int k = match Json.member k j with Some (Json.Int i) -> Some i | _ -> None in
   let int0 k = Option.value (int k) ~default:0 in
   match (Json.member "node" j, int "oracle_calls") with
   | Some (Json.String node), Some raw ->
-      Some
-        (ledger ~node ~raw ~tb:(int0 "tb_calls") ~equiv:(int0 "equiv_calls")
-           ~cache_hits:(int0 "cache_hits") ~served:(int0 "served")
-           ~hedges_fired:(int0 "hedges_fired") ~hedge_wins:(int0 "hedge_wins")
-           ~sheds:(int0 "sheds") ())
+      let l =
+        ledger ~node ~raw ~tb:(int0 "tb_calls") ~equiv:(int0 "equiv_calls")
+          ~cache_hits:(int0 "cache_hits") ~served:(int0 "served")
+          ~hedges_fired:(int0 "hedges_fired") ~hedge_wins:(int0 "hedge_wins")
+          ~sheds:(int0 "sheds") ()
+      in
+      let unreachable = Json.member "unreachable" j = Some (Json.Bool true) in
+      Some { l with l_reachable = not unreachable }
   | _ -> None
 
 let outcome_to_json = function

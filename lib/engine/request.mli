@@ -120,6 +120,10 @@ type ledger = {
   l_hedges_fired : int;
   l_hedge_wins : int;
   l_sheds : int;
+  l_reachable : bool;
+      (** [false] only in a router's row for a shard that did not answer
+          the [stats] op in time (all counts zero); rendered as
+          ["unreachable":true], a field healthy rows never carry *)
 }
 
 val ledger :
@@ -134,7 +138,8 @@ val ledger :
   cache_hits:int ->
   unit ->
   ledger
-(** Smart constructor enforcing [l_questions = raw + tb + equiv]. *)
+(** Smart constructor enforcing [l_questions = raw + tb + equiv]; the
+    row is reachable. *)
 
 type outcome =
   | Bool of bool

@@ -11,11 +11,19 @@ open Prelude
 
 type table_stats = { hits : int; misses : int }
 
+(* Eight stripes, picked by hash bits 24–26.  Each stripe is a
+   [Hashtbl.Make] table, which takes its bucket index from the low
+   bits of the same hash; a stripe chosen by the low bits would leave
+   every key in it agreeing on three bucket bits, so 7/8 of its
+   buckets would stay empty.  Bits 24–26 feed no bucket index below
+   2^24 buckets. *)
+let stripe_of_hash h = (h lsr 24) land 7
+
 module Make_table (K : Hashtbl.HashedType) = struct
   module H = Hashtbl.Make (K)
 
   type 'v t = {
-    stripe : (Mutex.t * 'v H.t) array;  (* 8 of them, chosen by key hash *)
+    stripe : (Mutex.t * 'v H.t) array;  (* 8, by [stripe_of_hash] *)
     hits : int Atomic.t;
     misses : int Atomic.t;
   }
@@ -28,7 +36,7 @@ module Make_table (K : Hashtbl.HashedType) = struct
     }
 
   let find_or_compute t k compute =
-    let lock, tbl = t.stripe.(K.hash k mod Array.length t.stripe) in
+    let lock, tbl = t.stripe.(stripe_of_hash (K.hash k)) in
     Mutex.lock lock;
     let found = H.find_opt tbl k in
     Mutex.unlock lock;
@@ -55,7 +63,7 @@ module Make_table (K : Hashtbl.HashedType) = struct
      the memo gauges and the E30 assertions).  Same
      first-insertion-wins rule as [find_or_compute]. *)
   let seed t k v =
-    let lock, tbl = t.stripe.(K.hash k mod Array.length t.stripe) in
+    let lock, tbl = t.stripe.(stripe_of_hash (K.hash k)) in
     Mutex.lock lock;
     let inserted =
       match H.find_opt tbl k with

@@ -112,6 +112,11 @@ val result : t -> key:string -> compute:(unit -> result_value) -> result_value
 
 type table_stats = { hits : int; misses : int }
 
+val stripe_of_hash : int -> int
+(** The stripe (0–7) of a key with this hash: bits 24–26, which no
+    stripe table below 2^24 buckets reads for its bucket index, so each
+    stripe's keys spread over all of its buckets. *)
+
 type stats = {
   children : table_stats;
   equiv : table_stats;

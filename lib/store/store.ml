@@ -46,7 +46,6 @@ type t = {
   journal_path : string;
   memo : Shared_memo.t;
   snapshot_interval_s : float;
-  fsync_every : int;
   lock : Mutex.t;
   (* journal state, all under [lock] *)
   mutable journal_fd : Unix.file_descr;
@@ -362,12 +361,7 @@ let journal_append t r =
   if not t.closed then begin
     output_string t.journal_oc (Store_codec.frame (Store_codec.encode_journal r));
     t.unsynced <- t.unsynced + 1;
-    Metrics.incr m_journal_appends;
-    if t.unsynced >= t.fsync_every then begin
-      flush t.journal_oc;
-      (try Unix.fsync t.journal_fd with Unix.Unix_error _ -> ());
-      t.unsynced <- 0
-    end
+    Metrics.incr m_journal_appends
   end;
   Mutex.unlock t.lock
 
@@ -435,8 +429,7 @@ let flusher_loop t =
 
 (* ------------------------------------------------------------------ *)
 
-let open_store ?(snapshot_interval_s = 30.) ?(fsync_every = 8)
-    ?(write_behind = true) ~dir memo =
+let open_store ?(snapshot_interval_s = 30.) ?(write_behind = true) ~dir memo =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   let snapshot_path = Filename.concat dir "snapshot.rdb" in
   let journal_path = Filename.concat dir "journal.rdb" in
@@ -447,7 +440,6 @@ let open_store ?(snapshot_interval_s = 30.) ?(fsync_every = 8)
       journal_path;
       memo;
       snapshot_interval_s;
-      fsync_every;
       lock = Mutex.create ();
       journal_fd = Unix.stdin (* replaced below *);
       journal_oc = stdout (* replaced below *);

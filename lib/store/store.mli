@@ -8,7 +8,7 @@
     would save none.  Snapshots are written by a background thread
     via temp-file + fsync + atomic rename, so the serving hot path
     never blocks on the disk and a crash mid-write can never damage
-    the last good snapshot.
+    the last good snapshot.  The journal below never blocks it either.
 
     {b Why persistence cannot change the ledger (Def. 3.9).}  Nothing
     here asks an oracle question: export reads committed memo entries,
@@ -28,8 +28,10 @@
     {b The journal} records request admissions and completions.  On
     boot, admitted-but-uncompleted requests are reported as [pending]
     for the server to re-execute; the journal is then rotated to
-    exactly that pending set.  Journal appends are fsync-batched
-    (every [fsync_every] records, plus every flusher tick). *)
+    exactly that pending set.  An append only buffers its record: the
+    flusher thread flushes and fsyncs the journal every 50 ms tick, and
+    {!close} does a final sync, so a request never waits on an fsync.
+    A crash loses at most the records appended since the last tick. *)
 
 type t
 
@@ -62,7 +64,6 @@ type snapshot_report = {
 
 val open_store :
   ?snapshot_interval_s:float ->
-  ?fsync_every:int ->
   ?write_behind:bool ->
   dir:string ->
   Shared_memo.t ->
@@ -86,6 +87,11 @@ val journal_admit : t -> line:string -> int
     journal sequence number to pass to {!journal_complete}. *)
 
 val journal_complete : t -> int -> unit
+
+val journal_sync : t -> unit
+(** Flush and fsync the journal's buffered appends now: what each
+    flusher tick does.  A store opened with [write_behind:false] has no
+    flusher, so its appends reach the file only here or at {!close}. *)
 
 val replayed : t -> int -> unit
 (** Count [n] journal-recovered requests as replayed (metrics only). *)

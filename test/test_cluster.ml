@@ -267,16 +267,14 @@ let test_router_passthrough () =
 (* Regression: a shard that dies abruptly (kill -9, crash) must become
    a typed oracle_unavailable — the router process survives the EPIPE. *)
 
-(* A "shard" that accepts connections, reads a little from each, then
-   slams it shut — the router's subsequent writes hit EPIPE/ECONNRESET
-   exactly as they would against a kill -9'd process.  Each connection
-   gets its own thread, so a silent one (the router's idle reconnect)
-   never delays the next (a stats fan-out).  The returned [stop] ends
-   the accept loop and closes the listener from the loop's own thread:
-   a loop that outlived its test would call [accept] on whatever socket
+(* A "shard" that accepts connections and hands each to [handle] on its
+   own thread, so a silent one (the router's idle reconnect) never
+   delays the next (a stats fan-out).  The returned [stop] ends the
+   accept loop and closes the listener from the loop's own thread: a
+   loop that outlived its test would call [accept] on whatever socket
    reused the closed fd number next — the next test's fake shard — and
    could take the router's connection to it. *)
-let slammer_shard () =
+let accepting_shard handle =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt fd Unix.SO_REUSEADDR true;
   Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", 0));
@@ -286,14 +284,6 @@ let slammer_shard () =
     | Unix.ADDR_INET (_, p) -> p
     | _ -> assert false
   in
-  let slam conn =
-    (* linger 0 turns close into RST — the abrupt death *)
-    (try Unix.setsockopt_optint conn Unix.SO_LINGER (Some 0)
-     with Unix.Unix_error _ -> ());
-    let buf = Bytes.create 256 in
-    (try ignore (Unix.read conn buf 0 256) with Unix.Unix_error _ -> ());
-    try Unix.close conn with Unix.Unix_error _ -> ()
-  in
   let stopping = Atomic.make false in
   let rec serve () =
     if not (Atomic.get stopping) then begin
@@ -301,7 +291,7 @@ let slammer_shard () =
       | [], _, _ -> ()
       | _ -> (
           match Unix.accept fd with
-          | conn, _ -> ignore (Thread.create slam conn)
+          | conn, _ -> ignore (Thread.create handle conn)
           | exception Unix.Unix_error _ -> ()));
       serve ()
     end
@@ -317,6 +307,18 @@ let slammer_shard () =
     fun () ->
       Atomic.set stopping true;
       Thread.join loop )
+
+(* Reads a little from each connection, then slams it shut — the
+   router's subsequent writes hit EPIPE/ECONNRESET exactly as they would
+   against a kill -9'd process. *)
+let slammer_shard () =
+  accepting_shard (fun conn ->
+      (* linger 0 turns close into RST — the abrupt death *)
+      (try Unix.setsockopt_optint conn Unix.SO_LINGER (Some 0)
+       with Unix.Unix_error _ -> ());
+      let buf = Bytes.create 256 in
+      (try ignore (Unix.read conn buf 0 256) with Unix.Unix_error _ -> ());
+      try Unix.close conn with Unix.Unix_error _ -> ())
 
 let test_dead_shard_is_typed_never_fatal () =
   let p1, stop1 = slammer_shard () in
@@ -530,6 +532,50 @@ let test_router_forwards_long_responses () =
       check Alcotest.(list string) "routed = direct" direct
         (ask (Router.port router)))
 
+(* Three shards that accept and never answer: the stats fan-out asks
+   them all at once under one 5 s deadline, and gives each a typed
+   unreachable row instead of leaving it out. *)
+let test_stats_deadline_with_mute_shards () =
+  let held = ref [] and lock = Mutex.create () in
+  let mute () =
+    accepting_shard (fun conn ->
+        Mutex.protect lock (fun () -> held := conn :: !held))
+  in
+  let shards = [ mute (); mute (); mute () ] in
+  let router =
+    Router.start ~stats:false
+      ~shards:(List.map (fun (p, _) -> ("127.0.0.1", p)) shards)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Router.drain ~timeout_s:10.0 router);
+      List.iter (fun (_, stop) -> stop ()) shards;
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        !held)
+    (fun () ->
+      let t0 = Unix.gettimeofday () in
+      let cluster, rows = Router.merged_ledger router in
+      let took = Unix.gettimeofday () -. t0 in
+      check Alcotest.bool
+        (Printf.sprintf "answered within one deadline (%.1f s)" took)
+        true (took < 7.0);
+      check
+        Alcotest.(list string)
+        "every shard has a row, in shard order"
+        (List.map (fun (p, _) -> Printf.sprintf "127.0.0.1:%d" p) shards)
+        (List.map (fun l -> l.Request.l_node) rows);
+      check Alcotest.(list bool) "all three unreachable" [ false; false; false ]
+        (List.map (fun l -> l.Request.l_reachable) rows);
+      check Alcotest.int "they add no questions" 0 cluster.Request.l_questions;
+      (* on the wire the row says so, and decodes back *)
+      let row = List.hd rows in
+      check Alcotest.bool "wire round-trip keeps unreachable" true
+        (Request.ledger_of_json (Request.ledger_to_json row) = Some row);
+      check Alcotest.bool "healthy rows carry no unreachable field" true
+        (Json.member "unreachable" (Request.ledger_to_json cluster) = None))
+
 (* A client that floods malformed lines and never reads its answers:
    Conn stops reading once a window of answers is owed, so TCP pushes
    back on the client instead of the router queueing every answer. *)
@@ -664,6 +710,8 @@ let () =
             `Quick test_hedged_request_answered_once;
           Alcotest.test_case "responses of any length are forwarded" `Quick
             test_router_forwards_long_responses;
+          Alcotest.test_case "stats answers mute shards within one deadline"
+            `Quick test_stats_deadline_with_mute_shards;
           Alcotest.test_case "a never-reading flood does not grow the heap"
             `Quick test_router_flood_is_bounded;
         ] );

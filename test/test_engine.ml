@@ -479,6 +479,30 @@ let test_pool_shared_memo_accounting () =
     || shared.Shared_memo.children.Shared_memo.hits > 0
     || shared.Shared_memo.rels.Shared_memo.hits > 0)
 
+(* Each of Shared_memo's eight stripes is a Hashtbl.Make table whose
+   bucket index is the low bits of the key hash.  On 20 000 memo-shaped
+   keys (rank-3 tuples of small elements), every stripe must get its
+   share of the keys and spread them over its buckets as one table
+   would (about 70 % of buckets in use), not over the 1/8 of them a
+   stripe drawn from the same low bits leaves reachable. *)
+let test_shared_memo_stripe_occupancy () =
+  let stripes = Array.init 8 (fun _ -> Tuple.Tbl.create 64) in
+  for i = 0 to 19_999 do
+    let u = [| i / 784; i / 28 mod 28; i mod 28 |] in
+    Tuple.Tbl.replace stripes.(Shared_memo.stripe_of_hash (Tuple.hash u)) u ()
+  done;
+  Array.iteri
+    (fun i tbl ->
+      let st = Tuple.Tbl.stats tbl in
+      let used = st.Hashtbl.num_buckets - st.Hashtbl.bucket_histogram.(0) in
+      Alcotest.(check bool)
+        (Printf.sprintf "stripe %d: %d keys over %d of %d buckets" i
+           (Tuple.Tbl.length tbl) used st.Hashtbl.num_buckets)
+        true
+        (Tuple.Tbl.length tbl >= 20_000 / 16
+        && float_of_int used >= 0.5 *. float_of_int st.Hashtbl.num_buckets))
+    stripes
+
 let test_pool_submit_during_batch () =
   (* The two entry points share one queue: single jobs submitted from
      several threads interleave with another domain's batch, and every
@@ -684,6 +708,8 @@ let () =
             test_pool_many_small_batches;
           Alcotest.test_case "shared memo: fewer questions, same bytes"
             `Quick test_pool_shared_memo_accounting;
+          Alcotest.test_case "shared memo stripes use every bucket" `Quick
+            test_shared_memo_stripe_occupancy;
           Alcotest.test_case "submits interleave with a batch" `Quick
             test_pool_submit_during_batch;
           Alcotest.test_case "graceful, idempotent shutdown" `Quick

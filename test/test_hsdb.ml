@@ -48,32 +48,6 @@ let test_clique_class_counts () =
         (Hs.Hsdb.class_count c n))
     [ 0; 1; 2; 3; 4 ]
 
-let test_rado_class_counts () =
-  let r = Hs.Hsinstances.rado () in
-  (* Rado classes = local isomorphism classes of irreflexive symmetric
-     graph diagrams: rank 2 -> 3, rank 3 -> 15. *)
-  check Alcotest.int "rado T^1" 1 (Hs.Hsdb.class_count r 1);
-  check Alcotest.int "rado T^2" 3 (Hs.Hsdb.class_count r 2);
-  check Alcotest.int "rado T^3" 15 (Hs.Hsdb.class_count r 3);
-  (* Cross-check against the diagram enumeration with a graph filter. *)
-  let keep d =
-    let m = Localiso.Diagram.blocks d in
-    let ok = ref true in
-    for x = 0 to m - 1 do
-      if Localiso.Diagram.atom d ~rel:0 [| x; x |] then ok := false;
-      for y = 0 to m - 1 do
-        if
-          Localiso.Diagram.atom d ~rel:0 [| x; y |]
-          <> Localiso.Diagram.atom d ~rel:0 [| y; x |]
-        then ok := false
-      done
-    done;
-    !ok
-  in
-  check Alcotest.int "rado T^3 = graph diagram count"
-    (List.length (Localiso.Diagram.enumerate ~keep ~db_type:[| 2 |] ~rank:3 ()))
-    (Hs.Hsdb.class_count r 3)
-
 let test_unary_class_counts () =
   let u = Hs.Hsinstances.unary_finite_set ~members:[ 0; 1; 2 ] in
   check Alcotest.int "unary T^1" 2 (Hs.Hsdb.class_count u 1);
@@ -184,17 +158,6 @@ let test_random_colored_counts () =
       (t [ 1; 3 ], t [ 0; 2 ]);
       (t [ 0; 1 ], t [ 2; 3 ]);
     ]
-
-let test_random_colored_extension_sentence () =
-  (* Every vertex has neighbours of both colours. *)
-  let rc = Hs.Hsinstances.random_colored_graph () in
-  let s =
-    Rlogic.Parser.formula
-      "forall x. (exists y. R2(x, y) && R1(y)) && (exists z. R2(x, z) && \
-       !R1(z))"
-  in
-  Alcotest.(check bool) "both-colour neighbours" true
-    (Hs.Fo_eval.eval_sentence rc s)
 
 let test_bipartite_matches_mod2_tree () =
   let bp = Hs.Hsinstances.complete_bipartite () in
@@ -688,8 +651,6 @@ let () =
       ( "counts",
         [
           Alcotest.test_case "clique = Bell" `Quick test_clique_class_counts;
-          Alcotest.test_case "rado = graph diagrams" `Quick
-            test_rado_class_counts;
           Alcotest.test_case "unary" `Quick test_unary_class_counts;
           Alcotest.test_case "mod cliques" `Quick test_mod_class_counts;
           Alcotest.test_case "directed edge" `Quick test_directed_edge_classes;
@@ -712,8 +673,6 @@ let () =
             test_random_colored_valid;
           Alcotest.test_case "random colored counts" `Quick
             test_random_colored_counts;
-          Alcotest.test_case "random colored extension" `Quick
-            test_random_colored_extension_sentence;
           Alcotest.test_case "bipartite vs mod2" `Quick
             test_bipartite_matches_mod2_tree;
           Alcotest.test_case "lines: EF strategy (Cor 3.1 contrast)" `Quick

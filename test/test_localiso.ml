@@ -30,14 +30,6 @@ let test_realize_roundtrip_manual () =
     "of_pair . realize = id" d
     (Diagram.of_pair b' u')
 
-let test_enumeration_example_68 () =
-  (* §2's worked example: type a = (2,1) has 2² + 2⁴·2² = 68 classes of
-     rank 2. *)
-  let db_type = [| 2; 1 |] in
-  check Alcotest.int "closed form" 68 (Diagram.count ~db_type ~rank:2);
-  check Alcotest.int "enumeration" 68
-    (List.length (Diagram.enumerate ~db_type ~rank:2 ()))
-
 let test_enumeration_counts_other () =
   (* Rank 1, type (2): patterns = 1 block; 2^(1²)=2 diagrams... for type
      (2) rank 1 there are 2 classes: loop or no loop. *)
@@ -244,8 +236,6 @@ let () =
             test_diagram_repeated_elements;
           Alcotest.test_case "realize roundtrip" `Quick
             test_realize_roundtrip_manual;
-          Alcotest.test_case "the 68 classes of §2" `Quick
-            test_enumeration_example_68;
           Alcotest.test_case "other counts" `Quick test_enumeration_counts_other;
           Alcotest.test_case "no duplicates" `Quick
             test_enumeration_no_duplicates;

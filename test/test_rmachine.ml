@@ -155,10 +155,6 @@ let test_oracle_machine_genericity_refutation () =
 (* -------------------------------------------------------------------- *)
 (* The non-closure witness (E4)                                         *)
 
-let test_nonclosure_witness () =
-  let w = Nonclosure.find () in
-  Alcotest.(check bool) "witness verifies" true (Nonclosure.verify w)
-
 let test_nonclosure_splits_class () =
   let w = Nonclosure.find () in
   let y1, z1 = w.Nonclosure.halting and y2, z2 = w.Nonclosure.looping in
@@ -210,7 +206,6 @@ let () =
         ] );
       ( "nonclosure",
         [
-          Alcotest.test_case "witness verifies" `Quick test_nonclosure_witness;
           Alcotest.test_case "splits a class" `Quick
             test_nonclosure_splits_class;
         ] );
