@@ -1,4 +1,4 @@
-.PHONY: all build test bench recdb-exe engine-smoke resilience-smoke parallel-smoke server-smoke obs-smoke rql-smoke store-smoke compile-smoke cluster-smoke incomplete-smoke baseline-keys check clean
+.PHONY: all build test bench recdb-exe engine-smoke resilience-smoke parallel-smoke server-smoke obs-smoke rql-smoke store-smoke compile-smoke cluster-smoke incomplete-smoke perfbench-smoke baseline-keys check clean
 
 all: build
 
@@ -114,6 +114,21 @@ incomplete-smoke: recdb-exe
 	dune exec bench/main.exe -- incomplete --requests 60 -o BENCH_incomplete_smoke.json
 	dune exec bench/main.exe -- incomplete-smoke
 
+# The served bytes end to end: the serving benchmark (BENCHMARK.json)
+# for 1 s on cold_mix, through a real serve process, and on
+# routed_zipf, through a real router over two serve shards.  Fails
+# unless each run reports "correct":true — every served line equals
+# the sequential reference — with no failed request.
+perfbench-smoke:
+	@for w in cold_mix routed_zipf; do \
+	  out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1); \
+	  echo "perfbench $$w: $$out"; \
+	  case "$$out" in \
+	    *'"correct":true,'*'"failed":0,'*) ;; \
+	    *) echo "perfbench $$w: served bytes differ from the reference, or requests failed"; exit 1 ;; \
+	  esac; \
+	done
+
 # The committed baselines cannot drift from what the benches write:
 # every key path of a smoke report BENCH_<name>_smoke.json (array
 # indices normalized to []) must exist in the committed full-size
@@ -131,7 +146,7 @@ baseline-keys:
 	  fi; \
 	done; exit $$status
 
-check: build test engine-smoke resilience-smoke parallel-smoke server-smoke obs-smoke rql-smoke store-smoke compile-smoke cluster-smoke incomplete-smoke baseline-keys
+check: build test engine-smoke resilience-smoke parallel-smoke server-smoke obs-smoke rql-smoke store-smoke compile-smoke cluster-smoke incomplete-smoke perfbench-smoke baseline-keys
 
 clean:
 	dune clean

@@ -32,8 +32,10 @@ let with_recdb bench =
 
 let pp_report ppf report =
   let rec leaves path = function
-    | Json.Obj fields -> List.iter (fun (k, v) -> leaves (k :: path) v) fields
-    | Json.List items ->
+    | (Json.Obj [] | Json.List []) when path = [] -> ()
+    | Json.Obj (_ :: _ as fields) ->
+        List.iter (fun (k, v) -> leaves (k :: path) v) fields
+    | Json.List (_ :: _ as items) ->
         List.iteri
           (fun i v ->
             match Json.member "name" v with

@@ -34,4 +34,5 @@ val pp_report : Format.formatter -> Json.t -> unit
 (** Print a report one line per scalar leaf, as [path value]: the path
     joins object keys with [.] and names a list element by its ["name"]
     field when it has one, else by its index; the value is its JSON
-    text. *)
+    text.  An empty list or object below the top is a leaf too, printed
+    as [[]] or [{}], so no key of the report goes unprinted. *)

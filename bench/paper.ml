@@ -6,8 +6,8 @@
    [eN] returns one report field, an object keyed ["EN"], together with
    the violations of its gates: every discrete claim is gated at its
    exact value, and a violation names the report path of the leaf that
-   broke it ([E2.(2,1)@2.formula = 67, expected 68]).  The timings of
-   E21 are the only ungated leaves besides the descriptive ones. *)
+   broke it ([E2.(2,1)@2.formula = 67, expected 68]).  Only the
+   descriptive leaves are ungated. *)
 
 open Prelude
 
@@ -821,37 +821,53 @@ let e20 () =
 (* E21: ablations — algorithmic choices called out in DESIGN.md        *)
 
 let e21 () =
-  (* CPU µs per call over a 0.15 s loop: reported, never gated *)
-  let us_per_op key f =
-    let t0 = Sys.time () in
-    let iterations = ref 0 in
-    while Sys.time () -. t0 < 0.15 do
-      ignore (f ());
-      incr iterations
-    done;
-    info key
-      (Json.Float ((Sys.time () -. t0) /. float_of_int !iterations *. 1e6))
-  in
   let p3 =
     Hs.Hsinstances.disjoint_copies
       [ Hs.Hsinstances.undirected_path_component 3 ]
   in
   let db = Rdb.Instances.triangles () in
-  experiment "E21" "Ablations (timings in CPU µs per operation, ungated)"
+  (* 1. Partition refinement vs the direct game recursion for V^2_2:
+     two paths share a class iff the game says they are ≡_2. *)
+  let part = Hs.Ef.vnr p3 ~n:2 ~r:2 in
+  let game_disagreements =
+    let n = Array.length part.Hs.Ef.items in
+    let bad = ref 0 in
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        if
+          part.Hs.Ef.cls.(i) = part.Hs.Ef.cls.(j)
+          <> Hs.Ef.equiv_r p3 ~r:2 part.Hs.Ef.items.(i) part.Hs.Ef.items.(j)
+        then incr bad
+      done
+    done;
+    !bad
+  in
+  (* 2. The three-part liso test vs the brute-force restriction check,
+     on (0,1,3) ≅ₗ (3,4,0) and on every rank-3 tuple over 0..4 against
+     (3,4,0). *)
+  let v = [| 3; 4; 0 |] in
+  let liso_disagreements =
+    List.length
+      (List.filter
+         (fun u ->
+           Localiso.Liso.check_same db u v
+           <> Localiso.Liso.check_bruteforce db u db v)
+         ([| 0; 1; 3 |]
+         :: Combinat.fold_cartesian
+              (fun acc u -> Array.copy u :: acc)
+              [] ~width:3 ~bound:5))
+  in
+  experiment "E21"
+    "Ablations: partition refinement gives the direct game's classes, the \
+     three-part liso test agrees with the brute-force check, and extension \
+     dedup keeps one child per class"
     [
-      (* 1. Partition refinement vs direct game recursion for V^n_r. *)
-      us_per_op "vnr_refinement_n2_r2_us" (fun () -> Hs.Ef.vnr p3 ~n:2 ~r:2);
-      us_per_op "equiv_r_direct_game_all_T2_pairs_r2_us" (fun () ->
-          let paths = Hs.Hsdb.paths p3 2 in
-          List.iter
-            (fun u ->
-              List.iter (fun v -> ignore (Hs.Ef.equiv_r p3 ~r:2 u v)) paths)
-            paths);
-      (* 2. The three-part liso test vs the brute-force restriction check. *)
-      us_per_op "liso_three_part_rank3_us" (fun () ->
-          Localiso.Liso.check_same db [| 0; 1; 3 |] [| 3; 4; 0 |]);
-      us_per_op "liso_bruteforce_rank3_us" (fun () ->
-          Localiso.Liso.check_bruteforce db [| 0; 1; 3 |] db [| 3; 4; 0 |]);
+      info "vnr_classes_n2_r2" (Json.Int part.Hs.Ef.nclasses);
+      int_is "vnr_vs_direct_game_disagreements_n2_r2" game_disagreements 0;
+      bool_is "liso_013_340" (Localiso.Liso.check_same db [| 0; 1; 3 |] v)
+        (Localiso.Liso.check_bruteforce db [| 0; 1; 3 |] db v);
+      int_is "liso_three_part_vs_bruteforce_disagreements_rank3"
+        liso_disagreements 0;
       (* 3. Extension dedup in the generic components builder keeps the
          tree at one representative per class. *)
       int_is "children_01_triangles"

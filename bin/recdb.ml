@@ -536,7 +536,7 @@ let cmd_serve_batch =
           Option.map (fun sampling -> Obs.Trace.make ~sampling ()) sampling
         in
         let engine = Engine.create ?config ?trace () in
-        ( Engine.handle_all engine,
+        ( List.map (Engine.serve engine),
           (fun () -> Engine.traces engine),
           fun () -> () )
       end
@@ -544,18 +544,17 @@ let cmd_serve_batch =
         let pool =
           Pool.create ~domains:jobs ?engine_config:config ?tracing:sampling ()
         in
-        ( Pool.run_batch pool,
+        ( Pool.serve_batch pool,
           (fun () -> Pool.traces pool),
           fun () -> Pool.shutdown pool )
       end
     in
     let served = ref 0 in
     let errors = ref 0 in
-    let print_response r =
+    let print_response (r : Request.encoded) =
       incr served;
       if Result.is_error r.Request.result then incr errors;
-      print_endline
-        (Json.to_string (Request.response_to_json ~stats:(not no_stats) r))
+      print_endline (Request.reply_line ~stats:(not no_stats) r)
     in
     (* Stream the input instead of materializing it: decode up to
        [chunk_size] requests (Request.decode_line — the same per-line

@@ -654,6 +654,14 @@ let eval_payload ~tr ~shared entry (payload : Request.payload) :
          caller gets a typed error rather than a crash. *)
       Error (Request.Bad_request "stats is answered by the serving tier")
 
+(* An evaluated answer with its completeness certificate.  [eval_*]
+   produce it with the typed outcome; the result memo keeps it with the
+   outcome's encoded bytes ([Shared_memo.result_value]). *)
+type 'body certified = {
+  value : ('body, Request.error) result;
+  cert : Request.certificate;
+}
+
 (* ------------------------------------------------------------------ *)
 (* Incompleteness-aware evaluation (certain / possible / approximate)  *)
 
@@ -664,7 +672,7 @@ let eval_payload ~tr ~shared entry (payload : Request.payload) :
    — which is what lets the pair live in [Shared_memo] and in store
    snapshots under the mode-prefixed key. *)
 let eval_incomplete ~tr ~shared entry ~(mode : Request.mode)
-    (payload : Request.payload) : Shared_memo.result_value =
+    (payload : Request.payload) : Request.outcome certified =
   let decl =
     (* unreachable None: [effective_mode] downgrades undeclared
        instances to exact before this is called *)
@@ -676,7 +684,7 @@ let eval_incomplete ~tr ~shared entry ~(mode : Request.mode)
     | _ -> Incomplete.Budget.unlimited ()
   in
   let ctx = Incomplete.Ctx.make ~hs:entry.hs ~decl ~budget in
-  let exact value = { Shared_memo.value; cert = Request.Cert_exact } in
+  let exact value = { value; cert = Request.Cert_exact } in
   (* certain and approximate serve the lower bound, possible the upper *)
   let lower = mode <> Request.M_possible in
   let undetermined_cert rels =
@@ -708,7 +716,7 @@ let eval_incomplete ~tr ~shared entry ~(mode : Request.mode)
                      guaranteed", possible answers "some completion
                      could" *)
                   {
-                    Shared_memo.value = Ok (Request.Bool (not lower));
+                    value = Ok (Request.Bool (not lower));
                     cert = undetermined_cert (Incomplete.Scan.formula_rels f);
                   })
           | vars -> exact (Error (Request.Not_a_sentence vars))))
@@ -760,7 +768,7 @@ let eval_incomplete ~tr ~shared entry ~(mode : Request.mode)
                 if determined then exact (Ok outcome)
                 else
                   {
-                    Shared_memo.value = Ok outcome;
+                    value = Ok outcome;
                     cert = undetermined_cert (Incomplete.Scan.query_rels q);
                   }))
   | Request.Program _ ->
@@ -820,7 +828,7 @@ let eval_incomplete ~tr ~shared entry ~(mode : Request.mode)
                       exact (Ok (Request.Bool b))
                     else
                       {
-                        Shared_memo.value = Ok (Request.Bool b);
+                        value = Ok (Request.Bool b);
                         cert = undetermined_cert (rels ());
                       }
                 | Incomplete.Interval.Rel
@@ -837,13 +845,13 @@ let eval_incomplete ~tr ~shared entry ~(mode : Request.mode)
                     if determined then exact (Ok outcome)
                     else
                       {
-                        Shared_memo.value = Ok outcome;
+                        value = Ok outcome;
                         cert = undetermined_cert (rels ());
                       }
                 | Incomplete.Interval.Levels levels ->
                     if tripped then
                       {
-                        Shared_memo.value = Ok (Request.Levels levels);
+                        value = Ok (Request.Levels levels);
                         cert = undetermined_cert (rels ());
                       }
                     else exact (Ok (Request.Levels levels)))))
@@ -997,12 +1005,23 @@ let ledger_counts t =
       else (raw, tb, eq, hits))
     (0, 0, 0, 0) t.entries
 
-(* Every handle call is total: the budget/deadline guard turns unbounded
-   evaluations into typed errors, transient oracle outages are retried
-   with deterministic exponential backoff and surface as typed errors
-   when they persist, and any other escaping exception becomes
-   [Ill_formed] — a request can never kill its worker. *)
-let handle ?queued_s t (req : Request.t) : Request.response =
+(* An [Ok] answer as the evaluation core holds it.  The typed outcome
+   exists only where this call computed it; the bytes exist once the
+   result memo has them.  A miss encodes exactly once, into the memo,
+   and a hit never builds a tree: [handle] decodes hit bytes for its
+   typed callers, [serve] writes them as they are. *)
+type body =
+  | Tree of Request.outcome  (* computed, no result memo: not encoded *)
+  | Bytes of string  (* a result-memo hit *)
+  | Both of Request.outcome * string  (* a miss: computed, encoded once *)
+
+(* The one evaluation core behind [handle] and [serve].  Every call is
+   total: the budget/deadline guard turns unbounded evaluations into
+   typed errors, transient oracle outages are retried with
+   deterministic exponential backoff and surface as typed errors when
+   they persist, and any other escaping exception becomes [Ill_formed]
+   — a request can never kill its worker. *)
+let answer ?queued_s t (req : Request.t) : body Request.reply =
   let t0 = Unix.gettimeofday () in
   let retries = ref 0 in
   let finish ?(cert = Request.Cert_exact) result entry_opt pre =
@@ -1048,11 +1067,9 @@ let handle ?queued_s t (req : Request.t) : Request.response =
   (* Typed-error outcomes of the guard are exact facts about the
      serving attempt, not about the instance's completions, so they
      always carry the [exact] certificate. *)
-  let total_eval (eval : unit -> Shared_memo.result_value) =
+  let total_eval (eval : unit -> body certified) =
     Resilience.arm t.res t.config.limits;
-    let err e =
-      { Shared_memo.value = Error e; cert = Request.Cert_exact }
-    in
+    let err e = { value = Error e; cert = Request.Cert_exact } in
     let rec attempt n =
       match span t.trace "attempt" ~attrs:[ ("n", string_of_int n) ] eval with
       | result -> result
@@ -1131,8 +1148,7 @@ let handle ?queued_s t (req : Request.t) : Request.response =
         let pre = Option.map snapshot entry_opt in
         let rv =
           match (entry_opt, mode_r) with
-          | _, Error e ->
-              { Shared_memo.value = Error e; cert = Request.Cert_exact }
+          | _, Error e -> { value = Error e; cert = Request.Cert_exact }
           | Some entry, Ok mode ->
               (match mode with
               | Request.M_exact -> ()
@@ -1150,7 +1166,7 @@ let handle ?queued_s t (req : Request.t) : Request.response =
                 match mode with
                 | Request.M_exact ->
                     {
-                      Shared_memo.value =
+                      value =
                         eval_payload ~tr:t.trace ~shared:t.shared entry
                           req.Request.payload;
                       cert = Request.Cert_exact;
@@ -1161,7 +1177,9 @@ let handle ?queued_s t (req : Request.t) : Request.response =
               in
               let eval () =
                 match t.shared with
-                | None -> compute ()
+                | None ->
+                    let c = compute () in
+                    { c with value = Result.map (fun o -> Tree o) c.value }
                 | Some st ->
                     let key =
                       mode_key_prefix mode
@@ -1169,7 +1187,31 @@ let handle ?queued_s t (req : Request.t) : Request.response =
                           (Request.to_json
                              (Request.make ~id:0 req.Request.payload))
                     in
-                    Shared_memo.result st ~key ~compute
+                    (* A miss keeps its tree beside the bytes it stores,
+                       so neither [handle] nor [serve] has to convert. *)
+                    let fresh = ref None in
+                    let compute () =
+                      let c = compute () in
+                      (match c.value with
+                      | Ok o -> fresh := Some o
+                      | Error _ -> ());
+                      {
+                        Shared_memo.value =
+                          Result.map Request.outcome_bytes c.value;
+                        cert = c.cert;
+                      }
+                    in
+                    let stored = Shared_memo.result st ~key ~compute in
+                    {
+                      value =
+                        Result.map
+                          (fun b ->
+                            match !fresh with
+                            | Some o -> Both (o, b)
+                            | None -> Bytes b)
+                          stored.Shared_memo.value;
+                      cert = stored.Shared_memo.cert;
+                    }
               in
               total_eval eval
           | None, Ok _ -> (
@@ -1177,7 +1219,10 @@ let handle ?queued_s t (req : Request.t) : Request.response =
               | Request.Classes { db_type; rank } ->
                   total_eval (fun () ->
                       {
-                        Shared_memo.value = eval_classes ~db_type ~rank;
+                        value =
+                          Result.map
+                            (fun o -> Tree o)
+                            (eval_classes ~db_type ~rank);
                         cert = Request.Cert_exact;
                       })
               | Request.Stats ->
@@ -1187,27 +1232,47 @@ let handle ?queued_s t (req : Request.t) : Request.response =
                      payload). *)
                   let raw, tb, equiv, cache_hits = ledger_counts t in
                   {
-                    Shared_memo.value =
+                    value =
                       Ok
-                        (Request.Ledger_report
-                           {
-                             cluster =
-                               Request.ledger ~node:"engine" ~raw ~tb ~equiv
-                                 ~cache_hits ();
-                             shards = [];
-                           });
+                        (Tree
+                           (Request.Ledger_report
+                              {
+                                cluster =
+                                  Request.ledger ~node:"engine" ~raw ~tb
+                                    ~equiv ~cache_hits ();
+                                shards = [];
+                              }));
                     cert = Request.Cert_exact;
                   }
               | _ ->
                   (* unreachable: instance payloads resolved above *)
                   {
-                    Shared_memo.value =
-                      Error (Request.Ill_formed "no instance resolved");
+                    value = Error (Request.Ill_formed "no instance resolved");
                     cert = Request.Cert_exact;
                   })
         in
-        finish ~cert:rv.Shared_memo.cert rv.Shared_memo.value entry_opt pre
+        finish ~cert:rv.cert rv.value entry_opt pre
       end
+
+let handle ?queued_s t req : Request.response =
+  let r = answer ?queued_s t req in
+  let result =
+    match r.Request.result with
+    | Ok (Tree o | Both (o, _)) -> Ok o
+    | Ok (Bytes b) -> Request.outcome_of_json b
+    | Error e -> Error e
+  in
+  { r with Request.result }
+
+let serve ?queued_s t req : Request.encoded =
+  let r = answer ?queued_s t req in
+  let result =
+    match r.Request.result with
+    | Ok (Bytes b | Both (_, b)) -> Ok b
+    | Ok (Tree o) -> Ok (Request.outcome_bytes o)
+    | Error e -> Error e
+  in
+  { r with Request.result }
 
 let handle_all t reqs = List.map (handle t) reqs
 

@@ -110,6 +110,16 @@ val handle : ?queued_s:float -> t -> Request.t -> Request.response
     (the pool's queue wait); it is recorded on the trace (when a ctx is
     attached and samples this request) and affects nothing else. *)
 
+val serve : ?queued_s:float -> t -> Request.t -> Request.encoded
+(** {!handle} for the wire: the same evaluation, metrics and trace,
+    with the outcome as its encoded bytes.  A result-memo hit returns
+    the stored bytes as they are — no tree is built or re-encoded —
+    and a miss encodes once.  [handle] and [serve] share one core;
+    [handle] decodes stored bytes ({!Request.outcome_of_json}) only on
+    a hit, and [serve] never decodes.  For every request the two agree:
+    [Request.encode (handle t r)] equals [serve t r] on an engine in
+    the same state. *)
+
 val handle_all : t -> Request.t list -> Request.response list
 (** Sequential evaluation, in order — the reference for {!Pool}'s
     byte-identity guarantee. *)

@@ -19,6 +19,9 @@ type t =
 val to_string : t -> string
 (** Compact (no insignificant whitespace), deterministic rendering. *)
 
+val write : Buffer.t -> t -> unit
+(** [write buf j] appends exactly the bytes of [to_string j]. *)
+
 val parse : string -> (t, string) result
 (** Parse one JSON value; trailing non-whitespace is an error.  Numbers
     without [.], [e] or [E] become [Int], the rest [Float]. *)

@@ -16,16 +16,23 @@
 
 exception Injected_crash
 
-type job = {
-  request : Request.t;
-  reply : Request.response -> unit;
-      (* called exactly once: by the serving worker, by the dying
-         worker for its in-flight job, or by the last dead worker's
-         drain *)
-  enqueued_at : float;
-      (* wall clock at enqueue when tracing is on (the trace's queue-wait
-         span), 0. otherwise — no gettimeofday on the untraced path *)
-}
+(* A job answers in the form its caller reads: [run_batch] the typed
+   response ([Engine.handle]), [submit] and [serve_batch] the encoded
+   one the wire writes ([Engine.serve]). *)
+type job =
+  | Job : {
+      request : Request.t;
+      eval : ?queued_s:float -> Engine.t -> Request.t -> 'body Request.reply;
+      reply : 'body Request.reply -> unit;
+          (* called exactly once: by the serving worker, by the dying
+             worker for its in-flight job, or by the last dead worker's
+             drain *)
+      enqueued_at : float;
+          (* wall clock at enqueue when tracing is on (the trace's
+             queue-wait span), 0. otherwise — no gettimeofday on the
+             untraced path *)
+    }
+      -> job
 
 type slot = { mutable inflight : job option; mutable engine : Engine.t option }
 
@@ -62,6 +69,7 @@ type t = {
   m_respawns : Metrics.counter;
 }
 
+(* Answer a job with [Worker_crash] instead of evaluating it. *)
 let crash_response (request : Request.t) msg =
   {
     Request.id = request.Request.id;
@@ -69,6 +77,8 @@ let crash_response (request : Request.t) msg =
     cert = Request.Cert_exact;
     stats = Request.zero_stats;
   }
+
+let fail (Job { request; reply; _ }) msg = reply (crash_response request msg)
 
 (* The next job, sleeping while the queue is empty; [None] once the
    pool is stopping and nothing is left.  Called under [pool.lock]. *)
@@ -88,7 +98,7 @@ let rec worker_main pool slot_idx () =
         ?trace:pool.trace_ctxs.(slot_idx) ()
     in
     slot.engine <- Some engine;
-    let serve ({ request; reply; enqueued_at } as job) =
+    let serve (Job { request; eval; reply; enqueued_at } as job) =
       slot.inflight <- Some job;
       (match pool.crash_on with
       | Some p when p request -> raise Injected_crash
@@ -99,9 +109,9 @@ let rec worker_main pool slot_idx () =
         else None
       in
       let response =
-        (* Engine.handle is total; this catch is the containment
-           backstop for bugs and asynchronous exceptions. *)
-        match Engine.handle ?queued_s engine request with
+        (* Engine.handle and Engine.serve are total; this catch is the
+           containment backstop for bugs and asynchronous exceptions. *)
+        match eval ?queued_s engine request with
         | r -> r
         | exception e ->
             crash_response request ("request raised " ^ Printexc.to_string e)
@@ -142,9 +152,7 @@ let rec worker_main pool slot_idx () =
       | None -> ());
       let inflight = slot.inflight in
       slot.inflight <- None;
-      Option.iter
-        (fun job -> job.reply (crash_response job.request msg))
-        inflight;
+      Option.iter (fun job -> fail job msg) inflight;
       (* Respawn, or leave for good — and if we were the last worker,
          take the queue with us — in one critical section, so two
          workers dying at once cannot both see the other alive. *)
@@ -169,7 +177,7 @@ let rec worker_main pool slot_idx () =
       in
       Mutex.unlock pool.lock;
       let msg = "worker died without replacement: " ^ msg in
-      List.iter (fun job -> job.reply (crash_response job.request msg)) stranded
+      List.iter (fun job -> fail job msg) stranded
 
 let create ?domains ?engine_config ?crash_on ?(max_respawns = 1000) ?shared
     ?(tracing = Obs.Trace.Off) () =
@@ -250,12 +258,9 @@ let enqueue pool ~caller jobs =
     done
   end;
   Mutex.unlock pool.lock;
-  if orphaned then
-    List.iter
-      (fun job -> job.reply (crash_response job.request "no worker left"))
-      jobs
+  if orphaned then List.iter (fun job -> fail job "no worker left") jobs
 
-let run_batch pool requests =
+let batch ~caller eval pool requests =
   let m = List.length requests in
   if m = 0 then []
   else begin
@@ -271,9 +276,9 @@ let run_batch pool requests =
         if !remaining = 0 then Condition.signal finished;
         Mutex.unlock latch
       in
-      { request; reply; enqueued_at }
+      Job { request; eval; reply; enqueued_at }
     in
-    enqueue pool ~caller:"Pool.run_batch" (List.mapi job requests);
+    enqueue pool ~caller (List.mapi job requests);
     Mutex.lock latch;
     while !remaining > 0 do
       Condition.wait finished latch
@@ -282,9 +287,12 @@ let run_batch pool requests =
     Array.to_list (Array.map Option.get results)
   end
 
+let run_batch pool = batch ~caller:"Pool.run_batch" Engine.handle pool
+let serve_batch pool = batch ~caller:"Pool.serve_batch" Engine.serve pool
+
 let submit pool request reply =
   enqueue pool ~caller:"Pool.submit"
-    [ { request; reply; enqueued_at = stamp pool } ]
+    [ Job { request; eval = Engine.serve; reply; enqueued_at = stamp pool } ]
 
 let ledger_counts pool =
   Array.fold_left

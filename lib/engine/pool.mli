@@ -109,9 +109,15 @@ val run_batch : t -> Request.t list -> Request.response list
     response per request, whatever faults or crashes occur.  Raises
     [Invalid_argument] if the pool has been shut down. *)
 
-val submit : t -> Request.t -> (Request.response -> unit) -> unit
+val serve_batch : t -> Request.t list -> Request.encoded list
+(** {!run_batch} for the wire ([recdb serve-batch -j N]): each
+    response comes as {!Engine.serve} gives it, its outcome as encoded
+    bytes — a result-memo hit's stored bytes, never decoded. *)
+
+val submit : t -> Request.t -> (Request.encoded -> unit) -> unit
 (** [submit pool request k] enqueues one request and returns
-    immediately; [k] is called exactly once with the response, on the
+    immediately; [k] is called exactly once with the encoded response
+    ({!Engine.serve}: what {!Request.write_reply} writes), on the
     worker domain that served it (or with [Worker_crash] by a dying
     worker, or at once on the caller's thread when no worker is left —
     either way, exactly once).  This is the socket front-end's entry

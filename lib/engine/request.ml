@@ -182,12 +182,15 @@ let validate_payload = function
       else Ok ()
   | Stats -> Ok ()
 
-type response = {
+type 'body reply = {
   id : int;
-  result : (outcome, error) Stdlib.result;
+  result : ('body, error) Stdlib.result;
   cert : certificate;
   stats : stats;
 }
+
+type response = outcome reply
+type encoded = string reply
 
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                            *)
@@ -656,6 +659,99 @@ let response_to_json ?(stats = true) r =
   in
   let base = [ ("id", Json.Int r.id); result_field ] @ cert_fields in
   Json.Obj (if stats then base @ [ ("stats", stats_to_json r.stats) ] else base)
+
+(* ------------------------------------------------------------------ *)
+(* Encoded answers: the result memo's values and the wire's bodies     *)
+
+let outcome_bytes o = Json.to_string (outcome_to_json o)
+let encode (r : response) = { r with result = Result.map outcome_bytes r.result }
+
+(* The inverse of [outcome_bytes], total on arbitrary bytes: a hostile
+   store record or a garbled body is a typed error, never an
+   exception. *)
+let outcome_of_json s =
+  let bad what = Error (Ill_formed ("not an outcome: " ^ what)) in
+  let tuple = function
+    | Json.List xs -> (
+        match List.filter_map Json.to_int xs with
+        | ints when List.compare_lengths ints xs = 0 -> Some (Array.of_list ints)
+        | _ -> None)
+    | _ -> None
+  in
+  let all f = function
+    | Json.List xs -> (
+        match List.filter_map f xs with
+        | ys when List.compare_lengths ys xs = 0 -> Some ys
+        | _ -> None)
+    | _ -> None
+  in
+  let field k j f = Option.bind (Json.member k j) f in
+  let decode j =
+    match Json.member "kind" j with
+    | Some (Json.String "bool") -> (
+        match Json.member "value" j with
+        | Some (Json.Bool b) -> Ok (Bool b)
+        | _ -> bad "bool without a boolean value")
+    | Some (Json.String "count") -> (
+        match Json.member "value" j with
+        | Some (Json.Int n) -> Ok (Count n)
+        | _ -> bad "count without an integer value")
+    | Some (Json.String "relation") -> (
+        match
+          ( field "rank" j Json.to_int,
+            field "reps" j (all tuple),
+            field "members" j (all tuple) )
+        with
+        | Some rank, Some reps, Some members -> Ok (Rel { rank; reps; members })
+        | _ -> bad "malformed relation")
+    | Some (Json.String "tree") -> (
+        match field "levels" j (all (all tuple)) with
+        | Some levels -> Ok (Levels levels)
+        | None -> bad "malformed tree")
+    | Some (Json.String "undefined") -> Ok Undefined
+    | Some (Json.String "stats") -> (
+        match
+          ( field "cluster" j ledger_of_json,
+            field "shards" j (all ledger_of_json) )
+        with
+        | Some cluster, Some shards -> Ok (Ledger_report { cluster; shards })
+        | _ -> bad "malformed ledger report")
+    | _ -> bad "unknown kind"
+  in
+  match Json.parse s with
+  | Ok j -> decode j
+  | Error e -> Error (Parse_error e)
+  | exception Stack_overflow -> bad "nested too deeply"
+
+(* Byte-identical to [Json.to_string (response_to_json ~stats r)] with
+   the outcome's bytes spliced in as they are: a memo hit writes its
+   stored body without building or re-encoding a tree. *)
+let write_reply ?(stats = true) buf (r : encoded) =
+  Buffer.add_string buf "{\"id\":";
+  Buffer.add_string buf (string_of_int r.id);
+  (match r.result with
+  | Ok body ->
+      Buffer.add_string buf ",\"ok\":";
+      Buffer.add_string buf body
+  | Error e ->
+      Buffer.add_string buf ",\"error\":";
+      Json.write buf (error_to_json e));
+  (match r.cert with
+  | Cert_exact -> ()
+  | c ->
+      Buffer.add_string buf ",\"cert\":";
+      Json.write buf (certificate_to_json c));
+  if stats then begin
+    Buffer.add_string buf ",\"stats\":";
+    Json.write buf (stats_to_json r.stats)
+  end;
+  Buffer.add_char buf '}'
+
+let reply_line ?stats (r : encoded) =
+  let body = match r.result with Ok b -> String.length b | Error _ -> 0 in
+  let buf = Buffer.create (body + 256) in
+  write_reply ?stats buf r;
+  Buffer.contents buf
 
 let payload_instance = function
   | Sentence { instance; _ }

@@ -215,12 +215,22 @@ val validate_payload : payload -> (unit, error) Stdlib.result
     ranks, etc.  Applied by {!of_json} so malformed requests are
     rejected at parse time instead of evaluated. *)
 
-type response = {
+(** One answer to one request.  The body is the typed {!outcome} in a
+    {!response}, and its encoded bytes in an {!encoded} reply — the
+    form the result memo keeps and the wire writes. *)
+type 'body reply = {
   id : int;
-  result : (outcome, error) Stdlib.result;
+  result : ('body, error) Stdlib.result;
   cert : certificate;
   stats : stats;
 }
+
+type response = outcome reply
+
+type encoded = string reply
+(** [Ok body] holds [outcome_bytes o]: the canonical encoding of the
+    outcome, built once on the miss that computed it and spliced into
+    every response line after that.  Errors stay typed. *)
 
 val of_json :
   ?default_id:int -> ?on_unknown:(string -> unit) -> Json.t ->
@@ -247,7 +257,7 @@ val decode_line :
   ?on_unknown:(string -> unit) ->
   default_id:int ->
   string ->
-  [ `Empty | `Request of t | `Error of response ]
+  [ `Empty | `Request of t | `Error of 'body reply ]
 (** The per-line serving step shared by [recdb serve-batch] and the
     socket front-end ({!Conn} in [lib/net]): blank lines are skipped,
     a decodable line becomes a request, and a malformed line becomes a
@@ -264,6 +274,40 @@ val response_to_json : ?stats:bool -> response -> Json.t
 (** [~stats:false] omits the stats field — the deterministic part used
     for byte-identity comparison.  The certificate {e is} part of the
     deterministic response; [Cert_exact] is encoded by omission. *)
+
+(** {2 Encoded answers}
+
+    The wire path never builds a {!Json.t} for an outcome it already
+    holds as bytes: {!write_reply} splices the body in as it is. *)
+
+val outcome_to_json : outcome -> Json.t
+
+val outcome_bytes : outcome -> string
+(** [Json.to_string (outcome_to_json o)] — the body of an {!encoded}
+    reply and of a result-memo entry. *)
+
+val outcome_of_json : string -> (outcome, error) Stdlib.result
+(** Decode a body written by {!outcome_bytes}:
+    [outcome_of_json (outcome_bytes o) = Ok o].  Total on arbitrary
+    bytes: malformed JSON is [Parse_error], a value of the wrong shape
+    [Ill_formed]; it never raises.  The engine decodes a memo hit's
+    bytes only when a caller asks for the typed {!response}, and the
+    store checks every persisted body with it before loading. *)
+
+val encode : response -> encoded
+(** Encode the outcome (once); id, error, certificate and stats are
+    kept as they are. *)
+
+val write_reply : ?stats:bool -> Buffer.t -> encoded -> unit
+(** Append one response line, without the newline:
+    [{"id":N,"ok":<body>[,"cert":…][,"stats":…]}] or the same with an
+    ["error"] object.  For every response [r] the bytes equal
+    [Json.to_string (response_to_json ?stats r)] for [encode r].
+    Every path that writes a response line — the socket connection,
+    the server and [recdb serve-batch] — writes it with this. *)
+
+val reply_line : ?stats:bool -> encoded -> string
+(** {!write_reply} into a fresh buffer sized for the body. *)
 
 val certificate_to_json : certificate -> Json.t
 val certificate_of_json : Json.t -> certificate option

@@ -131,7 +131,7 @@ type instance_memo = {
 }
 
 type result_value = {
-  value : (Request.outcome, Request.error) Stdlib.result;
+  value : (string, Request.error) Stdlib.result;
   cert : Request.certificate;
 }
 

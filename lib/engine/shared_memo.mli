@@ -19,9 +19,9 @@
     - compiled plans — parsed sentences, queries and QL programs —
       keyed by the source text;
     - whole request results (E17 representative sets and members,
-      sentence truth, tree levels, program outputs), keyed by the
-      request's canonical payload JSON [(instance, sentence, rank,
-      cutoff, ...)].
+      sentence truth, tree levels, program outputs), kept as their
+      encoded bytes and keyed by the request's canonical payload JSON
+      [(instance, sentence, rank, cutoff, ...)].
 
     {b Locking.}  Every table is lock-striped, each stripe under one
     plain mutex held only for a single hashtable probe or insert, so
@@ -93,14 +93,24 @@ val rql_def :
     definition with references substituted, equal keys denote equal
     sets, so a hit is sound across requests, queries, and workers. *)
 
-(** A memoized whole-request result: the outcome (or typed error) plus
-    its completeness certificate.  The certificate is deterministic
-    for the key — non-exact modes prefix their keys (see
-    [Engine.handle]) so a certain-mode answer can never be served for
-    a possible-mode request or vice versa, while exact answers keep
-    the unprefixed key and are shared by every mode. *)
+(** A memoized whole-request result: the outcome's encoded bytes (or
+    a typed error) plus its completeness certificate.
+
+    [Ok body] is [Request.outcome_bytes o], built once on the miss that
+    computed [o]; a hit splices it into the response line as it is
+    ({!Request.write_reply}) and decodes it only for a caller that asks
+    for the typed response.  Bytes are about a sixth of the size of
+    the [Tuple.t] lists they encode, which is most of what a long-lived
+    server's memo holds.  Errors are small and their JSON loses
+    structure, so they stay typed.
+
+    The certificate is deterministic for the key — non-exact modes
+    prefix their keys (see [Engine.handle]) so a certain-mode answer
+    can never be served for a possible-mode request or vice versa,
+    while exact answers keep the unprefixed key and are shared by
+    every mode. *)
 type result_value = {
-  value : (Request.outcome, Request.error) Stdlib.result;
+  value : (string, Request.error) Stdlib.result;
   cert : Request.certificate;
 }
 

@@ -50,8 +50,8 @@ let group () =
   }
 
 let answer ~stats ~id result =
-  Json.to_string
-    (Request.response_to_json ~stats
+  Request.reply_line ~stats
+    (Request.encode
        {
          Request.id;
          result;
@@ -129,9 +129,7 @@ let reader_loop (g, t) =
           | `Empty -> ()
           | `Error resp ->
               Metrics.incr g.m_frames_parse;
-              bad
-                (Json.to_string
-                   (Request.response_to_json ~stats:t.cfg.stats resp))
+              bad (Request.reply_line ~stats:t.cfg.stats resp)
           | `Request req ->
               owe t;
               t.cfg.submit req (enqueue t));

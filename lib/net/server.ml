@@ -194,7 +194,7 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?domains ?(window = 64)
           evaluate req (fun resp ->
               (* runs on a pool worker: [reply] never blocks, then the
                  in-flight slot comes free *)
-              reply (Json.to_string (Request.response_to_json ~stats resp));
+              reply (Request.reply_line ~stats resp);
               Admission.release admission)
   in
   let conns = Conn.group () in

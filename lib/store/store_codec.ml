@@ -155,12 +155,14 @@ let r_tuple r : Prelude.Tuple.t =
 (* ------------------------------------------------------------------ *)
 (* File headers. *)
 
-(* v2 appended the completeness certificate to result records.  A v1
-   snapshot read by v2 code passes the header check (only future
-   versions are refused) but every result frame fails the trailing-
-   bytes check in [decode_entry] and is skipped — the store degrades
-   to colder, never to wrong. *)
-let format_version = 2
+(* v2 appended the completeness certificate to result records; v3
+   stores each result's outcome as its encoded response bytes (the
+   shared memo's own form) under a new record tag.  An older snapshot
+   read by v3 code passes the header check (only future versions are
+   refused) but every result frame carries the retired tag 5, fails to
+   decode and is skipped: the store degrades to colder, never to
+   wrong.  Every other entry loads. *)
+let format_version = 3
 let snapshot_magic = "RDBS"
 let journal_magic = "RDBJ"
 let header_len = 8
@@ -246,41 +248,6 @@ let read_frame ic =
 (* Snapshot records: Shared_memo.dump_entry. *)
 
 let w_result_value buf (v : Shared_memo.result_value) =
-  let w_outcome (o : Request.outcome) =
-    match o with
-    | Request.Bool b ->
-        w_uint buf 0;
-        w_bool buf b
-    | Request.Count n ->
-        w_uint buf 1;
-        w_int buf n
-    | Request.Rel { rank; reps; members } ->
-        w_uint buf 2;
-        w_int buf rank;
-        w_list w_tuple buf reps;
-        w_list w_tuple buf members
-    | Request.Levels lvls ->
-        w_uint buf 3;
-        w_list (w_list w_tuple) buf lvls
-    | Request.Undefined -> w_uint buf 4
-    | Request.Ledger_report { cluster; shards } ->
-        (* Never memoized (stats is answered at the serving door, not
-           evaluated), so this only round-trips defensively. *)
-        let w_ledger (l : Request.ledger) =
-          w_string buf l.Request.l_node;
-          w_int buf l.Request.l_raw;
-          w_int buf l.Request.l_tb;
-          w_int buf l.Request.l_equiv;
-          w_int buf l.Request.l_cache_hits;
-          w_int buf l.Request.l_served;
-          w_int buf l.Request.l_hedges_fired;
-          w_int buf l.Request.l_hedge_wins;
-          w_int buf l.Request.l_sheds
-        in
-        w_uint buf 5;
-        w_ledger cluster;
-        w_list (fun _ l -> w_ledger l) buf shards
-  in
   let w_error (e : Request.error) =
     match e with
     | Request.Parse_error s ->
@@ -329,45 +296,26 @@ let w_result_value buf (v : Shared_memo.result_value) =
         w_list w_string buf open_rels
   in
   (match v.Shared_memo.value with
-  | Ok o ->
+  | Ok body ->
       w_uint buf 0;
-      w_outcome o
+      w_string buf body
   | Error e ->
       w_uint buf 1;
       w_error e);
   w_certificate v.Shared_memo.cert
 
+(* A stored body reaches the wire as it is, so it must be exactly what
+   [Request.outcome_bytes] writes: one that does not decode, or does
+   not re-encode to the same bytes, fails here and the loader skips
+   it. *)
+let r_body r =
+  let body = r_string r in
+  match Request.outcome_of_json body with
+  | Ok o when String.equal (Request.outcome_bytes o) body -> body
+  | Ok _ -> fail "result body is not canonical"
+  | Error e -> fail "result body: %s" (Request.error_to_string e)
+
 let r_result_value r : Shared_memo.result_value =
-  let r_outcome () : Request.outcome =
-    match r_uint r with
-    | 0 -> Request.Bool (r_bool r)
-    | 1 -> Request.Count (r_int r)
-    | 2 ->
-        let rank = r_int r in
-        let reps = r_list r_tuple r in
-        let members = r_list r_tuple r in
-        Request.Rel { rank; reps; members }
-    | 3 -> Request.Levels (r_list (r_list r_tuple) r)
-    | 4 -> Request.Undefined
-    | 5 ->
-        let r_ledger () =
-          let node = r_string r in
-          let raw = r_int r in
-          let tb = r_int r in
-          let equiv = r_int r in
-          let cache_hits = r_int r in
-          let served = r_int r in
-          let hedges_fired = r_int r in
-          let hedge_wins = r_int r in
-          let sheds = r_int r in
-          Request.ledger ~node ~raw ~tb ~equiv ~cache_hits ~served
-            ~hedges_fired ~hedge_wins ~sheds ()
-        in
-        let cluster = r_ledger () in
-        let shards = r_list (fun _ -> r_ledger ()) r in
-        Request.Ledger_report { cluster; shards }
-    | n -> fail "bad outcome tag %d" n
-  in
   let r_error () : Request.error =
     match r_uint r with
     | 0 -> Request.Parse_error (r_string r)
@@ -399,17 +347,18 @@ let r_result_value r : Shared_memo.result_value =
   in
   let value =
     match r_uint r with
-    | 0 -> Ok (r_outcome ())
+    | 0 -> Ok (r_body r)
     | 1 -> Error (r_error ())
     | n -> fail "bad result tag %d" n
   in
   let cert = r_certificate () in
   { Shared_memo.value; cert }
 
-(* Tag 4 held a plan-cache key in older snapshots.  Plans are no longer
-   persisted, so such a record fails to decode and the loader skips it;
-   the tag stays retired so an old record can never decode as
-   something else. *)
+(* Retired tags stay retired, so an old record can never decode as
+   something else: such a record fails to decode and the loader skips
+   it.  Tag 4 held a plan-cache key (plans are no longer persisted);
+   tag 5 held a result whose outcome was a tree of varints (v2), where
+   tag 7 holds its encoded bytes (v3). *)
 let encode_entry (e : Shared_memo.dump_entry) =
   let buf = Buffer.create 64 in
   (match e with
@@ -435,7 +384,7 @@ let encode_entry (e : Shared_memo.dump_entry) =
       w_tuple buf key;
       w_bool buf value
   | Shared_memo.D_result { key; value } ->
-      w_uint buf 5;
+      w_uint buf 7;
       w_string buf key;
       w_result_value buf value
   | Shared_memo.D_rql_def { key; value } ->
@@ -469,7 +418,7 @@ let decode_entry payload : Shared_memo.dump_entry =
         let key = r_tuple r in
         let value = r_bool r in
         Shared_memo.D_rel { inst; index; key; value }
-    | 5 ->
+    | 7 ->
         let key = r_string r in
         let value = r_result_value r in
         Shared_memo.D_result { key; value }

@@ -317,6 +317,118 @@ let test_request_malformed_lines () =
     {|{"id":10,"op":"tree","instance":"mod2","depth":99}|}
     [ {|op "tree"|} ]
 
+(* Encoded answers: the result memo keeps outcome bytes and the wire
+   splices them into the response line. *)
+
+let qcheck_outcome_roundtrip =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500
+       ~name:"outcome_of_json (outcome_bytes o) = Ok o" Test_support.gen_outcome
+       (fun o -> Request.outcome_of_json (Request.outcome_bytes o) = Ok o))
+
+let gen_stats =
+  let open QCheck2.Gen in
+  let n = int_range 0 5000 in
+  map3
+    (fun (oracle_calls, tb_calls, equiv_calls) (cache_hits, retries) wall_s ->
+      { Request.oracle_calls; tb_calls; equiv_calls; cache_hits; retries; wall_s })
+    (triple n n n) (pair n (int_range 0 3))
+    (oneof [ float_bound_inclusive 10.; float; return 0.0 ])
+
+let qcheck_write_reply =
+  let open QCheck2.Gen in
+  let gen =
+    map3
+      (fun (id, result) (cert, stats) with_stats ->
+        ({ Request.id; result; cert; stats }, with_stats))
+      (pair int
+         (oneof
+            [
+              map Result.ok Test_support.gen_outcome;
+              map Result.error Test_support.gen_error;
+            ]))
+      (pair Test_support.gen_cert gen_stats)
+      bool
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000
+       ~name:"write_reply = response_to_json for every cert, error and id" gen
+       (fun (r, stats) ->
+         String.equal
+           (Request.reply_line ~stats (Request.encode r))
+           (Json.to_string (Request.response_to_json ~stats r))))
+
+(* Arbitrary bytes, and real bodies cut short or with one byte
+   changed, are typed errors or outcomes — never exceptions. *)
+let qcheck_outcome_of_json_total =
+  let open QCheck2.Gen in
+  let damaged =
+    map3
+      (fun o cut c ->
+        let b = Bytes.of_string (Request.outcome_bytes o) in
+        let i = cut mod Bytes.length b in
+        if c = '\000' then Bytes.sub_string b 0 i
+        else (
+          Bytes.set b i c;
+          Bytes.to_string b))
+      Test_support.gen_outcome nat char
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~name:"outcome_of_json is total"
+       (oneof [ string; string_printable; damaged ])
+       (fun s ->
+         match Request.outcome_of_json s with
+         | Ok _ | Error (Request.Parse_error _ | Request.Ill_formed _) -> true
+         | Error _ -> false))
+
+(* A result-memo hit writes its stored bytes: what it allocates on the
+   wire path (decode, serve, write) does not grow with the answer,
+   beyond the response line itself. *)
+let test_memo_hit_allocation () =
+  let engine = Engine.create ~shared:(Shared_memo.create ()) () in
+  let line query cutoff =
+    Json.to_string
+      (Request.to_json
+         (Request.make ~id:7 (Request.Query { instance = "mod2"; query; cutoff })))
+  in
+  let small = line "{(x) | x = x}" 0 in
+  let large = line "{(x,y) | x = x && y = y}" 18 in
+  let tuples req =
+    match (Engine.handle engine req).Request.result with
+    | Ok (Request.Rel { reps; members; _ }) -> List.length reps + List.length members
+    | _ -> Alcotest.fail "not a relation"
+  in
+  let serve l =
+    match Request.decode_line ~default_id:1 l with
+    | `Request req -> Request.reply_line (Engine.serve engine req)
+    | _ -> Alcotest.fail "request did not decode"
+  in
+  let hit_words l =
+    ignore (serve l) (* the miss, then hits only *);
+    ignore (serve l);
+    let w0 = Gc.minor_words () in
+    let out = serve l in
+    let w1 = Gc.minor_words () in
+    (w1 -. w0, out)
+  in
+  let decoded l =
+    match Request.decode_line ~default_id:1 l with
+    | `Request req -> req
+    | _ -> Alcotest.fail "request did not decode"
+  in
+  let ws, _ = hit_words small in
+  let wl, out = hit_words large in
+  check Alcotest.int "the small answer is one tuple" 1 (tuples (decoded small));
+  Alcotest.(check bool)
+    "the large answer has at least 300 tuples" true
+    (tuples (decoded large) >= 300);
+  let line_words = float_of_int ((String.length out / 8) + 2) in
+  if wl -. ws > line_words +. 64. then
+    Alcotest.failf
+      "a hit on a %d-byte line allocated %.0f minor words, the 1-tuple hit \
+       %.0f: more than the line's own %.0f words + 64"
+      (String.length out) wl ws line_words
+
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
 
@@ -530,7 +642,7 @@ let test_pool_submit_during_batch () =
               (fun i r ->
                 if i mod 3 = k then
                   Pool.submit pool r (fun resp ->
-                      got.(i) <- fingerprint [ resp ];
+                      got.(i) <- Request.reply_line ~stats:false resp;
                       Atomic.incr calls.(i)))
               singles)
           ())
@@ -618,9 +730,9 @@ let test_metrics_quantile () =
 (* The committed BENCH_*.json baselines and the frozen golden file were
    measured on these exact requests: a changed stream invalidates them,
    so each is pinned by the md5 of its newline-joined wire lines. *)
-(* The one E-bench report renderer: a line per scalar leaf, keys
-   joined by '.', list elements named by their "name" field, else by
-   index; empty containers print nothing. *)
+(* The one E-bench report renderer: a line per leaf, keys joined by
+   '.', list elements named by their "name" field, else by index; an
+   empty list or object is a leaf, printed as [] or {}. *)
 let test_bench_report_lines () =
   let report =
     Json.Obj
@@ -634,6 +746,7 @@ let test_bench_report_lines () =
               Json.Obj
                 [ ("domains", Json.Int 2); ("identical", Json.Bool true) ];
             ] );
+        ("empty_df", Json.Obj [ ("df", Json.List []); ("meta", Json.Obj []) ]);
         ("violations", Json.List []);
       ]
   in
@@ -646,6 +759,9 @@ let test_bench_report_lines () =
       "rows.cold.wall_s 0.5";
       "rows.1.domains 2";
       "rows.1.identical true";
+      "empty_df.df []";
+      "empty_df.meta {}";
+      "violations []";
     ]
     (String.split_on_char '\n'
        (String.trim (Format.asprintf "%a" Bench_util.pp_report report)))
@@ -691,6 +807,12 @@ let () =
             test_request_roundtrip;
           Alcotest.test_case "malformed lines name op and field" `Quick
             test_request_malformed_lines;
+          qcheck_outcome_roundtrip;
+          qcheck_write_reply;
+          qcheck_outcome_of_json_total;
+          Alcotest.test_case "a memo hit's allocation does not grow with \
+                              the answer"
+            `Quick test_memo_hit_allocation;
         ] );
       ( "engine",
         [

@@ -39,6 +39,9 @@ let write_file path b =
   output_bytes oc b;
   close_out oc
 
+let render rs =
+  List.map (fun r -> Json.to_string (Request.response_to_json ~stats:false r)) rs
+
 (* Structural equality is wrong for Tupleset (AVL shape depends on
    insertion order), so compare entries with set-aware equality. *)
 let entry_equal a b =
@@ -50,60 +53,7 @@ let entry_equal a b =
 (* ------------------------------------------------------------------ *)
 (* Codec: generators + round-trip property (QCheck)                    *)
 
-let gen_tuple =
-  QCheck2.Gen.(map Array.of_list (list_size (int_range 0 5) (int_range (-40) 40)))
-
-let gen_outcome =
-  let open QCheck2.Gen in
-  oneof
-    [
-      map (fun b -> Request.Bool b) bool;
-      map (fun n -> Request.Count n) (int_range (-5) 1000);
-      map3
-        (fun rank reps members -> Request.Rel { rank; reps; members })
-        (int_range 0 4)
-        (list_size (int_range 0 4) gen_tuple)
-        (list_size (int_range 0 4) gen_tuple);
-      map (fun l -> Request.Levels l)
-        (list_size (int_range 0 3) (list_size (int_range 0 3) gen_tuple));
-      return Request.Undefined;
-    ]
-
-let gen_error =
-  let open QCheck2.Gen in
-  oneof
-    [
-      map (fun s -> Request.Parse_error s) string_printable;
-      map (fun s -> Request.Unknown_instance s) string_printable;
-      map (fun l -> Request.Not_a_sentence l)
-        (list_size (int_range 0 3) string_printable);
-      map (fun n -> Request.Timeout n) (int_range 0 10000);
-      map (fun s -> Request.Ill_formed s) string_printable;
-      map (fun s -> Request.Bad_request s) string_printable;
-      map (fun limit -> Request.Budget_exceeded { limit }) (int_range 0 1000);
-      map
-        (fun deadline_s -> Request.Deadline_exceeded { deadline_s })
-        (float_bound_inclusive 100.);
-      map2
-        (fun oracle attempts -> Request.Oracle_unavailable { oracle; attempts })
-        string_printable (int_range 0 10);
-      map (fun s -> Request.Worker_crash s) string_printable;
-      map (fun limit -> Request.Overloaded { limit }) (int_range 0 1000);
-    ]
-
-let gen_cert =
-  let open QCheck2.Gen in
-  oneof
-    [
-      return Request.Cert_exact;
-      return Request.Cert_certain_lower;
-      return Request.Cert_possible_upper;
-      map2
-        (fun budget_spent open_rels ->
-          Request.Cert_approximate { budget_spent; open_rels })
-        (int_range 0 100_000)
-        (list_size (int_range 0 4) string_printable);
-    ]
+open Test_support
 
 let gen_entry =
   let open QCheck2.Gen in
@@ -130,7 +80,11 @@ let gen_entry =
         string_printable
         (map2
            (fun value cert -> { Shared_memo.value; cert })
-           (oneof [ map Result.ok gen_outcome; map Result.error gen_error ])
+           (oneof
+              [
+                map (fun o -> Ok (Request.outcome_bytes o)) gen_outcome;
+                map Result.error gen_error;
+              ])
            gen_cert);
       map2
         (fun key tuples ->
@@ -191,7 +145,10 @@ let export_seed_roundtrip () =
   let _ = Shared_memo.rel m 1 (t [ 5 ]) ~compute:(fun () -> false) in
   let _ =
     Shared_memo.result memo ~key:"k" ~compute:(fun () ->
-        { Shared_memo.value = Ok (Request.Count 7); cert = Request.Cert_exact })
+        {
+          Shared_memo.value = Ok (Request.outcome_bytes (Request.Count 7));
+          cert = Request.Cert_exact;
+        })
   in
   let _ =
     Shared_memo.rql_def memo ~key:"d" ~compute:(fun () ->
@@ -220,7 +177,8 @@ let export_seed_roundtrip () =
      Shared_memo.result memo2 ~key:"k" ~compute:(fun () ->
          Alcotest.fail "result recomputed")
    with
-  | { Shared_memo.value = Ok (Request.Count 7); cert = Request.Cert_exact } ->
+  | { Shared_memo.value = Ok {|{"kind":"count","value":7}|};
+      cert = Request.Cert_exact } ->
       ()
   | _ -> Alcotest.fail "result value wrong");
   check Alcotest.bool "rql_def seeded" true
@@ -238,7 +196,7 @@ let seed_does_not_count_as_questions () =
             key = "x";
             value =
               {
-                Shared_memo.value = Ok (Request.Count 1);
+                Shared_memo.value = Ok (Request.outcome_bytes (Request.Count 1));
                 cert = Request.Cert_exact;
               };
           }));
@@ -330,7 +288,7 @@ let nondet_errors_filtered_at_save () =
         (Shared_memo.result memo2 ~key:"nondet" ~compute:(fun () ->
              ran := true;
              {
-               Shared_memo.value = Ok (Request.Count 0);
+               Shared_memo.value = Ok (Request.outcome_bytes (Request.Count 0));
                cert = Request.Cert_exact;
              }));
       check Alcotest.bool "nondet result not persisted" true !ran)
@@ -341,11 +299,6 @@ let nondet_errors_filtered_at_save () =
 let engine_roundtrip_zero_questions () =
   with_tmpdir (fun dir ->
       let batch = Workload.mixed_with_rql 40 in
-      let render rs =
-        List.map
-          (fun r -> Json.to_string (Request.response_to_json ~stats:false r))
-          rs
-      in
       let memo = Shared_memo.create () in
       let store, _ = Store.open_store ~write_behind:false ~dir memo in
       let eng = Engine.create ~shared:memo () in
@@ -364,6 +317,28 @@ let engine_roundtrip_zero_questions () =
       check Alcotest.int "warm run asked zero questions" 0
         (Engine.question_count eng2))
 
+(* The snapshot's record payloads, in file order, and a snapshot file
+   rewritten from payloads under a given format version. *)
+let read_payloads dir =
+  let ic = open_in_bin (snapshot_path dir) in
+  ignore (Store_codec.read_exactly_header ic);
+  let rec frames acc =
+    match Store_codec.read_frame ic with
+    | Store_codec.Frame p -> frames (p :: acc)
+    | _ -> List.rev acc
+  in
+  let payloads = frames [] in
+  close_in ic;
+  payloads
+
+let write_snapshot ?(version = Store_codec.format_version) dir payloads =
+  let header = Bytes.of_string (Store_codec.header Store_codec.snapshot_magic) in
+  Bytes.set header 4 (Char.chr version);
+  let oc = open_out_bin (snapshot_path dir) in
+  output_bytes oc header;
+  List.iter (fun p -> output_string oc (Store_codec.frame p)) payloads;
+  close_out oc
+
 (* Snapshots written before plans stopped being persisted carry tag-4
    plan records (one varint tag, then the cache key as a string).  Such
    a record no longer decodes: the loader skips it, seeds everything
@@ -371,11 +346,6 @@ let engine_roundtrip_zero_questions () =
 let parent_plan_records_skipped () =
   with_tmpdir (fun dir ->
       let batch = Workload.mixed_with_rql 40 in
-      let render rs =
-        List.map
-          (fun r -> Json.to_string (Request.response_to_json ~stats:false r))
-          rs
-      in
       let memo = Shared_memo.create () in
       let store, _ = Store.open_store ~write_behind:false ~dir memo in
       let cold = render (Engine.handle_all (Engine.create ~shared:memo ()) batch) in
@@ -384,15 +354,7 @@ let parent_plan_records_skipped () =
       (* rewrite the snapshot in the older layout: the same records,
          with plan records between the per-instance entries and the
          results, where the older exporter put them *)
-      let ic = open_in_bin (snapshot_path dir) in
-      ignore (Store_codec.read_exactly_header ic);
-      let rec frames acc =
-        match Store_codec.read_frame ic with
-        | Store_codec.Frame p -> frames (p :: acc)
-        | _ -> List.rev acc
-      in
-      let payloads = frames [] in
-      close_in ic;
+      let payloads = read_payloads dir in
       check Alcotest.int "every written entry read back"
         snap.Store.entries_written (List.length payloads);
       let plan_record key =
@@ -419,12 +381,7 @@ let parent_plan_records_skipped () =
       let before = List.filter (fun p -> not (is_result p)) payloads in
       let after = List.filter is_result payloads in
       check Alcotest.bool "results were exported" true (after <> []);
-      let oc = open_out_bin (snapshot_path dir) in
-      output_string oc (Store_codec.header Store_codec.snapshot_magic);
-      List.iter
-        (fun p -> output_string oc (Store_codec.frame p))
-        (before @ plans @ after);
-      close_out oc;
+      write_snapshot dir (before @ plans @ after);
       let memo2 = Shared_memo.create () in
       let store2, report = Store.open_store ~write_behind:false ~dir memo2 in
       Store.close store2;
@@ -466,6 +423,185 @@ let serve_from dir batch =
       (Engine.handle_all eng batch)
   in
   (report, got)
+
+(* A result record's v3 payload is [7 | key | 0 | body | cert] or
+   [7 | key | 1 | error | cert]; [result_record] writes one from its
+   parts, with [cert] given as its encoded bytes. *)
+let result_record ~tag ~key write_value cert =
+  let b = Buffer.create 64 in
+  Store_codec.w_uint b tag;
+  Store_codec.w_string b key;
+  write_value b;
+  Buffer.add_string b cert;
+  Buffer.contents b
+
+(* The certificate bytes that end a v3 result record. *)
+let cert_bytes payload key (v : Shared_memo.result_value) =
+  let prefix =
+    result_record ~tag:7 ~key
+      (fun b ->
+        match v.Shared_memo.value with
+        | Ok body ->
+            Store_codec.w_uint b 0;
+            Store_codec.w_string b body
+        | Error _ -> ())
+      ""
+  in
+  match v.Shared_memo.value with
+  | Ok _ ->
+      String.sub payload (String.length prefix)
+        (String.length payload - String.length prefix)
+  | Error _ -> Alcotest.fail "cert_bytes: an error record"
+
+(* The same result in the v2 layout: tag 5, and the outcome as a tree of
+   varints.  Errors and certificates kept their v2 encodings in v3. *)
+let v2_record payload =
+  match Store_codec.decode_entry payload with
+  | Shared_memo.D_result { key; value } -> (
+      match value.Shared_memo.value with
+      | Error _ -> Some ("\005" ^ String.sub payload 1 (String.length payload - 1))
+      | Ok body ->
+          let w_tuple b u =
+            Store_codec.w_uint b (Array.length u);
+            Array.iter (Store_codec.w_int b) u
+          in
+          let w_list w b xs =
+            Store_codec.w_uint b (List.length xs);
+            List.iter (w b) xs
+          in
+          let w_outcome b = function
+            | Request.Bool x ->
+                Store_codec.w_uint b 0;
+                Store_codec.w_bool b x
+            | Request.Count n ->
+                Store_codec.w_uint b 1;
+                Store_codec.w_int b n
+            | Request.Rel { rank; reps; members } ->
+                Store_codec.w_uint b 2;
+                Store_codec.w_int b rank;
+                w_list w_tuple b reps;
+                w_list w_tuple b members
+            | Request.Levels l ->
+                Store_codec.w_uint b 3;
+                w_list (w_list w_tuple) b l
+            | Request.Undefined -> Store_codec.w_uint b 4
+            | Request.Ledger_report _ -> Alcotest.fail "a memoized ledger"
+          in
+          let o =
+            match Request.outcome_of_json body with
+            | Ok o -> o
+            | Error _ -> Alcotest.fail "stored body does not decode"
+          in
+          Some
+            (result_record ~tag:5 ~key
+               (fun b ->
+                 Store_codec.w_uint b 0;
+                 w_outcome b o)
+               (cert_bytes payload key value)))
+  | _ -> None
+
+(* A v2 snapshot read by v3 code: its result records fail to decode and
+   are skipped, every other entry loads, and the results are recomputed
+   with the same bytes. *)
+let v2_result_records_skipped () =
+  with_tmpdir (fun dir ->
+      let batch = Workload.mixed_with_rql 40 in
+      let memo = Shared_memo.create () in
+      let store, _ = Store.open_store ~write_behind:false ~dir memo in
+      let cold = render (Engine.handle_all (Engine.create ~shared:memo ()) batch) in
+      ignore (Store.snapshot_now store);
+      Store.close store;
+      let payloads = read_payloads dir in
+      let v2 =
+        List.map (fun p -> Option.value (v2_record p) ~default:p) payloads
+      in
+      let results = List.length (List.filter_map v2_record payloads) in
+      check Alcotest.bool "results were exported" true (results > 0);
+      write_snapshot ~version:2 dir v2;
+      let memo2 = Shared_memo.create () in
+      let store2, report = Store.open_store ~write_behind:false ~dir memo2 in
+      Store.close store2;
+      check Alcotest.bool "a v2 header is not refused" true
+        (report.Store.refused = None);
+      check Alcotest.int "every v2 result record skipped" results
+        report.Store.entries_skipped;
+      check Alcotest.int "every other entry loads"
+        (List.length payloads - results)
+        report.Store.entries_loaded;
+      check (Alcotest.list Alcotest.string) "recomputed byte-identical" cold
+        (render (Engine.handle_all (Engine.create ~shared:memo2 ()) batch)))
+
+(* A CRC-valid result record whose body is not the canonical bytes of an
+   outcome — not JSON, JSON of the wrong shape, or an outcome spelled
+   with other bytes — is skipped at load, so it never reaches the
+   wire: the request is recomputed. *)
+let hostile_result_bodies_skipped () =
+  with_tmpdir (fun dir ->
+      let batch, reference = build_store_with_data dir in
+      let payloads = read_payloads dir in
+      let hostile =
+        [
+          {|{"kind":"count","value":7}],"x":[|};
+          {|{"kind":"relation","rank":"two"}|};
+          {|{ "kind":"bool", "value":true }|};
+        ]
+      in
+      let left = ref hostile and replaced = ref 0 in
+      let payloads =
+        List.map
+          (fun p ->
+            match (!left, Store_codec.decode_entry p) with
+            | body :: rest, Shared_memo.D_result { key; value = { value = Ok _; _ } as v }
+              ->
+                left := rest;
+                incr replaced;
+                result_record ~tag:7 ~key
+                  (fun b ->
+                    Store_codec.w_uint b 0;
+                    Store_codec.w_string b body)
+                  (cert_bytes p key v)
+            | _ -> p)
+          payloads
+      in
+      check Alcotest.int "three records made hostile" 3 !replaced;
+      write_snapshot dir payloads;
+      let memo = Shared_memo.create () in
+      let store, report = Store.open_store ~write_behind:false ~dir memo in
+      Store.close store;
+      check Alcotest.int "each hostile record skipped" 3
+        report.Store.entries_skipped;
+      let eng = Engine.create ~shared:memo () in
+      check (Alcotest.list Alcotest.string) "served bytes are the reference"
+        reference
+        (List.map
+           (fun r -> Request.reply_line ~stats:false (Engine.serve eng r))
+           batch);
+      check Alcotest.int "the three answers were recomputed" 3
+        (Shared_memo.stats memo).Shared_memo.results.Shared_memo.misses)
+
+(* E30 on the wire path: a v3 store's warm replay writes the stored
+   bytes, byte-identical to the cold run, and asks no question. *)
+let v3_warm_wire_replay () =
+  with_tmpdir (fun dir ->
+      let batch = Workload.mixed_with_rql 40 in
+      let wire eng =
+        List.map (fun r -> Request.reply_line ~stats:false (Engine.serve eng r)) batch
+      in
+      let memo = Shared_memo.create () in
+      let store, _ = Store.open_store ~write_behind:false ~dir memo in
+      let cold = wire (Engine.create ~shared:memo ()) in
+      ignore (Store.snapshot_now store);
+      Store.close store;
+      let head = Bytes.to_string (read_file (snapshot_path dir)) in
+      check Alcotest.int "snapshot written as format v3" 3 (Char.code head.[4]);
+      let memo2 = Shared_memo.create () in
+      let store2, report = Store.open_store ~write_behind:false ~dir memo2 in
+      Store.close store2;
+      check Alcotest.int "nothing skipped" 0 report.Store.entries_skipped;
+      let eng2 = Engine.create ~shared:memo2 () in
+      check (Alcotest.list Alcotest.string) "warm wire bytes = cold" cold (wire eng2);
+      check Alcotest.int "warm replay asks zero questions" 0
+        (Engine.question_count eng2))
 
 let fault_truncated_snapshot () =
   with_tmpdir (fun dir ->
@@ -694,6 +830,12 @@ let () =
             `Quick engine_roundtrip_zero_questions;
           Alcotest.test_case "older snapshot: plan records skipped" `Quick
             parent_plan_records_skipped;
+          Alcotest.test_case "v2 snapshot: result records skipped" `Quick
+            v2_result_records_skipped;
+          Alcotest.test_case "hostile result bodies skipped, never served"
+            `Quick hostile_result_bodies_skipped;
+          Alcotest.test_case "v3 store: warm wire replay, zero questions"
+            `Quick v3_warm_wire_replay;
         ] );
       ( "faults",
         [
