@@ -14,17 +14,19 @@
 let gate = Bench_util.gate
 
 (* Serve [batch] on a fresh single-domain pool over [memo], returning
-   the response bytes, the ledger, and the phase's timing fields.  One
-   domain keeps the ledger deterministic on any host (no cross-worker
-   cold-key races). *)
+   the stats-free reply lines, the ledger, and the phase's timing
+   fields.  One domain keeps the ledger deterministic on any host (no
+   cross-worker cold-key races).  The pool serves as the wire does
+   ([Pool.serve_batch]): a warm hit's stored bytes are written as they
+   are, never decoded. *)
 let serve memo batch =
   let pool = Pool.create ~domains:1 ~shared:memo () in
   let head, rest = match batch with [] -> ([], []) | r :: rs -> ([ r ], rs) in
-  let first, first_s = Bench_util.time (fun () -> Pool.run_batch pool head) in
-  let rest, rest_s = Bench_util.time (fun () -> Pool.run_batch pool rest) in
+  let first, first_s = Bench_util.time (fun () -> Pool.serve_batch pool head) in
+  let rest, rest_s = Bench_util.time (fun () -> Pool.serve_batch pool rest) in
   let questions = Pool.oracle_questions pool in
   Pool.shutdown ~timeout_s:10. pool;
-  ( List.map Bench_util.bytes (first @ rest),
+  ( List.map (Request.reply_line ~stats:false) (first @ rest),
     questions,
     [
       ("questions", Json.Int questions);

@@ -64,6 +64,9 @@ type compiled_tier = {
   c_queries : (string, Hs.Fo_compile.query) Hashtbl.t;
   c_programs : (string, Ql.Ql_hs.value Ql.Ql_compile.t) Hashtbl.t;
   c_rql : (string, Rql.Rql_compile.prepared) Hashtbl.t;
+  c_members : (string, string) Hashtbl.t option;
+      (* the member memo (see [relation]): present exactly when the
+         entry has a shared memo *)
   c_algebra : Ql.Ql_hs.value Ql.Ql_interp.algebra Lazy.t;
       (* the QL_hs operation table, hoisted once per entry — building
          it is pure closure allocation, so per-entry vs per-run makes
@@ -257,6 +260,7 @@ let make_entry ~guarded ~res ~faults ~shared ~decl name build
       c_queries = Hashtbl.create 16;
       c_programs = Hashtbl.create 16;
       c_rql = Hashtbl.create 16;
+      c_members = Option.map (fun _ -> Hashtbl.create 64) memo;
       c_algebra = lazy (Ql.Ql_hs.algebra hs);
     }
   in
@@ -485,6 +489,76 @@ let error_kind : Request.error -> string = function
   | Request.Worker_crash _ -> "worker_crash"
   | Request.Overloaded _ -> "overloaded"
 
+(* An [Ok] answer as the evaluation core holds it.  The typed outcome
+   exists only where this call computed it; the bytes exist once the
+   result memo or the member memo has them.  A miss encodes exactly
+   once, and a hit never builds a tree: [handle] decodes hit bytes for
+   its typed callers, [serve] writes them as they are. *)
+type body =
+  | Tree of Request.outcome  (* computed, no result memo: not encoded *)
+  | Bytes of string  (* a result-memo or member-memo hit *)
+  | Both of Request.outcome * string  (* a miss: computed, encoded once *)
+
+let typed = function
+  | Ok (Tree o | Both (o, _)) -> Ok o
+  | Ok (Bytes b) -> Request.outcome_of_json b
+  | Error e -> Error e
+
+(* The member memo.  A relation answer's members below a cutoff, and
+   the ≅_B pairs enumerating them probes, are a function of (probe
+   discipline, rank, cutoff, reps in scan order) on the entry's
+   instance (Hs.Hsdb.members), so the entry keeps each member list it
+   enumerated as its encoded text and splices it into every later
+   answer with the same key — an alpha-variant query, or an RQL query
+   denoting the same classes.  A hit asks no question: the table exists
+   only when the entry has a shared memo, whose private ≅_B level
+   ([equiv_local] in [make_entry]) never evicts, so the probes a hit
+   skips are exactly the ones this entry already memoized when it
+   computed the key, and a memo hit is not a Def. 3.9 question.  Both
+   halves of the probe order are in the key: the cost-based RQL planner
+   probes a strict subset of the pairs a scan probes, and equal rep
+   sets built differently (QL's set algebra, [Tupleset.of_list]) scan
+   their members in different orders (Hs.Hsdb.scan_order).  An
+   enumeration cut short by a budget, deadline or fault raises before
+   the store, so only complete member lists are kept. *)
+let m_member_hits = Metrics.counter "engine.member_memo_hits"
+let m_member_misses = Metrics.counter "engine.member_memo_misses"
+
+let relation entry ~probe ~rank ~reps ~cutoff =
+  let reps_l = Prelude.Tupleset.elements reps in
+  let enumerate () =
+    Prelude.Tupleset.elements
+      (Hs.Hsdb.members entry.hs ~probe ~rank ~reps ~cutoff)
+  in
+  match entry.compiled.c_members with
+  | None -> Tree (Request.Rel { rank; reps = reps_l; members = enumerate () })
+  | Some memo -> (
+      let prefix = Request.rel_prefix ~rank ~reps:reps_l in
+      let key =
+        String.concat ""
+          [
+            (match probe with
+            | Hs.Hsdb.Scan -> "s"
+            | Hs.Hsdb.Mem_then_scan -> "m");
+            string_of_int rank;
+            ",";
+            string_of_int cutoff;
+            Request.tuples_bytes (Hs.Hsdb.scan_order reps);
+          ]
+      in
+      match Hashtbl.find_opt memo key with
+      | Some members ->
+          Metrics.incr m_member_hits;
+          Bytes (Request.rel_bytes ~prefix ~members)
+      | None ->
+          let members = enumerate () in
+          let text = Request.tuples_bytes members in
+          Metrics.incr m_member_misses;
+          Hashtbl.add memo key text;
+          Both
+            ( Request.Rel { rank; reps = reps_l; members },
+              Request.rel_bytes ~prefix ~members:text ))
+
 (* Evaluation always runs through the closure-compiled tier.  The
    compilers consult the oracles at the same entry points in the same
    order as the tree-walk interpreters, so responses and the Def. 3.9
@@ -492,9 +566,10 @@ let error_kind : Request.error -> string = function
    in test_compile and the frozen interpreted golden file (E31) check
    it. *)
 let eval_payload ~tr ~shared entry (payload : Request.payload) :
-    (Request.outcome, Request.error) result =
+    (body, Request.error) result =
+  let tree r = Result.map (fun o -> Tree o) r in
   match payload with
-  | Request.Classes { db_type; rank } -> eval_classes ~db_type ~rank
+  | Request.Classes { db_type; rank } -> tree (eval_classes ~db_type ~rank)
   | Request.Sentence { sentence; _ } -> (
       match span tr "parse" (fun () -> parse_sentence shared sentence) with
       | Error msg -> Error (Request.Parse_error msg)
@@ -506,12 +581,12 @@ let eval_payload ~tr ~shared entry (payload : Request.payload) :
                    (fun () -> Hs.Fo_compile.sentence entry.hs f))
                   ()
               in
-              Ok (Request.Bool b)
+              Ok (Tree (Request.Bool b))
           | vars -> Error (Request.Not_a_sentence vars)))
   | Request.Query { query; cutoff; _ } -> (
       match span tr "parse" (fun () -> parse_query shared query) with
       | Error msg -> Error (Request.Parse_error msg)
-      | Ok Rlogic.Ast.Undefined -> Ok Request.Undefined
+      | Ok Rlogic.Ast.Undefined -> Ok (Tree Request.Undefined)
       | Ok (Rlogic.Ast.Query { vars; _ } as q) ->
           if cutoff < 0 || cutoff > max_cutoff then
             Error
@@ -523,17 +598,13 @@ let eval_payload ~tr ~shared entry (payload : Request.payload) :
               compiled_of ~tr entry.compiled.c_queries query (fun () ->
                   Hs.Fo_compile.compile_query entry.hs q)
             in
-            (* members before reps: the order the frozen interpreted
-               ledger asks in, which a budget trip makes visible *)
-            let members = Hs.Fo_compile.eval_upto cq ~cutoff in
+            (* eval_upto's reps and members, then reps again: the order
+               the frozen interpreted ledger asks in, which a budget
+               trip makes visible *)
             let reps = Hs.Fo_compile.eval_reps cq ~rank in
-            Ok
-              (Request.Rel
-                 {
-                   rank;
-                   reps = Prelude.Tupleset.elements reps;
-                   members = Prelude.Tupleset.elements members;
-                 }))
+            let body = relation entry ~probe:Hs.Hsdb.Scan ~rank ~reps ~cutoff in
+            ignore (Hs.Fo_compile.eval_reps cq ~rank);
+            Ok body)
   | Request.Tree { depth; _ } ->
       if depth < 1 || depth > max_depth then
         Error
@@ -541,10 +612,11 @@ let eval_payload ~tr ~shared entry (payload : Request.payload) :
              (Printf.sprintf "depth must be in 1..%d" max_depth))
       else
         Ok
-          (Request.Levels
-             (List.map
-                (fun n -> Hs.Hsdb.paths entry.hs n)
-                (Prelude.Ints.range 1 (depth + 1))))
+          (Tree
+             (Request.Levels
+                (List.map
+                   (fun n -> Hs.Hsdb.paths entry.hs n)
+                   (Prelude.Ints.range 1 (depth + 1)))))
   | Request.Program { program; fuel; cutoff; _ } -> (
       match span tr "parse" (fun () -> parse_program shared program) with
       | Error msg -> Error (Request.Parse_error msg)
@@ -566,16 +638,8 @@ let eval_payload ~tr ~shared entry (payload : Request.payload) :
             in
             match Ql.Ql_compile.run cp ~fuel with
             | Ql.Ql_interp.Halted store ->
-                let v = store.(0) in
-                Ok
-                  (Request.Rel
-                     {
-                       rank = v.Ql.Ql_hs.rank;
-                       reps = Prelude.Tupleset.elements v.Ql.Ql_hs.reps;
-                       members =
-                         Prelude.Tupleset.elements
-                           (Ql.Ql_hs.denotation entry.hs v ~cutoff);
-                     })
+                let { Ql.Ql_hs.rank; reps } = store.(0) in
+                Ok (relation entry ~probe:Hs.Hsdb.Scan ~rank ~reps ~cutoff)
             | Ql.Ql_interp.Timeout -> Error (Request.Timeout fuel)
             | Ql.Ql_interp.Ill_formed msg -> Error (Request.Ill_formed msg)))
   | Request.Rql { instance; text; cutoff; planner } -> (
@@ -638,14 +702,19 @@ let eval_payload ~tr ~shared entry (payload : Request.payload) :
                validation error raises here, is never cached, and maps
                to the same Ill_formed below *)
             match
-              Rql.Rql_compile.run ?memo ~cutoff
+              Rql.Rql_compile.eval ?memo ~cutoff
                 (compiled_of ~tr entry.compiled.c_rql (mode_tag ^ text)
                    (fun () -> Rql.Rql_compile.prepare entry.hs plan))
             with
-            | Rql.Rql_eval.Bool b -> Ok (Request.Bool b)
-            | Rql.Rql_eval.Rel { rank; reps; members } ->
-                Ok (Request.Rel { rank; reps; members })
-            | Rql.Rql_eval.Levels levels -> Ok (Request.Levels levels)
+            | Rql.Rql_compile.Answer (Rql.Rql_eval.Bool b) ->
+                Ok (Tree (Request.Bool b))
+            | Rql.Rql_compile.Answer (Rql.Rql_eval.Rel { rank; reps; members })
+              ->
+                Ok (Tree (Request.Rel { rank; reps; members }))
+            | Rql.Rql_compile.Answer (Rql.Rql_eval.Levels levels) ->
+                Ok (Tree (Request.Levels levels))
+            | Rql.Rql_compile.Reps { rank; reps; cutoff; probe } ->
+                Ok (relation entry ~probe ~rank ~reps ~cutoff)
             | exception Rql.Rql_eval.Error msg ->
                 Error (Request.Ill_formed msg)))
   | Request.Stats ->
@@ -858,7 +927,7 @@ let eval_incomplete ~tr ~shared entry ~(mode : Request.mode)
   | Request.Classes _ | Request.Tree _ | Request.Stats ->
       (* never touch a relation: [effective_mode] routes these to the
          exact path; kept total for direct callers *)
-      exact (eval_payload ~tr ~shared entry payload)
+      exact (typed (eval_payload ~tr ~shared entry payload))
 
 (* Mode resolution, most-specific wins: the RQL [mode <word>] text
    prefix, then the request's wire mode, then the server default.  An
@@ -1004,16 +1073,6 @@ let ledger_counts t =
           hits + (Oracle_cache.total_stats e.caches).Oracle_cache.hits ))
       else (raw, tb, eq, hits))
     (0, 0, 0, 0) t.entries
-
-(* An [Ok] answer as the evaluation core holds it.  The typed outcome
-   exists only where this call computed it; the bytes exist once the
-   result memo has them.  A miss encodes exactly once, into the memo,
-   and a hit never builds a tree: [handle] decodes hit bytes for its
-   typed callers, [serve] writes them as they are. *)
-type body =
-  | Tree of Request.outcome  (* computed, no result memo: not encoded *)
-  | Bytes of string  (* a result-memo hit *)
-  | Both of Request.outcome * string  (* a miss: computed, encoded once *)
 
 (* The one evaluation core behind [handle] and [serve].  Every call is
    total: the budget/deadline guard turns unbounded evaluations into
@@ -1172,14 +1231,15 @@ let answer ?queued_s t (req : Request.t) : body Request.reply =
                       cert = Request.Cert_exact;
                     }
                 | _ ->
-                    eval_incomplete ~tr:t.trace ~shared:t.shared entry ~mode
-                      req.Request.payload
+                    let c =
+                      eval_incomplete ~tr:t.trace ~shared:t.shared entry
+                        ~mode req.Request.payload
+                    in
+                    { c with value = Result.map (fun o -> Tree o) c.value }
               in
               let eval () =
                 match t.shared with
-                | None ->
-                    let c = compute () in
-                    { c with value = Result.map (fun o -> Tree o) c.value }
+                | None -> compute ()
                 | Some st ->
                     let key =
                       mode_key_prefix mode
@@ -1192,12 +1252,18 @@ let answer ?queued_s t (req : Request.t) : body Request.reply =
                     let fresh = ref None in
                     let compute () =
                       let c = compute () in
-                      (match c.value with
-                      | Ok o -> fresh := Some o
-                      | Error _ -> ());
                       {
                         Shared_memo.value =
-                          Result.map Request.outcome_bytes c.value;
+                          Result.map
+                            (function
+                              | Tree o ->
+                                  fresh := Some o;
+                                  Request.outcome_bytes o
+                              | Both (o, b) ->
+                                  fresh := Some o;
+                                  b
+                              | Bytes b -> b)
+                            c.value;
                         cert = c.cert;
                       }
                     in
@@ -1256,13 +1322,7 @@ let answer ?queued_s t (req : Request.t) : body Request.reply =
 
 let handle ?queued_s t req : Request.response =
   let r = answer ?queued_s t req in
-  let result =
-    match r.Request.result with
-    | Ok (Tree o | Both (o, _)) -> Ok o
-    | Ok (Bytes b) -> Request.outcome_of_json b
-    | Error e -> Error e
-  in
-  { r with Request.result }
+  { r with Request.result = typed r.Request.result }
 
 let serve ?queued_s t req : Request.encoded =
   let r = answer ?queued_s t req in

@@ -25,7 +25,17 @@
     are hits for every other.  Results stay byte-identical — the shared
     values are deterministic functions of their keys — and Def. 3.9
     accounting stays exact, because each worker's genuine questions are
-    still counted on its own base instance (see {!Shared_memo}). *)
+    still counted on its own base instance (see {!Shared_memo}).
+
+    An engine with a shared memo also keeps, per instance, a member
+    memo: the encoded member list of every relation answer it
+    enumerated ({!Hs.Hsdb.members}), keyed by probe order (discipline
+    and reps in scan order), rank and cutoff, and spliced into every
+    later answer with the same key.  A hit skips only ≅_B probes this
+    instance already memoized, so it asks no question; without a
+    shared memo those probes would be questions, and there is no
+    member memo.  Counted by [engine.member_memo_hits] and
+    [engine.member_memo_misses]; never persisted. *)
 
 type t
 
@@ -116,7 +126,8 @@ val serve : ?queued_s:float -> t -> Request.t -> Request.encoded
     the stored bytes as they are — no tree is built or re-encoded —
     and a miss encodes once.  [handle] and [serve] share one core;
     [handle] decodes stored bytes ({!Request.outcome_of_json}) only on
-    a hit, and [serve] never decodes.  For every request the two agree:
+    a result-memo or member-memo hit, and [serve] never decodes.  For
+    every request the two agree:
     [Request.encode (handle t r)] equals [serve t r] on an engine in
     the same state. *)
 

@@ -664,6 +664,21 @@ let response_to_json ?(stats = true) r =
 (* Encoded answers: the result memo's values and the wire's bodies     *)
 
 let outcome_bytes o = Json.to_string (outcome_to_json o)
+
+(* [outcome_to_json (Rel …)] cut before its last field's value, which
+   the memoized text of a member list completes. *)
+let rel_prefix ~rank ~reps =
+  let buf = Buffer.create 64 in
+  Buffer.add_string buf {|{"kind":"relation","rank":|};
+  Buffer.add_string buf (string_of_int rank);
+  Buffer.add_string buf {|,"reps":|};
+  Json.write buf (tuples_json reps);
+  Buffer.add_string buf {|,"members":|};
+  Buffer.contents buf
+
+let tuples_bytes us = Json.to_string (tuples_json us)
+let rel_bytes ~prefix ~members = String.concat "" [ prefix; members; "}" ]
+
 let encode (r : response) = { r with result = Result.map outcome_bytes r.result }
 
 (* The inverse of [outcome_bytes], total on arbitrary bytes: a hostile

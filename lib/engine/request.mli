@@ -286,6 +286,21 @@ val outcome_bytes : outcome -> string
 (** [Json.to_string (outcome_to_json o)] — the body of an {!encoded}
     reply and of a result-memo entry. *)
 
+val rel_prefix : rank:int -> reps:Prelude.Tuple.t list -> string
+(** The bytes of a relation outcome up to its last field's value:
+    [rel_bytes ~prefix:(rel_prefix ~rank ~reps)
+      ~members:(tuples_bytes members)]
+    equals [outcome_bytes (Rel { rank; reps; members })].  The engine
+    keeps a member list as its {!tuples_bytes} text and splices it into
+    any answer with the same representatives. *)
+
+val tuples_bytes : Prelude.Tuple.t list -> string
+(** The JSON text of a tuple list, as a relation outcome writes its
+    [reps] and [members]. *)
+
+val rel_bytes : prefix:string -> members:string -> string
+(** Close a {!rel_prefix} with a member list's {!tuples_bytes}. *)
+
 val outcome_of_json : string -> (outcome, error) Stdlib.result
 (** Decode a body written by {!outcome_bytes}:
     [outcome_of_json (outcome_bytes o) = Ok o].  Total on arbitrary

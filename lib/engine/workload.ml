@@ -10,9 +10,11 @@ let batch_sentences =
     "exists x. exists y. exists z. R1(x, y) && R1(y, z) && R1(x, z)";
   ]
 
-(* Queries dominate the batch cost: eval_upto sweeps cutoff² concrete
-   tuples through the ≅_B oracle, a few hundred µs each, which keeps
-   the pool's per-job dispatch overhead well under 1%. *)
+(* Queries dominate the batch cost: a cold query sweeps cutoff^rank
+   concrete tuples through the ≅_B oracle (Hsdb.members), a few hundred
+   µs each, which keeps the pool's per-job dispatch overhead well under
+   1%.  With a shared memo, a query whose (probe order, rank, cutoff,
+   reps) an earlier one had is a member-memo hit and skips the sweep. *)
 let batch_queries =
   [
     "{(x,y) | R1(x,y) && x != y}";

@@ -144,11 +144,5 @@ let eval_upto q ~cutoff =
   match q with
   | Undefined -> Tupleset.empty
   | Compiled c ->
-      let members = eval_reps q ~rank:c.nvars in
-      Combinat.fold_cartesian
-        (fun acc u ->
-          let keep =
-            Tupleset.exists (fun p -> Hsdb.equiv c.t u p) members
-          in
-          if keep then Tupleset.add (Array.copy u) acc else acc)
-        Tupleset.empty ~width:c.nvars ~bound:cutoff
+      Hsdb.members c.t ~probe:Hsdb.Scan ~rank:c.nvars
+        ~reps:(eval_reps q ~rank:c.nvars) ~cutoff

@@ -85,6 +85,29 @@ let rel_mem t i u =
 
 let class_count t n = List.length (paths t n)
 
+type probe = Scan | Mem_then_scan
+
+let scan_order reps =
+  let order = ref [] in
+  ignore
+    (Tupleset.exists
+       (fun p ->
+         order := p :: !order;
+         false)
+       reps);
+  List.rev !order
+
+let members t ~probe ~rank ~reps ~cutoff =
+  let scan u = Tupleset.exists (fun p -> equiv t u p) reps in
+  let keep =
+    match probe with
+    | Scan -> scan
+    | Mem_then_scan -> fun u -> Tupleset.mem u reps || scan u
+  in
+  Combinat.fold_cartesian
+    (fun acc u -> if keep u then Tupleset.add (Array.copy u) acc else acc)
+    Tupleset.empty ~width:rank ~bound:cutoff
+
 let make ?(name = "hs") ~db ~children ~equiv () =
   {
     name;

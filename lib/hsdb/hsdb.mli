@@ -66,6 +66,36 @@ val class_count : t -> int -> int
 (** Number of equivalence classes of rank [n] = |Tⁿ| — finite for every
     [n] because B is highly symmetric. *)
 
+(** How {!members} decides whether a tuple belongs to the union of the
+    classes of a representative set.  The two disciplines keep the same
+    tuples but ask ≅_B about different pairs, which the Def. 3.9 ledger
+    sees: [Scan] probes [u ≅_B p] for each representative [p] in
+    {!scan_order} until one holds (Theorem 6.3's evaluators and QL_hs);
+    [Mem_then_scan] first keeps a [u] that is itself in the set, with no
+    probe, and scans only otherwise (the cost-based RQL planner). *)
+type probe = Scan | Mem_then_scan
+
+val scan_order : Prelude.Tupleset.t -> Prelude.Tuple.t list
+(** The order in which a scan visits a set: [Tupleset.exists]'s, root
+    of the set's balanced tree first.  It depends on how the set was
+    built, not only on its elements: a set from [Tupleset.of_list] and
+    an equal one from set operations can scan in different orders and
+    so ask ≅_B about different pairs. *)
+
+val members :
+  t ->
+  probe:probe ->
+  rank:int ->
+  reps:Prelude.Tupleset.t ->
+  cutoff:int ->
+  Prelude.Tupleset.t
+(** The answer denoted by a representative set, windowed: the tuples of
+    rank [rank] over [{0, ..., cutoff-1}] that are ≅_B to some member
+    of [reps].  The pairs it probes, in
+    order, are a function of [(probe, rank, cutoff, scan_order reps)],
+    so a repeat of an enumeration with those four equal asks only pairs
+    the first one asked — the engine's member memo relies on this. *)
+
 val dedupe_extensions :
   equiv:(Prelude.Tuple.t -> Prelude.Tuple.t -> bool) ->
   Prelude.Tuple.t ->

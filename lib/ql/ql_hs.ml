@@ -99,9 +99,5 @@ let eval_term t e =
   Ql_interp.eval_term ~algebra:(algebra t) ~store:[||] e
 
 let denotation t value ~cutoff =
-  Combinat.fold_cartesian
-    (fun acc u ->
-      if Tupleset.exists (fun p -> Hs.Hsdb.equiv t u p) value.reps then
-        Tupleset.add (Array.copy u) acc
-      else acc)
-    Tupleset.empty ~width:value.rank ~bound:cutoff
+  Hs.Hsdb.members t ~probe:Hs.Hsdb.Scan ~rank:value.rank ~reps:value.reps
+    ~cutoff

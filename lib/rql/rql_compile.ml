@@ -189,7 +189,16 @@ let materialize t mode vals j (d : Rql_plan.def) holds =
         !cur
   end
 
-let run ?memo ~cutoff pr =
+type answer =
+  | Answer of Rql_eval.outcome
+  | Reps of {
+      rank : int;
+      reps : Tupleset.t;
+      cutoff : int;
+      probe : Hs.Hsdb.probe;
+    }
+
+let eval ?memo ~cutoff pr =
   let t = pr.t in
   let mode = pr.plan.Rql_plan.mode in
   let vals = pr.vals in
@@ -205,25 +214,30 @@ let run ?memo ~cutoff pr =
       vals.(j) <- v)
     pr.plan.Rql_plan.defs;
   match pr.target with
-  | CSentence c -> Rql_eval.Bool (c ())
+  | CSentence c -> Answer (Rql_eval.Bool (c ()))
   | CTree d ->
-      Rql_eval.Levels (List.init d (fun i -> Hs.Hsdb.paths t (i + 1)))
+      Answer (Rql_eval.Levels (List.init d (fun i -> Hs.Hsdb.paths t (i + 1))))
   | CQuery { rank; holds; qcutoff } ->
       let cutoff = match qcutoff with Some c -> c | None -> cutoff in
       let reps =
         Hs.Hsdb.paths t rank |> List.filter holds |> Tupleset.of_list
       in
-      let members =
-        Combinat.fold_cartesian
-          (fun acc u ->
-            if Rql_eval.mem_derived t mode reps u then
-              Tupleset.add (Array.copy u) acc
-            else acc)
-          Tupleset.empty ~width:rank ~bound:cutoff
+      (* the probe order of Rql_eval.mem_derived under this mode *)
+      let probe =
+        match mode with
+        | Rql_plan.Planned -> Hs.Hsdb.Mem_then_scan
+        | Rql_plan.Naive -> Hs.Hsdb.Scan
       in
+      Reps { rank; reps; cutoff; probe }
+
+let run ?memo ~cutoff pr =
+  match eval ?memo ~cutoff pr with
+  | Answer o -> o
+  | Reps { rank; reps; cutoff; probe } ->
       Rql_eval.Rel
         {
           rank;
           reps = Tupleset.elements reps;
-          members = Tupleset.elements members;
+          members =
+            Tupleset.elements (Hs.Hsdb.members pr.t ~probe ~rank ~reps ~cutoff);
         }

@@ -36,3 +36,29 @@ val run :
   Rql_eval.outcome
 (** Evaluate — observationally identical to [Rql_eval.run ?memo ~cutoff]
     on the plan given to {!prepare}. *)
+
+(** {!run} stopped before a query target's member enumeration, for a
+    caller that finishes (or memoizes) that step itself. *)
+type answer =
+  | Answer of Rql_eval.outcome  (** a sentence or tree target, complete *)
+  | Reps of {
+      rank : int;
+      reps : Prelude.Tupleset.t;
+      cutoff : int;  (** the query's own [[cutoff N]], else the caller's *)
+      probe : Hs.Hsdb.probe;
+          (** the plan mode's {!Rql_eval.mem_derived} order *)
+    }
+      (** a query target: its members are
+          [Hs.Hsdb.members t ~probe ~rank ~reps ~cutoff] *)
+
+val eval :
+  ?memo:
+    (key:string ->
+    compute:(unit -> Prelude.Tupleset.t) ->
+    Prelude.Tupleset.t) ->
+  cutoff:int ->
+  prepared ->
+  answer
+(** Everything {!run} does up to a query target's members, asking the
+    same questions in the same order; {!run} is [eval] followed by
+    {!Hs.Hsdb.members}. *)

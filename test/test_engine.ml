@@ -490,6 +490,185 @@ let test_engine_cache_reduces_questions () =
     (second.stats.Request.cache_hits > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Member memo                                                         *)
+
+let member_counts () =
+  ( Metrics.counter_value (Metrics.counter "engine.member_memo_hits"),
+    Metrics.counter_value (Metrics.counter "engine.member_memo_misses") )
+
+let fo_req id query cutoff =
+  Request.make ~id (Request.Query { instance = "mod2"; query; cutoff })
+
+let ql_req id program cutoff =
+  Request.make ~id
+    (Request.Program { instance = "mod2"; program; fuel = 100; cutoff })
+
+let rql_req id text cutoff =
+  Request.make ~id
+    (Request.Rql
+       { instance = "mod2"; text; cutoff; planner = Request.Plan_cost })
+
+let questions (r : _ Request.reply) =
+  r.Request.stats.Request.oracle_calls + r.Request.stats.Request.tb_calls
+  + r.Request.stats.Request.equiv_calls
+
+let body (r : Request.encoded) =
+  match r.Request.result with
+  | Ok b -> b
+  | Error e -> Alcotest.fail (Request.error_to_string e)
+
+let test_member_memo_alpha_variant () =
+  let engine = Engine.create ~shared:(Shared_memo.create ()) () in
+  let results () =
+    match Engine.shared_stats engine with
+    | Some s -> s.Shared_memo.results
+    | None -> Alcotest.fail "no shared memo"
+  in
+  let counts = Alcotest.(pair int int) in
+  let h0, m0 = member_counts () in
+  let query = "{(x,y) | R1(x,y) && x != y}" in
+  let first = Engine.serve engine (fo_req 1 query 12) in
+  check counts "the first query enumerates" (h0, m0 + 1) (member_counts ());
+  let r1 = results () in
+  let variant =
+    Engine.serve engine (fo_req 2 "{(a,b) | R1(a,b) && a != b}" 12)
+  in
+  let r2 = results () in
+  check Alcotest.int "the variant misses the result memo" (r1.misses + 1)
+    r2.misses;
+  check counts "and hits the member memo" (h0 + 1, m0 + 1) (member_counts ());
+  Alcotest.(check bool) "the first asks questions" true (questions first > 0);
+  check Alcotest.int "the hit asks none" 0 (questions variant);
+  check Alcotest.string "same members bytes" (body first) (body variant);
+  match (Engine.handle (Engine.create ()) (fo_req 3 query 12)).Request.result with
+  | Ok o ->
+      check Alcotest.string "the unmemoized answer" (Request.outcome_bytes o)
+        (body variant)
+  | Error e -> Alcotest.fail (Request.error_to_string e)
+
+(* FO, QL and RQL requests whose answers share (rank, cutoff, reps).
+   The cost-based RQL queries come first: their probe discipline skips
+   pairs a scan asks.  Request 7's QL reps equal request 6's FO reps
+   but, built by set operations, scan in another order. *)
+let member_stream =
+  [
+    rql_req 1 "query {(a,b) | R1(a,b)}" 6;
+    fo_req 2 "{(x,y) | R1(x,y)}" 6;
+    ql_req 3 "Y1 <- Rel1" 6;
+    fo_req 4 "{(u,v) | R1(u,v)}" 6;
+    rql_req 5 "query {(a,b) | R1(a,b) || a = b}" 8;
+    fo_req 6 "{(x,y) | R1(x,y) || x = y}" 8;
+    ql_req 7 "Y1 <- ~(~Rel1 & ~E)" 8;
+    rql_req 8 "query {(a) | exists b. R1(a,b)}" 10;
+    fo_req 9 "{(x) | exists y. R1(x,y)}" 10;
+    ql_req 10 "Y1 <- Rel1!" 10;
+    fo_req 11 "{(x,y) | R1(x,y)}" 6;
+    rql_req 12 "query {(p,q) | R1(p,q) || p = q}" 8;
+  ]
+
+let test_member_memo_off_without_shared () =
+  let before = member_counts () in
+  let _ = Engine.handle_all (Engine.create ()) member_stream in
+  check Alcotest.(pair int int) "counters untouched" before (member_counts ())
+
+(* The stream evaluated through the compiled tier with no memo at all,
+   on an instance whose ≅_B oracle records every pair it is asked. *)
+let distinct_member_probes stream =
+  let base = Option.get (Engine.build_instance "mod2") in
+  let pairs = Hashtbl.create 256 in
+  let h =
+    Hs.Hsdb.make ~db:(Hs.Hsdb.db base) ~children:(Hs.Hsdb.children base)
+      ~equiv:(fun u v ->
+        Hashtbl.replace pairs (Array.copy u, Array.copy v) ();
+        Hs.Hsdb.equiv base u v)
+      ()
+  in
+  List.iter
+    (fun (r : Request.t) ->
+      match r.Request.payload with
+      | Request.Query { query; cutoff; _ } ->
+          let q = Rlogic.Parser.query query in
+          let cq = Hs.Fo_compile.compile_query h q in
+          ignore (Hs.Fo_compile.eval_upto cq ~cutoff)
+      | Request.Program { program; fuel; cutoff; _ } -> (
+          let p = Ql.Ql_parser.program program in
+          let cp = Ql.Ql_compile.compile ~algebra:(Ql.Ql_hs.algebra h) p in
+          match Ql.Ql_compile.run cp ~fuel with
+          | Ql.Ql_interp.Halted store ->
+              ignore (Ql.Ql_hs.denotation h store.(0) ~cutoff)
+          | _ -> Alcotest.fail "program did not halt")
+      | Request.Rql { text; cutoff; _ } ->
+          let plan =
+            Rql.Rql_plan.plan_of_text ~mode:Rql.Rql_plan.Planned text
+          in
+          ignore (Rql.Rql_compile.run ~cutoff (Rql.Rql_compile.prepare h plan))
+      | _ -> Alcotest.fail "unexpected payload")
+    stream;
+  Hashtbl.length pairs
+
+let test_member_memo_ledger () =
+  let engine = Engine.create ~shared:(Shared_memo.create ()) () in
+  let h0, _ = member_counts () in
+  let equiv =
+    List.fold_left
+      (fun acc r -> acc + r.Request.stats.Request.equiv_calls)
+      0
+      (Engine.handle_all engine member_stream)
+  in
+  let hits, _ = member_counts () in
+  Alcotest.(check bool) "the stream hits the member memo" true (hits - h0 >= 4);
+  check Alcotest.int "≅_B questions = distinct unmemoized probes"
+    (distinct_member_probes member_stream)
+    equiv
+
+let qcheck_rel_splice =
+  let open QCheck2.Gen in
+  let gen =
+    int_range 0 4 >>= fun rank ->
+    let tuples =
+      list_size (int_range 0 12)
+        (array_size (pure rank) (int_range (-3) 40))
+    in
+    pair tuples tuples >|= fun (reps, members) -> (rank, reps, members)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"rel_prefix + tuples_bytes splice = outcome_bytes (Rel …)" gen
+       (fun (rank, reps, members) ->
+         Request.rel_bytes
+           ~prefix:(Request.rel_prefix ~rank ~reps)
+           ~members:(Request.tuples_bytes members)
+         = Request.outcome_bytes (Request.Rel { rank; reps; members })))
+
+(* Counted cost of the member memo: one rank-2, cutoff-32 answer (1 024
+   candidate tuples, 512 members) served on a member-memo miss and then
+   on a hit by an alpha-variant (a result-memo miss: it parses,
+   compiles, and sweeps the reps like any cold query).  The hit builds
+   no member tuple and probes nothing: it allocates its answer's bytes
+   plus a constant (about 1 200 words against 342 000 for the miss
+   here; with the memo off the variant allocates about 64 600). *)
+let test_member_memo_allocation () =
+  let engine = Engine.create ~shared:(Shared_memo.create ()) () in
+  ignore (Engine.serve engine (fo_req 1 "{(x) | R1(x,x)}" 2));
+  let words req =
+    let w0 = Gc.minor_words () in
+    let r = Engine.serve engine req in
+    let w1 = Gc.minor_words () in
+    (w1 -. w0, r)
+  in
+  let miss, first = words (fo_req 2 "{(x,y) | R1(x,y) || x = y}" 32) in
+  let hit, variant = words (fo_req 3 "{(a,b) | R1(a,b) || a = b}" 32) in
+  check Alcotest.string "same answer" (body first) (body variant);
+  check Alcotest.int "the hit asks no question" 0 (questions variant);
+  let answer_words = float_of_int ((String.length (body variant) / 8) + 2) in
+  if hit > answer_words +. 1024. || hit *. 20. > miss then
+    Alcotest.failf
+      "a member-memo hit allocated %.0f minor words, the miss %.0f: more \
+       than its %.0f-word answer + 1024, or more than a twentieth of the \
+       miss"
+      hit miss answer_words
+
+(* ------------------------------------------------------------------ *)
 (* Pool                                                                *)
 
 let mixed_batch n =
@@ -821,6 +1000,18 @@ let () =
           Alcotest.test_case "typed errors" `Quick test_engine_errors;
           Alcotest.test_case "repeat requests hit the cache" `Quick
             test_engine_cache_reduces_questions;
+        ] );
+      ( "member memo",
+        [
+          Alcotest.test_case "an alpha-variant hits and asks nothing" `Quick
+            test_member_memo_alpha_variant;
+          Alcotest.test_case "off without a shared memo" `Quick
+            test_member_memo_off_without_shared;
+          Alcotest.test_case "questions = distinct unmemoized probes" `Quick
+            test_member_memo_ledger;
+          qcheck_rel_splice;
+          Alcotest.test_case "a hit allocates its answer, not a sweep" `Quick
+            test_member_memo_allocation;
         ] );
       ( "pool",
         [
