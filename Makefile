@@ -31,13 +31,14 @@ engine-smoke:
 	dune exec bench/main.exe -- engine -o BENCH_engine_smoke.json
 
 # The E25 smoke: a scaled-down resilience benchmark — exits 1 unless
-# the deadline and budget probes trip with their typed errors, the
-# budget never overspends, and retries change no non-faulted byte.
+# the deadline and budget probes trip with their typed errors, no
+# budget overspends, and under a seeded budget every untripped response
+# and an unlimited replay on the same memo equal the clean bytes.
 # (Crash containment — workers killed mid-batch, sparsely and with
 # respawn churn — is test_resilience's "crashes fail only their own
 # request", run by `make test`.)
 resilience-smoke:
-	dune exec bench/main.exe -- resilience --trials 2 --requests 500 --fault-requests 100 -o BENCH_resilience_smoke.json
+	dune exec bench/main.exe -- resilience --trials 2 --requests 500 --abort-requests 100 -o BENCH_resilience_smoke.json
 
 # The E26 smoke: a tiny bench parallel run — exits 1 unless every
 # measured pool run is byte-identical to sequential, asks no more

@@ -81,8 +81,8 @@ let run () =
 (* E25: the resilience layer.  Three questions: what does the
    per-question budget guard cost on the mixed workload; do
    budgets/deadlines actually turn a pathologically expensive request
-   into a fast typed error; and does bounded retry absorb injected
-   faults without changing any answer. *)
+   into a fast typed error; and does an aborted evaluation leave
+   anything behind in the memos. *)
 
 (* Generous enough that nothing trips: the guard runs, the limits
    never bind — this is the steady-state cost a budgeted production
@@ -133,7 +133,53 @@ let bound_probe bound configured limits within =
         ("within_bound", Json.Bool ok);
       ] )
 
-let run_resilience ?(trials = 3) ?(requests = 2000) ?(fault_requests = 200) ()
+(* The seeded-budget check behind E25's aborts row and
+   test_resilience's chaos case (see the mli). *)
+let seeded_quota seed = 1 + Random.State.int (Random.State.make [| seed |]) 250
+
+type abort_run = {
+  aborted : int;
+  served_identical : bool;
+  within_quota : bool;
+  replay_identical : bool;
+}
+
+let abort_check ?(on_pool = ignore) ~reference limits batch =
+  let shared = Shared_memo.create () in
+  let pool =
+    Pool.create ~domains:3
+      ~engine_config:{ Engine.default_config with limits }
+      ~shared ()
+  in
+  let responses = Pool.run_batch pool batch in
+  on_pool pool;
+  Pool.shutdown pool;
+  let quota =
+    Option.value limits.Resilience.max_oracle_calls ~default:max_int
+  in
+  let tripped (r : Request.response) =
+    match r.result with
+    | Error (Request.Budget_exceeded _ | Request.Deadline_exceeded _) -> true
+    | _ -> false
+  in
+  let replay = Engine.handle_all (Engine.create ~shared ()) batch in
+  {
+    aborted = List.length (List.filter tripped responses);
+    served_identical =
+      List.for_all2
+        (fun ((q : Request.t), (r : Request.response)) clean ->
+          r.id = q.id
+          && (tripped r || String.equal (Bench_util.bytes r) clean))
+        (List.combine batch responses)
+        reference;
+    within_quota =
+      List.for_all
+        (fun (r : Request.response) -> questions r.stats <= quota)
+        responses;
+    replay_identical = List.map Bench_util.bytes replay = reference;
+  }
+
+let run_resilience ?(trials = 3) ?(requests = 2000) ?(abort_requests = 200) ()
     =
   let reqs = Workload.mixed requests in
   let best config =
@@ -161,29 +207,13 @@ let run_resilience ?(trials = 3) ?(requests = 2000) ?(fault_requests = 200) ()
       { max_oracle_calls = Some quota; deadline_s = None }
       (fun s -> questions s <= quota)
   in
-  (* Retry under injected faults: every response not lost to an outage
-     must be byte-identical to a clean sequential run. *)
-  let seed = 42 and fault_period = 150 in
-  let batch = Workload.mixed fault_requests in
-  let reference = Bench_util.sequential batch in
-  let config =
-    {
-      Engine.default_config with
-      retry = { Resilience.max_retries = 3; backoff_s = 0.0 };
-      faults = Some (Faulty_oracle.config ~seed ~fault_period ());
-    }
-  in
-  let engine = Engine.create ~config () in
-  let responses = Engine.handle_all engine batch in
-  let lost (r : Request.response) =
-    match r.result with
-    | Error (Request.Oracle_unavailable _) -> true
-    | _ -> false
-  in
-  let deterministic =
-    List.for_all2
-      (fun r ref_line -> lost r || String.equal (Bench_util.bytes r) ref_line)
-      responses reference
+  let seed = 42 in
+  let abort_quota = seeded_quota seed in
+  let batch = Workload.mixed abort_requests in
+  let a =
+    abort_check ~reference:(Bench_util.sequential batch)
+      { max_oracle_calls = Some abort_quota; deadline_s = None }
+      batch
   in
   ( Json.Obj
       [
@@ -198,26 +228,23 @@ let run_resilience ?(trials = 3) ?(requests = 2000) ?(fault_requests = 200) ()
               ("overhead_frac", Json.Float ((guarded_s /. plain_s) -. 1.0));
             ] );
         ("bounds", Json.List [ deadline; budget ]);
-        ( "faults",
+        ( "aborts",
           Json.Obj
             [
-              ("requests", Json.Int fault_requests);
+              ("requests", Json.Int abort_requests);
               ("seed", Json.Int seed);
-              ("fault_period", Json.Int fault_period);
-              ("faults_injected", Json.Int (Engine.faults_injected engine));
-              ( "retries",
-                Json.Int
-                  (List.fold_left
-                     (fun acc (r : Request.response) ->
-                       acc + r.stats.Request.retries)
-                     0 responses) );
-              ("failures", Json.Int (List.length (List.filter lost responses)));
-              ("deterministic", Json.Bool deterministic);
+              ("quota", Json.Int abort_quota);
+              ("aborted", Json.Int a.aborted);
+              ("served_identical", Json.Bool a.served_identical);
+              ("within_quota", Json.Bool a.within_quota);
+              ("replay_identical", Json.Bool a.replay_identical);
             ] );
       ],
     (* Gated: both bounds must trip with their typed error and the
-       budget must never overspend; retries must not change a
-       non-faulted byte.  The guard overhead is reported, not judged. *)
+       budget must never overspend; under the seeded quota every
+       request must trip within it or serve the clean bytes, and the
+       unlimited replay must serve the clean bytes.  The guard overhead
+       is reported, not judged. *)
     List.concat
       [
         gate (d_kind = "deadline_exceeded")
@@ -226,7 +253,13 @@ let run_resilience ?(trials = 3) ?(requests = 2000) ?(fault_requests = 200) ()
           "budget probe returned %s, not budget_exceeded" b_kind;
         gate b_within "budget probe asked %d questions > quota %d" b_spent
           quota;
-        gate deterministic "non-faulted responses differ from the clean run";
+        gate a.within_quota "a budgeted request asked more than %d questions"
+          abort_quota;
+        gate a.served_identical
+          "a budgeted response that did not trip differs from the clean run";
+        gate a.replay_identical
+          "the unlimited replay differs from the clean run: an aborted \
+           evaluation was stored";
       ] )
 
 (* ------------------------------------------------------------------ *)

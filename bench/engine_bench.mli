@@ -9,20 +9,50 @@ val run : unit -> Json.t * string list
     differs from {!Hs.Fo_eval.eval_sentence} on the uncached instance,
     or no fewer raw oracle calls cached than uncached. *)
 
+val seeded_quota : int -> int
+(** A question quota drawn from the seed, in 1..250: low enough that
+    cold requests of {!Workload.mixed} trip it, high enough that warm
+    ones finish. *)
+
+(** What {!abort_check} saw. *)
+type abort_run = {
+  aborted : int;  (** responses that tripped their budget or deadline *)
+  served_identical : bool;
+      (** responses come in request order, and every one that did not
+          trip equals the clean sequential bytes *)
+  within_quota : bool;  (** no response asked more than the quota *)
+  replay_identical : bool;
+      (** the unlimited replay equals the clean sequential bytes *)
+}
+
+val abort_check :
+  ?on_pool:(Pool.t -> unit) ->
+  reference:string list ->
+  Resilience.limits ->
+  Request.t list ->
+  abort_run
+(** [abort_check ~reference limits batch]: a 3-domain pool on one fresh
+    {!Shared_memo} serves [batch] under [limits]; then an unlimited
+    engine on the same memo replays it.  [reference] is the clean
+    sequential run ({!Bench_util.sequential}).  An evaluation aborted
+    mid-flight must store no result and no member list, so the replay
+    serves the clean bytes whatever tripped.  [on_pool] runs on the
+    pool after the batch, before its shutdown. *)
+
 val run_resilience :
   ?trials:int ->
   ?requests:int ->
-  ?fault_requests:int ->
+  ?abort_requests:int ->
   unit ->
   Json.t * string list
 (** E25: budget-guard overhead on the mixed batch ([requests], default
     2000, best of [trials], default 3; reported, not gated), deadline
     and budget trips on the heaviest expressible request
-    ([tree(paths3, 6)]), and retry-under-faults determinism on a mixed
-    batch of [fault_requests] (default 200).  Violations: the deadline
-    probe is not [deadline_exceeded]; the budget probe is not
-    [budget_exceeded] or asks more than its quota; a non-faulted
-    response of the fault run differs from the clean run. *)
+    ([tree(paths3, 6)]), and {!abort_check} under [seeded_quota 42] on
+    a mixed batch of [abort_requests] (default 200).  Violations: the
+    deadline probe is not [deadline_exceeded]; the budget probe is not
+    [budget_exceeded] or asks more than its quota; any field of the
+    abort run is false. *)
 
 val run_parallel : ?requests:int -> unit -> Json.t * string list
 (** E26: the mixed batch ([requests], default 600) cold and warm on one

@@ -85,14 +85,14 @@ let commands =
       Term.(const Engine_bench.run);
     bench "resilience"
       "E25: guard overhead (reported), deadline and budget trips on \
-       tree(paths3, 6), retry determinism under injected faults (exit 1 if \
-       a probe does not trip with its typed error, the budget overspends, \
-       or a non-faulted response changes)."
+       tree(paths3, 6), a seeded budget on a pool then an unlimited replay \
+       (exit 1 if a probe does not trip with its typed error, a budget \
+       overspends, or an untripped or replayed response changes)."
       Term.(
-        const (fun requests trials fault_requests () ->
-            Engine_bench.run_resilience ?requests ?trials ?fault_requests ())
+        const (fun requests trials abort_requests () ->
+            Engine_bench.run_resilience ?requests ?trials ?abort_requests ())
         $ requests $ trials
-        $ count "fault-requests" "Batch size of the fault-injection run.");
+        $ count "abort-requests" "Batch size of the seeded-budget run.");
     bench "parallel"
       "E26: shared-memo pools cold and warm (exit 1 unless every measured \
        run is byte-identical to sequential, asks no more questions and \

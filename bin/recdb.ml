@@ -338,8 +338,8 @@ let trace_flag =
     & info [ "trace" ]
         ~doc:
           "Trace every request: span trees (queue wait, dispatch, parse, \
-           retries) with exact Def. 3.9 ledger slices, dumped as JSON lines \
-           to stderr at exit (serve-batch) or served at /traces (serve, \
+           evaluation) with exact Def. 3.9 ledger slices, dumped as JSON \
+           lines to stderr at exit (serve-batch) or served at /traces (serve, \
            with --metrics-port).")
 
 let trace_sample_arg =
@@ -434,21 +434,18 @@ let decls_of_flags ~open_world ~decls =
 
 (* Resilience flags shared by serve-batch: None everywhere means "no
    guard installed" (the pre-resilience hot path, byte for byte). *)
-let engine_config_of_flags ~deadline_ms ~max_oracle_calls ~inject
-    ?(decls = []) ?(default_mode = Request.M_exact) () =
-  match (deadline_ms, max_oracle_calls, inject, decls, default_mode) with
-  | None, None, None, [], Request.M_exact -> None
+let engine_config_of_flags ~deadline_ms ~max_oracle_calls ?(decls = [])
+    ?(default_mode = Request.M_exact) () =
+  match (deadline_ms, max_oracle_calls, decls, default_mode) with
+  | None, None, [], Request.M_exact -> None
   | _ ->
       Some
         {
-          Engine.default_config with
-          limits =
+          Engine.limits =
             {
               Resilience.max_oracle_calls;
               deadline_s = Option.map (fun ms -> ms /. 1000.0) deadline_ms;
             };
-          faults =
-            Option.map (fun seed -> Faulty_oracle.config ~seed ()) inject;
           decls;
           default_mode;
         }
@@ -504,17 +501,7 @@ let cmd_serve_batch =
              \xe2\x89\x85_B questions all count); overruns return \
              budget_exceeded.")
   in
-  let inject =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "inject" ] ~docv:"SEED"
-          ~doc:
-            "Deterministically inject transient oracle outages (seeded; \
-             absorbed by bounded retry, surviving ones become \
-             oracle_unavailable errors).")
-  in
-  let run file jobs metrics no_stats deadline_ms max_oracle_calls inject
+  let run file jobs metrics no_stats deadline_ms max_oracle_calls
       default_mode open_world decls trace trace_sample =
     if jobs < 1 then begin
       Format.eprintf "jobs must be >= 1@.";
@@ -522,7 +509,7 @@ let cmd_serve_batch =
     end;
     let ic = open_requests file in
     let config =
-      engine_config_of_flags ~deadline_ms ~max_oracle_calls ~inject
+      engine_config_of_flags ~deadline_ms ~max_oracle_calls
         ~decls:(decls_of_flags ~open_world ~decls)
         ~default_mode ()
     in
@@ -617,8 +604,8 @@ let cmd_serve_batch =
     (Cmd.info "serve-batch" ~doc)
     Term.(
       const run $ file $ jobs $ metrics $ no_stats $ deadline_ms
-      $ max_oracle_calls $ inject $ default_mode_flag $ open_world_flag
-      $ decl_flags $ trace_flag $ trace_sample_arg)
+      $ max_oracle_calls $ default_mode_flag $ open_world_flag $ decl_flags
+      $ trace_flag $ trace_sample_arg)
 
 (* ------------------------------------------------------------------ *)
 (* The TCP front-end                                                   *)
@@ -725,13 +712,6 @@ let cmd_serve =
       & info [ "max-oracle-calls" ] ~docv:"N"
           ~doc:"Per-request oracle-question budget.")
   in
-  let inject =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "inject" ] ~docv:"SEED"
-          ~doc:"Seeded transient oracle-outage injection.")
-  in
   let metrics_port =
     Arg.(
       value
@@ -771,15 +751,15 @@ let cmd_serve =
              ephemeral --port 0.")
   in
   let run host port jobs window per_conn_window max_line no_stats
-      drain_timeout deadline_ms max_oracle_calls inject default_mode
-      open_world decls metrics_port store_dir snapshot_interval port_file
-      trace trace_sample =
+      drain_timeout deadline_ms max_oracle_calls default_mode open_world
+      decls metrics_port store_dir snapshot_interval port_file trace
+      trace_sample =
     if window < 1 || per_conn_window < 1 || max_line < 1 then begin
       Format.eprintf "window, per-conn-window and max-line must be >= 1@.";
       exit 1
     end;
     let config =
-      engine_config_of_flags ~deadline_ms ~max_oracle_calls ~inject
+      engine_config_of_flags ~deadline_ms ~max_oracle_calls
         ~decls:(decls_of_flags ~open_world ~decls)
         ~default_mode ()
     in
@@ -821,7 +801,7 @@ let cmd_serve =
     Term.(
       const run $ host_arg $ port $ jobs $ window_arg $ per_conn_window_arg
       $ max_line $ no_stats $ drain_timeout $ deadline_ms $ max_oracle_calls
-      $ inject $ default_mode_flag $ open_world_flag $ decl_flags
+      $ default_mode_flag $ open_world_flag $ decl_flags
       $ metrics_port $ store_dir $ snapshot_interval
       $ port_file $ trace_flag $ trace_sample_arg)
 
@@ -1041,7 +1021,6 @@ let cmd_rql =
     let mode = if naive then Rql.Rql_plan.Naive else Rql.Rql_plan.Planned in
     let config =
       engine_config_of_flags ~deadline_ms:None ~max_oracle_calls:None
-        ~inject:None
         ~decls:(decls_of_flags ~open_world ~decls)
         ()
     in

@@ -33,8 +33,6 @@ let build_instance name =
 
 type config = {
   limits : Resilience.limits;
-  retry : Resilience.retry;
-  faults : Faulty_oracle.config option;
   decls : (string * Incomplete.Decl.t) list;
       (* per-instance completeness declarations; instances without one
          are fully total and always answer exactly *)
@@ -45,8 +43,6 @@ type config = {
 let default_config =
   {
     limits = Resilience.no_limits;
-    retry = Resilience.default_retry;
-    faults = None;
     decls = [];
     default_mode = Request.M_exact;
   }
@@ -91,17 +87,14 @@ type t = {
   config : config;
   shared : Shared_memo.t option;
   res : Resilience.t;
-  faults : Faulty_oracle.t option;
   trace : Obs.Trace.t option;
   m_requests : Metrics.counter;
   m_errors : Metrics.counter;
   m_oracle_calls : Metrics.counter;
   m_cache_hits : Metrics.counter;
   m_latency : Metrics.histogram;
-  m_retries : Metrics.counter;
   m_budget_hits : Metrics.counter;
   m_deadline_hits : Metrics.counter;
-  m_fault_failures : Metrics.counter;
   (* per-mode and per-certificate-kind serving counters (exact-mode
      requests are m_requests minus the three mode counters) *)
   m_mode_certain : Metrics.counter;
@@ -118,14 +111,13 @@ let cache_capacity = 4096
 
 (* The oracle chain, innermost first: the raw instance (whose
    instrumented counters are this worker's Def. 3.9 ledger), the
-   per-question guard (budget tick + fault hook, present only when
-   resilience is configured), the cross-worker {!Shared_memo} (hits
+   per-question guard (the budget/deadline tick, present only when
+   limits are configured), the cross-worker {!Shared_memo} (hits
    are not questions and skip the guard — the check fires only before
    a question that will actually be asked), and the per-worker
    LRU on top.  Without [shared] and without a guard this is PR 1's
    hot path, byte for byte. *)
-let make_entry ~guarded ~res ~faults ~shared ~decl name build
-    () =
+let make_entry ~guarded ~res ~shared ~decl name build () =
   let base = build () in
   let raw_db = Hs.Hsdb.db base in
   (* A bad declaration is a construction failure, same as a bad builder:
@@ -139,18 +131,12 @@ let make_entry ~guarded ~res ~faults ~shared ~decl name build
       | Error msg ->
           failwith
             (Printf.sprintf "completeness declaration for %S: %s" name msg)));
-  let pre oracle =
-    Resilience.tick res;
-    match faults with
-    | None -> ()
-    | Some fo -> Faulty_oracle.pre fo ~oracle
-  in
   let guard_rel r =
     if not guarded then r
     else
-      let oracle = Rdb.Relation.name r in
-      Rdb.Relation.make ~name:oracle ~arity:(Rdb.Relation.arity r) (fun u ->
-          pre oracle;
+      Rdb.Relation.make ~name:(Rdb.Relation.name r)
+        ~arity:(Rdb.Relation.arity r) (fun u ->
+          Resilience.tick res;
           Rdb.Relation.mem r u)
   in
   let relations = Rdb.Database.relations raw_db in
@@ -191,15 +177,15 @@ let make_entry ~guarded ~res ~faults ~shared ~decl name build
         if not guarded then (Hs.Hsdb.children base, Hs.Hsdb.equiv base)
         else
           ( (fun u ->
-              pre "T_B";
+              Resilience.tick res;
               Hs.Hsdb.children base u),
             fun u v ->
-              pre "equiv_B";
+              Resilience.tick res;
               Hs.Hsdb.equiv base u v )
     | Some m ->
         let children u =
           Shared_memo.children m u ~compute:(fun () ->
-              if guarded then pre "T_B";
+              if guarded then Resilience.tick res;
               Hs.Hsdb.children base u)
         in
         (* A private first-level ≅_B memo: Hsdb does not memoize equiv,
@@ -216,7 +202,7 @@ let make_entry ~guarded ~res ~faults ~shared ~decl name build
           | None ->
               let b =
                 Shared_memo.equiv m u v ~compute:(fun () ->
-                    if guarded then pre "equiv_B";
+                    if guarded then Resilience.tick res;
                     Hs.Hsdb.equiv base u v)
               in
               Hashtbl.add equiv_local (Array.copy u, Array.copy v) b;
@@ -268,37 +254,31 @@ let make_entry ~guarded ~res ~faults ~shared ~decl name build
 
 let create ?(config = default_config) ?shared ?trace () =
   let res = Resilience.create () in
-  let faults = Option.map Faulty_oracle.make config.faults in
-  (* Pay the per-question guard only when resilience is configured; a
+  (* Pay the per-question guard only when limits are configured; a
      plain engine keeps PR 1's unguarded hot path (E25 measures the
      difference). *)
-  let guarded =
-    (not (Resilience.unlimited config.limits)) || Option.is_some faults
-  in
+  let guarded = not (Resilience.unlimited config.limits) in
   {
     entries =
       List.map
         (fun (name, build) ->
           ( name,
             Lazy.from_fun
-              (make_entry ~guarded ~res ~faults ~shared
+              (make_entry ~guarded ~res ~shared
                  ~decl:(List.assoc_opt name config.decls)
                  name build) ))
         builders;
     config;
     shared;
     res;
-    faults;
     trace;
     m_requests = Metrics.counter "engine.requests";
     m_errors = Metrics.counter "engine.errors";
     m_oracle_calls = Metrics.counter "engine.oracle_calls";
     m_cache_hits = Metrics.counter "engine.cache_hits";
     m_latency = Metrics.histogram "engine.latency";
-    m_retries = Metrics.counter "engine.retries";
     m_budget_hits = Metrics.counter "engine.budget_hits";
     m_deadline_hits = Metrics.counter "engine.deadline_hits";
-    m_fault_failures = Metrics.counter "engine.fault_failures";
     m_mode_certain = Metrics.counter "engine.mode_certain";
     m_mode_possible = Metrics.counter "engine.mode_possible";
     m_mode_approximate = Metrics.counter "engine.mode_approximate";
@@ -519,7 +499,7 @@ let typed = function
    probes a strict subset of the pairs a scan probes, and equal rep
    sets built differently (QL's set algebra, [Tupleset.of_list]) scan
    their members in different orders (Hs.Hsdb.scan_order).  An
-   enumeration cut short by a budget, deadline or fault raises before
+   enumeration cut short by a budget or deadline raises before
    the store, so only complete member lists are kept. *)
 let m_member_hits = Metrics.counter "engine.member_memo_hits"
 let m_member_misses = Metrics.counter "engine.member_memo_misses"
@@ -1076,13 +1056,10 @@ let ledger_counts t =
 
 (* The one evaluation core behind [handle] and [serve].  Every call is
    total: the budget/deadline guard turns unbounded evaluations into
-   typed errors, transient oracle outages are retried with
-   deterministic exponential backoff and surface as typed errors when
-   they persist, and any other escaping exception becomes [Ill_formed]
+   typed errors, and any other escaping exception becomes [Ill_formed]
    — a request can never kill its worker. *)
 let answer ?queued_s t (req : Request.t) : body Request.reply =
   let t0 = Unix.gettimeofday () in
-  let retries = ref 0 in
   let finish ?(cert = Request.Cert_exact) result entry_opt pre =
     let wall_s = Unix.gettimeofday () -. t0 in
     let stats =
@@ -1094,21 +1071,17 @@ let answer ?queued_s t (req : Request.t) : body Request.reply =
             tb_calls = tb1 - tb0;
             equiv_calls = eq1 - eq0;
             cache_hits = h1 - h0;
-            retries = !retries;
             wall_s;
           }
-      | _ -> { Request.zero_stats with retries = !retries; wall_s }
+      | _ -> { Request.zero_stats with wall_s }
     in
     (match t.trace with
     | Some c when Obs.Trace.active c ->
         Obs.Trace.end_request
           ~attrs:
-            ((match result with
-             | Ok _ -> [ ("status", "ok") ]
-             | Error e -> [ ("status", "error"); ("error", error_kind e) ])
-            @
-            if !retries > 0 then [ ("retries", string_of_int !retries) ]
-            else [])
+            (match result with
+            | Ok _ -> [ ("status", "ok") ]
+            | Error e -> [ ("status", "error"); ("error", error_kind e) ])
           c
     | _ -> ());
     Metrics.incr t.m_requests;
@@ -1129,8 +1102,10 @@ let answer ?queued_s t (req : Request.t) : body Request.reply =
   let total_eval (eval : unit -> body certified) =
     Resilience.arm t.res t.config.limits;
     let err e = { value = Error e; cert = Request.Cert_exact } in
-    let rec attempt n =
-      match span t.trace "attempt" ~attrs:[ ("n", string_of_int n) ] eval with
+    (* The span keeps its name: perfbench reads its self time as
+       engine.eval_us. *)
+    let result =
+      match span t.trace "attempt" eval with
       | result -> result
       | exception Resilience.Budget_hit { limit } ->
           Metrics.incr t.m_budget_hits;
@@ -1138,26 +1113,8 @@ let answer ?queued_s t (req : Request.t) : body Request.reply =
       | exception Resilience.Deadline_hit { deadline_s; _ } ->
           Metrics.incr t.m_deadline_hits;
           err (Request.Deadline_exceeded { deadline_s })
-      | exception Faulty_oracle.Oracle_unavailable _
-        when n < t.config.retry.max_retries -> (
-          incr retries;
-          Metrics.incr t.m_retries;
-          if t.config.retry.backoff_s > 0.0 then
-            span t.trace "backoff" ~attrs:[ ("n", string_of_int n) ] (fun () ->
-                Unix.sleepf (t.config.retry.backoff_s *. Float.of_int (1 lsl n)));
-          (* The backoff may have consumed the deadline; report that as
-             a deadline hit rather than burning further attempts. *)
-          match Resilience.check_deadline t.res with
-          | () -> attempt (n + 1)
-          | exception Resilience.Deadline_hit { deadline_s; _ } ->
-              Metrics.incr t.m_deadline_hits;
-              err (Request.Deadline_exceeded { deadline_s }))
-      | exception Faulty_oracle.Oracle_unavailable { oracle; _ } ->
-          Metrics.incr t.m_fault_failures;
-          err (Request.Oracle_unavailable { oracle; attempts = n + 1 })
       | exception e -> err (Request.Ill_formed (Printexc.to_string e))
     in
-    let result = attempt 0 in
     Resilience.disarm t.res;
     result
   in
@@ -1217,7 +1174,7 @@ let answer ?queued_s t (req : Request.t) : body Request.reply =
               (* Whole-request memo: everything but [stats] is a
                  deterministic function of (mode, payload) (the Request
                  wire-format contract), so a completed result can be
-                 replayed for any worker.  Budget/deadline/fault aborts
+                 replayed for any worker.  Budget/deadline aborts
                  raise {e through} the compute closure and are caught
                  by [total_eval] outside it — nondeterministic outcomes
                  are never stored. *)
@@ -1293,7 +1250,7 @@ let answer ?queued_s t (req : Request.t) : body Request.reply =
                       })
               | Request.Stats ->
                   (* Answered at the door: reporting the ledger asks no
-                     questions, so it bypasses budgets, retries and the
+                     questions, so it bypasses budgets and the
                      shared memo (the answer is not deterministic in the
                      payload). *)
                   let raw, tb, equiv, cache_hits = ledger_counts t in
@@ -1344,6 +1301,3 @@ let question_count t =
   raw + tb + eq
 
 let shared_stats t = Option.map Shared_memo.stats t.shared
-
-let faults_injected t =
-  match t.faults with None -> 0 | Some fo -> Faulty_oracle.faults_injected fo

@@ -39,11 +39,10 @@
 
 type t
 
-(** Resilience configuration: per-request evaluation limits, retry
-    policy for transient oracle outages, and (optionally) deterministic
-    fault injection.  With {!default_config} — no limits, no faults —
-    the oracle hot path carries no guard at all; configuring either
-    installs a cheap per-question check (E25 measures its overhead).
+(** Resilience configuration: per-request evaluation limits.  With
+    {!default_config} — no limits — the oracle hot path carries no
+    guard at all; configuring a budget or a deadline installs a cheap
+    per-question check (E25 measures its overhead).
 
     Evaluation always runs through the closure-compiled tier:
     sentences, queries, QL programs and RQL plans are specialized once
@@ -72,8 +71,6 @@ type t
     no mode of their own (`recdb serve --default-mode`). *)
 type config = {
   limits : Resilience.limits;
-  retry : Resilience.retry;
-  faults : Faulty_oracle.config option;
   decls : (string * Incomplete.Decl.t) list;
   default_mode : Request.mode;
 }
@@ -91,8 +88,8 @@ val create :
     (the default) for the fully private sequential engine.
 
     [trace] attaches an observability context ({!Obs.Trace}): each
-    sampled request gets a span tree — root, queue wait, parse, one
-    span per retry attempt, backoffs — whose ledger slices snapshot
+    sampled request gets a span tree — root, queue wait, parse, the
+    evaluation attempt — whose ledger slices snapshot
     exactly the counters the response's [stats] read, so the question
     slots of a trace sum to [stats.oracle_calls + tb_calls +
     equiv_calls] on every traced request.  The ledger only {e reads}
@@ -105,10 +102,9 @@ val create :
 val handle : ?queued_s:float -> t -> Request.t -> Request.response
 (** Total: never raises and never hangs under a configured deadline or
     budget — unbounded evaluations surface as [Budget_exceeded] /
-    [Deadline_exceeded], persistent injected outages as
-    [Oracle_unavailable] (after [config.retry.max_retries] bounded
-    retries with deterministic exponential backoff), and any other
-    escaping exception as [Ill_formed].
+    [Deadline_exceeded] in one attempt, and any other escaping
+    exception as [Ill_formed].  An aborted evaluation stores nothing in
+    the result or member memo.
 
     Budget/deadline outcomes depend on this engine's cache and memo
     state (a warm engine asks fewer questions before tripping), so they
@@ -160,10 +156,6 @@ val shared_stats : t -> Shared_memo.stats option
 (** Hit/miss statistics of the shared memo layer, when one was passed
     to {!create}.  The layer may be shared with other engines; the
     numbers are layer-wide, not per-engine. *)
-
-val faults_injected : t -> int
-(** Faults this engine's injector has raised so far (0 when fault
-    injection is off). *)
 
 (** {2 The instance registry} *)
 

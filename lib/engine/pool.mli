@@ -32,21 +32,20 @@
     rather than stranding the caller, and jobs pushed after that fail
     at once the same way.
 
-    Correctness guarantee: with no fault injection and no evaluation
-    limits configured, every response's [result] is byte-identical (as
-    JSON, stats excluded) to what {!Engine.handle_all} produces
-    sequentially, whatever the interleaving — request evaluation is a
+    Correctness guarantee: with no evaluation limits configured, every
+    response's [result] is byte-identical (as JSON, stats excluded) to
+    what {!Engine.handle_all} produces sequentially, whatever the interleaving — request evaluation is a
     deterministic function of the request, and the only cross-worker
     mutable state, the shared memo, stores only completed deterministic
     answers.  Only the [stats] fields differ run to run (wall times;
     cache hit counts depend on which worker served earlier requests for
-    the same instance).  Under injected faults the guarantee weakens
-    to: every non-faulted result (anything but [Oracle_unavailable] /
-    [Worker_crash]) is still byte-identical to sequential, because
-    injection never changes an oracle's answer — the chaos test asserts
-    exactly this.  Budget/deadline errors depend on each worker's cache
-    warmth and so may differ from a sequential run; they are typed
-    partial answers, not nondeterministic values.
+    the same instance).  Under a budget or a deadline the guarantee
+    weakens to: every result that is not [Budget_exceeded] /
+    [Deadline_exceeded] is still byte-identical to sequential, because
+    an aborted evaluation stores no result and no member list — the
+    seeded chaos test asserts exactly this.  Which requests trip depends on each
+    worker's cache warmth, so it may differ from a sequential run; a
+    trip is a typed partial answer, not a nondeterministic value.
 
     Batches and single jobs may be submitted from several client
     threads concurrently; their jobs interleave in the queue.
@@ -72,10 +71,9 @@ val create :
   t
 (** [domains] defaults to [Domain.recommended_domain_count () - 1],
     clamped to at least 1.  Raises [Invalid_argument] on [domains < 1].
-    [engine_config] is passed to each worker's engine (fault-injection
-    seeds are shared; schedules still differ per worker because call
-    sequences do).  [crash_on] is the chaos-testing hook: a worker about
-    to serve a matching request dies instead (see {!Injected_crash}).
+    [engine_config] is passed to each worker's engine.  [crash_on] is
+    the chaos-testing hook: a worker about to serve a matching request
+    dies instead (see {!Injected_crash}).
     [max_respawns] (default 1000) bounds replacement spawns so a
     deterministic crash-on-everything configuration cannot fork-bomb.
     [shared] is the memo layer all workers share; by default the pool
@@ -84,8 +82,8 @@ val create :
 
     [tracing] (default [Off]) gives every worker engine a private
     {!Obs.Trace} ctx with the given sampling; sampled requests produce
-    span trees (queue wait, parse, retry attempts) with exact Def. 3.9
-    ledger slices, collected by {!traces}.  Each worker keeps its 256
+    span trees (queue wait, parse, the evaluation attempt) with exact
+    Def. 3.9 ledger slices, collected by {!traces}.  Each worker keeps its 256
     most recent traces.  With tracing on, jobs carry their enqueue
     timestamp so traces show the queue wait; nothing else changes —
     responses stay byte-identical (E28). *)
@@ -106,7 +104,7 @@ val traces : t -> Obs.Trace.trace list
 
 val run_batch : t -> Request.t list -> Request.response list
 (** Evaluate all requests, in parallel, preserving order; exactly one
-    response per request, whatever faults or crashes occur.  Raises
+    response per request, whatever trips or crashes occur.  Raises
     [Invalid_argument] if the pool has been shut down. *)
 
 val serve_batch : t -> Request.t list -> Request.encoded list

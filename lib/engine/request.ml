@@ -107,7 +107,6 @@ type stats = {
   tb_calls : int;
   equiv_calls : int;
   cache_hits : int;
-  retries : int;
   wall_s : float;
 }
 
@@ -117,7 +116,6 @@ let zero_stats =
     tb_calls = 0;
     equiv_calls = 0;
     cache_hits = 0;
-    retries = 0;
     wall_s = 0.0;
   }
 
@@ -605,7 +603,6 @@ let stats_to_json s =
       ("tb_calls", Json.Int s.tb_calls);
       ("equiv_calls", Json.Int s.equiv_calls);
       ("cache_hits", Json.Int s.cache_hits);
-      ("retries", Json.Int s.retries);
       ("wall_s", Json.Float s.wall_s);
     ]
 

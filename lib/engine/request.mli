@@ -173,7 +173,8 @@ type error =
           the response's [stats.wall_s].  Only the armed bound is
           encoded so the error JSON stays deterministic. *)
   | Oracle_unavailable of { oracle : string; attempts : int }
-      (** An injected transient outage persisted through every retry. *)
+      (** The cluster router could not reach the shard owning this
+          request ([oracle] names the shard, [attempts] the tries). *)
   | Worker_crash of string
       (** The {!Pool} worker serving this request died; the batch's
           other requests were unaffected. *)
@@ -189,7 +190,6 @@ type stats = {
   tb_calls : int;  (** questions to the T_B (children) oracle *)
   equiv_calls : int;  (** questions to the ≅_B oracle *)
   cache_hits : int;  (** lookups answered by the LRU, not the oracle *)
-  retries : int;  (** re-attempts after transient oracle outages *)
   wall_s : float;
 }
 

@@ -3,10 +3,6 @@ type limits = { max_oracle_calls : int option; deadline_s : float option }
 let no_limits = { max_oracle_calls = None; deadline_s = None }
 let unlimited l = l.max_oracle_calls = None && l.deadline_s = None
 
-type retry = { max_retries : int; backoff_s : float }
-
-let default_retry = { max_retries = 2; backoff_s = 0.001 }
-
 exception Budget_hit of { limit : int }
 exception Deadline_hit of { deadline_s : float; elapsed_s : float }
 
@@ -61,15 +57,6 @@ let disarm t =
   t.deadline <- infinity;
   t.deadline_rel <- infinity
 
-let check_deadline t =
-  if t.deadline <> infinity then begin
-    let now = Unix.gettimeofday () in
-    if now > t.deadline then
-      raise
-        (Deadline_hit
-           { deadline_s = t.deadline_rel; elapsed_s = now -. t.started })
-  end
-
 let tick t =
   t.calls_left <- t.calls_left - 1;
   if t.calls_left < 0 then begin
@@ -77,4 +64,10 @@ let tick t =
     raise (Budget_hit { limit = t.limit })
   end;
   t.ticks <- t.ticks + 1;
-  if t.ticks land deadline_check_mask = 0 then check_deadline t
+  if t.ticks land deadline_check_mask = 0 && t.deadline <> infinity then begin
+    let now = Unix.gettimeofday () in
+    if now > t.deadline then
+      raise
+        (Deadline_hit
+           { deadline_s = t.deadline_rel; elapsed_s = now -. t.started })
+  end

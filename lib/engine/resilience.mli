@@ -25,10 +25,9 @@
 type limits = {
   max_oracle_calls : int option;
       (** Global quota over all oracle questions (Rᵢ + T_B + ≅_B) a
-          single request may ask, retries included. *)
+          single request may ask. *)
   deadline_s : float option;
-      (** Wall-clock bound for the whole request, retries and backoff
-          included. *)
+      (** Wall-clock bound for the whole request. *)
 }
 
 val no_limits : limits
@@ -37,26 +36,12 @@ val no_limits : limits
 val unlimited : limits -> bool
 (** [true] iff both fields are [None]. *)
 
-type retry = {
-  max_retries : int;
-      (** How many times a request is re-attempted after a transient
-          [Faulty_oracle.Oracle_unavailable]. *)
-  backoff_s : float;
-      (** Base of the deterministic exponential backoff: attempt [n]
-          sleeps [backoff_s *. 2^n] before retrying.  [0.] disables
-          sleeping (used by tests to keep chaos runs fast). *)
-}
-
-val default_retry : retry
-(** 2 retries, 1 ms base backoff. *)
-
 exception Budget_hit of { limit : int }
 (** Raised by {!tick} when the quota is exhausted; the question that
     would have exceeded the budget was {e not} asked. *)
 
 exception Deadline_hit of { deadline_s : float; elapsed_s : float }
-(** Raised by {!tick} (and {!check_deadline}) once the wall clock passes
-    the armed deadline. *)
+(** Raised by {!tick} once the wall clock passes the armed deadline. *)
 
 type t
 
@@ -73,10 +58,6 @@ val disarm : t -> unit
 val tick : t -> unit
 (** One oracle question is about to be asked.  Raises {!Budget_hit} or
     {!Deadline_hit} when the armed limits are exceeded. *)
-
-val check_deadline : t -> unit
-(** Unconditional deadline check, used between retry attempts (ticks
-    only probe the clock every few questions). *)
 
 val deadline_check_mask : int
 (** Ticks between clock probes minus one (a power of two minus one). *)

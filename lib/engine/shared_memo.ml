@@ -7,7 +7,7 @@ open Prelude
    the price that two workers racing on the same cold key may both
    compute (each worker's own instrumentation counts its own genuine
    questions; the first insertion wins and everyone returns it).  A
-   compute that raises (budget trip, injected fault) stores nothing. *)
+   compute that raises (budget trip, deadline) stores nothing. *)
 
 type table_stats = { hits : int; misses : int }
 

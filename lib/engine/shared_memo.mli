@@ -40,9 +40,9 @@
     worker that asked it, and a budget check still fires before the
     question it would abort.  Summed over workers, genuine questions
     never exceed — and after warm-up fall far below — what sequential
-    evaluation asks.  A compute that raises (budget trip, deadline,
-    injected fault) stores nothing, so only completed, deterministic
-    answers are ever shared. *)
+    evaluation asks.  A compute that raises (budget trip, deadline)
+    stores nothing, so only completed, deterministic answers are ever
+    shared. *)
 
 type t
 
@@ -117,7 +117,7 @@ type result_value = {
 val result : t -> key:string -> compute:(unit -> result_value) -> result_value
 (** Whole-request result memo.  Callers must only route payloads whose
     evaluation is a deterministic function of the key through here —
-    {!Engine} does, and lets budget/deadline/fault aborts raise through
+    {!Engine} does, and lets budget/deadline aborts raise through
     [compute] so nondeterministic outcomes are never stored. *)
 
 type table_stats = { hits : int; misses : int }

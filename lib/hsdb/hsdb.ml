@@ -17,8 +17,8 @@ let db t = t.db
 let db_type t = Rdb.Database.db_type t.db
 
 (* Counters increment only after the underlying oracle answers: a call
-   aborted mid-flight (a budget/deadline check or an injected fault in
-   lib/engine raises from inside the raw oracle closure) was never a
+   aborted mid-flight (a budget/deadline check in lib/engine raises
+   from inside the raw oracle closure) was never a
    completed question and must not inflate the Def. 3.9 ledger. *)
 let children t u =
   match Hashtbl.find_opt t.children_cache u with

@@ -49,7 +49,7 @@ val start :
     bound; [max_line] (default {!Frame.default_max_line}) the frame
     bound; [stats] (default [true]) whether responses carry the
     [stats] field.  [engine_config] arms the same per-request
-    budget/deadline/fault machinery as batch serving.
+    budget/deadline machinery as batch serving.
 
     [tracing] is passed to {!Pool.create}: sampled requests produce
     span trees with exact Def. 3.9 ledger slices, readable via

@@ -124,8 +124,8 @@ let traced t name attrs f =
 (* Snapshot save. *)
 
 (* Nondeterministic errors must never be served from a warm cache: a
-   budget trip or injected outage is a property of one run, not of the
-   request.  [Shared_memo] already never stores them (aborts raise
+   budget trip or an unreachable shard is a property of one run, not of
+   the request.  [Shared_memo] already never stores them (aborts raise
    through compute), so this filter is defense in depth — it counts
    what it drops so a regression would be visible on /metrics. *)
 let deterministic_entry = function

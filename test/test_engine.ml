@@ -330,9 +330,9 @@ let gen_stats =
   let open QCheck2.Gen in
   let n = int_range 0 5000 in
   map3
-    (fun (oracle_calls, tb_calls, equiv_calls) (cache_hits, retries) wall_s ->
-      { Request.oracle_calls; tb_calls; equiv_calls; cache_hits; retries; wall_s })
-    (triple n n n) (pair n (int_range 0 3))
+    (fun (oracle_calls, tb_calls, equiv_calls) cache_hits wall_s ->
+      { Request.oracle_calls; tb_calls; equiv_calls; cache_hits; wall_s })
+    (triple n n n) n
     (oneof [ float_bound_inclusive 10.; float; return 0.0 ])
 
 let qcheck_write_reply =

@@ -1,14 +1,15 @@
-(* The resilience layer: budgets, deadlines, fault injection, crash
-   containment.  The central claims under test:
+(* The resilience layer: budgets, deadlines, crash containment.  The
+   central claims under test:
 
    - a configured budget/deadline turns an expensive evaluation into a
      typed error, and the question ledger never exceeds the quota (the
      aborting check fires before the over-budget question is asked);
-   - Engine.handle is total — injected outages, bad payloads and
-     arbitrary exceptions all come back as typed [Error] results;
-   - fault injection never changes an oracle's answer, so every
-     non-faulted response is byte-identical to a clean sequential run
-     (the 20-seed chaos test);
+   - Engine.handle is total — bad payloads and arbitrary exceptions
+     come back as typed [Error] results;
+   - an evaluation aborted mid-flight stores nothing, so under seeded
+     budgets every response that did not trip, and an unlimited replay
+     on the same shared memo, are byte-identical to a clean sequential
+     run (the seeded chaos test);
    - a worker crash fails only its own request; the rest of the batch
      completes, identically. *)
 
@@ -121,28 +122,13 @@ let test_handle_is_total () =
          (Request.Program
             { instance = "mod2"; program = "Y1 <- Rel1"; fuel = 0; cutoff = 4 }))
   in
-  (match r.Request.result with
+  match r.Request.result with
   | Error (Request.Bad_request _) -> ()
   | Error e' -> Alcotest.failf "unexpected %s" (Request.error_to_string e')
-  | Ok _ -> Alcotest.fail "zero fuel accepted");
-  (* A permanently-faulted oracle (every call fails, no retries left)
-     surfaces as Oracle_unavailable, never an exception. *)
-  let config =
-    {
-      Engine.default_config with
-      retry = { Resilience.max_retries = 1; backoff_s = 0.0 };
-      faults = Some (Faulty_oracle.config ~seed:3 ~fault_period:1 ());
-    }
-  in
-  let r = Engine.handle (Engine.create ~config ()) (heavy 3) in
-  match r.Request.result with
-  | Error (Request.Oracle_unavailable { attempts; _ }) ->
-      check Alcotest.int "gave up after max_retries + 1 attempts" 2 attempts
-  | Error e' -> Alcotest.failf "unexpected %s" (Request.error_to_string e')
-  | Ok _ -> Alcotest.fail "every oracle call faults, yet the request succeeded"
+  | Ok _ -> Alcotest.fail "zero fuel accepted"
 
 (* ------------------------------------------------------------------ *)
-(* Fault injection: the chaos test                                     *)
+(* Chaos: seeded budgets and a deadline                                *)
 
 let chaos_batch = Workload.mixed 40
 
@@ -150,75 +136,62 @@ let chaos_reference =
   lazy (List.map fingerprint (Engine.handle_all (Engine.create ()) chaos_batch))
 
 let test_chaos_seeds () =
-  (* 20 seeds: under injected transient faults, the pool still answers
-     every request in order, and every response that is not itself a
-     fault error is byte-identical to the clean sequential run —
-     injection delays or refuses answers, it never changes them. *)
+  (* 20 seeds, each a question quota drawn from the seed, then one
+     seeded deadline: a 3-domain pool on one shared memo serves the
+     batch under it.  Which requests trip depends on the interleaving;
+     that every other response, and an unlimited replay on the same
+     memo, equals the clean sequential run does not — an aborted
+     evaluation never stores a result or a member list. *)
   let reference = Lazy.force chaos_reference in
-  for seed = 1 to 20 do
-    let config =
-      {
-        Engine.default_config with
-        retry = { Resilience.max_retries = 2; backoff_s = 0.0 };
-        faults = Some (Faulty_oracle.config ~seed ~fault_period:50 ());
-      }
-    in
-    let pool = Pool.create ~domains:3 ~engine_config:config () in
-    let responses = Pool.run_batch pool chaos_batch in
+  let run seed limits =
     (* No lost wakeups: a storm of tiny follow-up batches — one signal
        each — must all complete (a lost signal hangs right here), and
        shutdown must then reap every worker cleanly. *)
-    for k = 1 to 5 do
-      let tiny = [ List.nth chaos_batch (k mod List.length chaos_batch) ] in
-      check Alcotest.int
-        (Printf.sprintf "seed %d: tiny batch %d served" seed k)
-        1
-        (List.length (Pool.run_batch pool tiny))
-    done;
-    (match Pool.shutdown_result ~timeout_s:30.0 pool with
-    | `Clean -> ()
-    | `Timed_out n ->
-        Alcotest.failf "seed %d: %d workers stuck at shutdown (lost wakeup?)"
-          seed n);
-    check Alcotest.int
-      (Printf.sprintf "seed %d: one response per request" seed)
-      (List.length chaos_batch) (List.length responses);
-    List.iteri
-      (fun i (r : Request.response) ->
+    let storm pool =
+      for k = 1 to 5 do
+        let tiny = [ List.nth chaos_batch (k mod List.length chaos_batch) ] in
         check Alcotest.int
-          (Printf.sprintf "seed %d: response %d in order" seed i)
-          (i + 1) r.Request.id;
-        match r.Request.result with
-        | Error (Request.Oracle_unavailable _) -> () (* faulted: exempt *)
-        | _ ->
-            check Alcotest.string
-              (Printf.sprintf "seed %d: request %d identical to clean run"
-                 seed (i + 1))
-              (List.nth reference i) (fingerprint r))
-      responses
-  done
-
-let test_retries_absorb_faults () =
-  (* With a sparse fault schedule and a couple of retries, most
-     requests succeed anyway — and the retries show up in stats. *)
-  let config =
-    {
-      Engine.default_config with
-      retry = { Resilience.max_retries = 3; backoff_s = 0.0 };
-      faults = Some (Faulty_oracle.config ~seed:42 ~fault_period:200 ());
-    }
+          (Printf.sprintf "seed %d: tiny batch %d served" seed k)
+          1
+          (List.length (Pool.run_batch pool tiny))
+      done;
+      match Pool.shutdown_result ~timeout_s:30.0 pool with
+      | `Clean -> ()
+      | `Timed_out n ->
+          Alcotest.failf "seed %d: %d workers stuck at shutdown (lost wakeup?)"
+            seed n
+    in
+    let a =
+      Engine_bench.abort_check ~on_pool:storm ~reference limits chaos_batch
+    in
+    let holds what ok =
+      check Alcotest.bool (Printf.sprintf "seed %d: %s" seed what) true ok
+    in
+    holds "untripped responses identical to the clean run" a.served_identical;
+    holds "no response over the quota" a.within_quota;
+    holds "unlimited replay identical to the clean run" a.replay_identical;
+    a.Engine_bench.aborted
   in
-  let engine = Engine.create ~config () in
-  let responses = Engine.handle_all engine chaos_batch in
-  let retries =
-    List.fold_left
-      (fun acc (r : Request.response) -> acc + r.Request.stats.Request.retries)
-      0 responses
+  let aborted =
+    List.fold_left ( + ) 0
+      (List.map
+         (fun seed ->
+           run seed
+             {
+               Resilience.max_oracle_calls =
+                 Some (Engine_bench.seeded_quota seed);
+               deadline_s = None;
+             })
+         (Prelude.Ints.range 1 21))
   in
-  check Alcotest.bool "faults were actually injected" true
-    (Engine.faults_injected engine > 0);
-  check Alcotest.bool "retries recorded in per-request stats" true
-    (retries > 0)
+  check Alcotest.bool "the seeded budgets tripped" true (aborted > 0);
+  (* A deadline trips where the clock says, so its seed fixes only the
+     bound, and only the invariant is asserted. *)
+  let deadline_s =
+    0.0001 +. Random.State.float (Random.State.make [| 0 |]) 0.0005
+  in
+  ignore
+    (run 0 { Resilience.max_oracle_calls = None; deadline_s = Some deadline_s })
 
 (* ------------------------------------------------------------------ *)
 (* Crash containment                                                   *)
@@ -363,10 +336,8 @@ let () =
         ] );
       ( "chaos",
         [
-          Alcotest.test_case "20 seeds: non-faulted results identical"
-            `Slow test_chaos_seeds;
-          Alcotest.test_case "retries absorb sparse faults" `Quick
-            test_retries_absorb_faults;
+          Alcotest.test_case "seeded aborts are never stored" `Slow
+            test_chaos_seeds;
         ] );
       ( "crash",
         [
